@@ -4,7 +4,7 @@ Weak-drive rate model, exact Floquet-Lindblad solver, minimal-temperature
 analysis and a cell-scale detuning-scan model, with a CLI front end.
 """
 
-from .config import AtomDriveConfig, derived_params
+from .config import AtomDriveConfig
 from .errors import (
     CalibrationError,
     ConfigError,
@@ -29,7 +29,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AtomDriveConfig",
-    "derived_params",
     "BathSpectrum",
     "FlatHotSpectrum",
     "CubicColdSpectrum",

@@ -1,10 +1,11 @@
 """From single-atom currents to the laboratory cell.
 
 The beam attenuates as exp(-alpha z) along the cell, the local coupling
-scales as g^2(z) = g^2 exp(-alpha z), and the total cooling power is the
-attenuation-weighted integral of the local per-atom current times the
-linear atom density.  The flat hot-spectrum amplitude is calibrated so the
-modeled absorbed-power fraction reproduces measured absorption data.
+scales as g^2(z) = g^2 exp(-alpha z), and the cell's cooling power and
+absorbed power are attenuation-weighted integrals of the local per-atom
+(J_hot, P_abs) times the linear atom density.  The flat hot-spectrum
+amplitude is calibrated so the modeled absorbed-power fraction reproduces
+measured absorption data.
 
 This module is the lab-facing boundary: cell geometry in mm, power in
 watts, frequencies in THz, temperatures in kelvin.  Atom/drive configs it
@@ -14,7 +15,9 @@ consumes are in internal units as everywhere else.
 from __future__ import annotations
 
 import csv
+import functools
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,23 +26,20 @@ from scipy.integrate import quad
 from scipy.optimize import brentq, least_squares
 
 from .config import AtomDriveConfig
-from .errors import CalibrationError, ConfigError
+from .errors import CalibrationError, ConfigError, DomainError
 from .floquet import solve_pipeline
-from .rate_model import (
-    _absorbed_power_signed,
-    heat_current_weak,
-    pumping_rate,
-    regime_of,
-)
+from .rate_model import pumping_rate, regime_of, weak_flows
 from .spectra import CubicColdSpectrum, FlatHotSpectrum, boltzmann_weight
 from .units import (
     internal_to_thz,
     internal_to_watts,
     kelvin_to_internal,
+    round12,
     thz_to_internal,
 )
 
 WEAK_DRIVE_SWITCH = 0.1     # rate model below g/|detuning| <= 0.1, exact solver above
+QUAD_EPSREL = 1e-8          # relative tolerance of the cell integral
 
 
 @dataclass(frozen=True)
@@ -141,28 +141,15 @@ def experimental_heat_current(p_l_watt: float, a_nu: float, delta: float,
 # ---------------------------------------------------------------------------
 
 
-def _local_heat_current(cfg_local: AtomDriveConfig, hot: FlatHotSpectrum,
-                        t_cold: float, solver: str) -> float:
+def _local_flows(cfg_local: AtomDriveConfig, hot: FlatHotSpectrum,
+                 t_cold: float, solver: str) -> tuple[float, float]:
+    """(J_hot, P_abs) per atom at one depth of the cell, from one solve."""
     if solver == "rate":
-        if cfg_local.g == 0.0 or cfg_local.detuning == 0.0:
-            return 0.0
-        gp = pumping_rate(cfg_local, hot)
-        return heat_current_weak(cfg_local, gp, hot.temperature)
+        return weak_flows(cfg_local, pumping_rate(cfg_local, hot),
+                          hot.temperature)
     cold = CubicColdSpectrum(cfg_local.gamma, cfg_local.omega0, t_cold)
     _, _, currents = solve_pipeline(cfg_local, hot, cold)
-    return currents.j_hot
-
-
-def _local_absorbed_power(cfg_local: AtomDriveConfig, hot: FlatHotSpectrum,
-                          t_cold: float, solver: str) -> float:
-    if solver == "rate":
-        if cfg_local.g == 0.0 or cfg_local.detuning == 0.0:
-            return 0.0
-        gp = pumping_rate(cfg_local, hot)
-        return _absorbed_power_signed(cfg_local, gp, hot.temperature)
-    cold = CubicColdSpectrum(cfg_local.gamma, cfg_local.omega0, t_cold)
-    _, _, currents = solve_pipeline(cfg_local, hot, cold)
-    return currents.p_abs
+    return currents.j_hot, currents.p_abs
 
 
 def pick_solver(cfg: AtomDriveConfig) -> str:
@@ -175,36 +162,22 @@ def pick_solver(cfg: AtomDriveConfig) -> str:
 
 def _integrate_over_cell(cell: CellConfig, alpha_per_mm: float, local_fn) -> float:
     """(N_a/L) integral of exp(-alpha z) local_fn(attenuation(z)) dz, where
-    local_fn returns an internal per-atom power; result in watts."""
+    local_fn returns an internal per-atom power; result in watts.
+
+    Raises DomainError when quad's error estimate misses QUAD_EPSREL."""
     length = cell.length_mm
 
     def integrand(z: float) -> float:
         att = math.exp(-alpha_per_mm * z)
         return att * local_fn(att)
 
-    value, _ = quad(integrand, 0.0, length, epsabs=0.0, epsrel=1e-8, limit=200)
+    # full_output turns quad's warnings off; the error check replaces them
+    value, err = quad(integrand, 0.0, length, epsabs=0.0, epsrel=QUAD_EPSREL,
+                      limit=200, full_output=1)[:2]
+    if not err <= QUAD_EPSREL * abs(value):
+        raise DomainError(f"cell integral did not converge: error estimate "
+                          f"{err:.3g} against value {value:.6g}")
     return internal_to_watts(cell.linear_atom_density_per_mm * value)
-
-
-def integrated_cooling_power(cell: CellConfig, cfg: AtomDriveConfig,
-                             hot: FlatHotSpectrum, alpha_per_mm: float | None = None,
-                             t_cold: float = 0.0, solver: str | None = None,
-                             local_current=None) -> float:
-    """Total cooling power of the cell in watts.
-
-    The local current at depth z uses the attenuated coupling
-    g^2(z) = g^2 exp(-alpha z); ``local_current`` may override the physical
-    per-atom current (used to validate the quadrature against the closed
-    form for a z-independent integrand).
-    """
-    alpha = cell.absorption_coeff_per_mm if alpha_per_mm is None else alpha_per_mm
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
-    chosen = solver or pick_solver(cfg)
-    if local_current is None:
-        def local_current(att, _cfg=cfg):
-            return _local_heat_current(_cfg.attenuated(att), hot, t_cold, chosen)
-    return _integrate_over_cell(cell, alpha, local_current)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +195,7 @@ def _modeled_absorption(cfg: AtomDriveConfig, cell: CellConfig, g0: float,
     def local_p(att):
         if hot is None:
             return 0.0
-        return _local_absorbed_power(cfg.attenuated(att), hot, 0.0, "rate")
+        return _local_flows(cfg.attenuated(att), hot, 0.0, "rate")[1]
 
     absorbed_w = _integrate_over_cell(cell, alpha_per_mm, local_p)
     return absorbed_w / cell.laser_power_w
@@ -234,8 +207,9 @@ def _saturated_absorption(cfg: AtomDriveConfig, cell: CellConfig,
     t_hot = kelvin_to_internal(cell.bath_temperature_k)
     bw = boltzmann_weight(abs(cfg.detuning), t_hot)
     cap = cfg.nu * cfg.gamma * (bw if cfg.detuning > 0 else 1.0) / (1.0 + bw)
-    weight, _ = quad(lambda z: math.exp(-alpha_per_mm * z), 0.0, cell.length_mm,
-                     epsabs=0.0, epsrel=1e-10)
+    # integral of exp(-alpha z) over the cell
+    weight = (-math.expm1(-alpha_per_mm * cell.length_mm) / alpha_per_mm
+              if alpha_per_mm > 0 else cell.length_mm)
     return internal_to_watts(cell.linear_atom_density_per_mm * weight * cap) \
         / cell.laser_power_w
 
@@ -395,16 +369,12 @@ def _scan_row(args) -> ScanRow:
         return ScanRow(delta_thz, 0.0, _experimental(cell, dataset, delta, nu),
                        0.0, 0.0, regime, "none")
     solver = pick_solver(cfg_row)
-    j_tot = integrated_cooling_power(cell, cfg_row, hot, alpha_per_mm=alpha,
-                                     t_cold=t_cold, solver=solver)
-    if solver == "rate":
-        # exact weak-drive identity J/P = detuning/nu, pointwise in z
-        p_abs = j_tot * nu / delta if delta != 0.0 else 0.0
-    else:
-        p_abs = _integrate_over_cell(
-            cell, alpha,
-            lambda att: _local_absorbed_power(cfg_row.attenuated(att), hot,
-                                              t_cold, solver))
+    # the local coupling follows the attenuated beam, g^2(z) = g^2 e^(-alpha z);
+    # both integrals visit the same depths, so each depth is solved once
+    flows = functools.cache(
+        lambda att: _local_flows(cfg_row.attenuated(att), hot, t_cold, solver))
+    j_tot = _integrate_over_cell(cell, alpha, lambda att: flows(att)[0])
+    p_abs = _integrate_over_cell(cell, alpha, lambda att: flows(att)[1])
     eta = j_tot / cell.laser_power_w
     return ScanRow(delta_thz, j_tot, _experimental(cell, dataset, delta, nu),
                    p_abs, eta, regime, solver)
@@ -427,12 +397,17 @@ def detuning_scan(cell: CellConfig, cfg_template: AtomDriveConfig, g0: float,
 
     g0 is the calibrated (or prescribed) flat hot-spectrum amplitude in
     internal units; the weak-drive/exact solver switch is recorded per row.
+    ``jobs`` worker processes share the rows; it must be at least 1 and is
+    capped at the CPU count.
     """
     deltas_thz = list(deltas_thz)
     if not deltas_thz:
         raise ConfigError("empty detuning grid")
     if g0 <= 0:
         raise ValueError("g0 must be positive")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    jobs = min(jobs, os.cpu_count() or 1)
     payloads = [(cell, cfg_template, g0, float(d), dataset, t_cold)
                 for d in deltas_thz]
     if jobs > 1:
@@ -466,29 +441,24 @@ def detuning_scan(cell: CellConfig, cfg_template: AtomDriveConfig, g0: float,
 SCAN_CSV_HEADER = "delta_thz,j_hot_watt,j_hot_exp_watt,p_abs_watt,eta,regime,model"
 
 
-def _fmt(x) -> str:
-    return f"{x:.12g}"
-
-
 def write_scan_csv(result: ScanResult, path) -> None:
     lines = [SCAN_CSV_HEADER]
     for r in result.rows:
-        exp = "" if r.j_hot_exp_watt is None else _fmt(r.j_hot_exp_watt)
-        lines.append(",".join([_fmt(r.delta_thz), _fmt(r.j_hot_watt), exp,
-                               _fmt(r.p_abs_watt), _fmt(r.eta), r.regime,
-                               r.model]))
+        exp = "" if r.j_hot_exp_watt is None else f"{r.j_hot_exp_watt:.12g}"
+        lines.append(f"{r.delta_thz:.12g},{r.j_hot_watt:.12g},{exp},"
+                     f"{r.p_abs_watt:.12g},{r.eta:.12g},{r.regime},{r.model}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def scan_records(result: ScanResult) -> list[dict]:
     return [
         {
-            "delta_thz": float(_fmt(r.delta_thz)),
-            "j_hot_watt": float(_fmt(r.j_hot_watt)),
+            "delta_thz": round12(r.delta_thz),
+            "j_hot_watt": round12(r.j_hot_watt),
             "j_hot_exp_watt": None if r.j_hot_exp_watt is None
-            else float(_fmt(r.j_hot_exp_watt)),
-            "p_abs_watt": float(_fmt(r.p_abs_watt)),
-            "eta": float(_fmt(r.eta)),
+            else round12(r.j_hot_exp_watt),
+            "p_abs_watt": round12(r.p_abs_watt),
+            "eta": round12(r.eta),
             "regime": r.regime,
             "model": r.model,
         }

@@ -29,6 +29,7 @@ from .units import (
     internal_to_thz,
     internal_to_watts,
     kelvin_to_internal,
+    round12,
     thz_to_internal,
     watts_to_internal,
 )
@@ -112,28 +113,9 @@ CONFIG_SCHEMA = {
         },
     },
 }
-
-_REQUIRED_SECTIONS = {
-    "steady-state": ("atom", "hot_bath", "cold_bath"),
-    "currents": ("atom", "hot_bath", "cold_bath"),
-    "scan": ("atom", "hot_bath", "cell", "scan"),
-    "tmin": ("atom", "cold_bath"),
-    "compare": ("atom", "compare"),
-    "calibrate": ("atom", "cell", "hot_bath", "calibrate"),
-}
-
-
-def _fmt(x) -> float:
-    """Round to 12 significant digits for machine output."""
-    return float(f"{x:.12g}")
-
-
-def _fmt_maybe(x):
-    if x is None:
-        return None
-    if isinstance(x, float) and math.isinf(x):
-        return "inf"
-    return _fmt(x)
+# the schema is a constant: checked against the metaschema by the tests,
+# not on every load
+_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 
 
 def load_config(path: str, overrides) -> dict:
@@ -156,18 +138,11 @@ def load_config(path: str, overrides) -> dict:
             if not isinstance(node, dict):
                 raise ConfigError(f"--set path {key!r} crosses a non-object")
         node[parts[-1]] = value
-    try:
-        jsonschema.validate(doc, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
+    exc = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
+    if exc is not None:
         raise ConfigError(f"config schema violation: {exc.message} "
                           f"(at {'/'.join(str(p) for p in exc.absolute_path)})")
     return doc
-
-
-def _require(doc: dict, command: str) -> None:
-    missing = [s for s in _REQUIRED_SECTIONS[command] if s not in doc]
-    if missing:
-        raise ConfigError(f"{command} needs config sections: {', '.join(missing)}")
 
 
 def _resolve_path(path_str: str, config_path: str | None) -> str:
@@ -178,9 +153,18 @@ def _resolve_path(path_str: str, config_path: str | None) -> str:
     return str(Path(config_path).parent / p)
 
 
+def _construct(section: str, factory, *args, **kwargs):
+    """Build a config object; a value it rejects is a config error."""
+    try:
+        return factory(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
+
+
 def _atom(doc: dict) -> AtomDriveConfig:
     a = doc["atom"]
-    return AtomDriveConfig.from_thz(
+    return _construct(
+        "atom", AtomDriveConfig.from_thz,
         a["omega0_thz"], a["gamma_thz"], a["g_thz"], a["nu_thz"],
         a.get("laser_power_w", 0.0),
     )
@@ -196,7 +180,8 @@ def _hot(doc: dict, config_path: str | None = None):
     if "g0_thz" not in h:
         raise ConfigError("hot_bath needs g0_thz or spectrum_csv (run "
                           "`calibrate` first or set one explicitly)")
-    return FlatHotSpectrum(thz_to_internal(h["g0_thz"]), temperature)
+    return _construct("hot_bath", FlatHotSpectrum,
+                      thz_to_internal(h["g0_thz"]), temperature)
 
 
 def _cold_temperature(doc: dict) -> float:
@@ -211,7 +196,8 @@ def _cell(doc: dict) -> cellmod.CellConfig:
         alpha = 1.0 / c["absorption_length_mm"]
     else:
         alpha = 0.0
-    return cellmod.CellConfig(
+    return _construct(
+        "cell", cellmod.CellConfig,
         length_mm=c["length_mm"],
         absorption_coeff_per_mm=alpha,
         linear_atom_density_per_mm=c["linear_atom_density_per_mm"],
@@ -221,14 +207,14 @@ def _cell(doc: dict) -> cellmod.CellConfig:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands: each returns (payload dict, human-readable lines)
+# Subcommands: each takes (config document, parsed arguments); the point
+# commands return (payload dict, human-readable lines), scan a ScanResult
 # ---------------------------------------------------------------------------
 
 
-def cmd_steady_state(doc: dict, config_path: str | None = None):
-    _require(doc, "steady-state")
+def cmd_steady_state(doc: dict, args):
     cfg = _atom(doc)
-    hot = _hot(doc, config_path)
+    hot = _hot(doc, args.config)
     t_cold = _cold_temperature(doc)
     cold = CubicColdSpectrum(cfg.gamma, cfg.omega0, t_cold)
 
@@ -245,30 +231,30 @@ def cmd_steady_state(doc: dict, config_path: str | None = None):
         else:
             rate_pops = (pt.rho_ee, pt.rho_gg)
             rate_part = {
-                "gamma_p_thz": _fmt(internal_to_thz(gp)),
-                "rho_ee": _fmt(pt.rho_ee),
-                "rho_gg": _fmt(pt.rho_gg),
-                "boltzmann_factor": _fmt(pt.boltzmann_factor),
-                "t_tla_k": _fmt_maybe(pt.t_tla / kelvin_to_internal(1.0)
-                                      if math.isfinite(pt.t_tla) else math.inf),
+                "gamma_p_thz": round12(internal_to_thz(gp)),
+                "rho_ee": round12(pt.rho_ee),
+                "rho_gg": round12(pt.rho_gg),
+                "boltzmann_factor": round12(pt.boltzmann_factor),
+                "t_tla_k": round12(pt.t_tla / kelvin_to_internal(1.0))
+                if math.isfinite(pt.t_tla) else "inf",
             }
 
     _, report, _ = floquet.solve_pipeline(cfg, hot, cold)
     ee, gg = floquet.bare_populations(cfg, report.rho)
     if ee > 0 and gg > 0 and ee < gg:
         t_tla_fl = abs(cfg.detuning) / math.log(gg / ee)
-        t_tla_fl_k = _fmt(t_tla_fl / kelvin_to_internal(1.0))
+        t_tla_fl_k = round12(t_tla_fl / kelvin_to_internal(1.0))
     else:
         t_tla_fl_k = "inf" if ee >= gg else 0.0
     fl_part = {
-        "rho_ee": _fmt(ee),
-        "rho_gg": _fmt(gg),
+        "rho_ee": round12(ee),
+        "rho_gg": round12(gg),
         "t_tla_k": t_tla_fl_k,
-        "residual": _fmt(report.residual),
+        "residual": round12(report.residual),
     }
     if rate_pops is not None:
         rel = abs(rate_pops[0] - ee) / max(abs(ee), 1e-300)
-        fl_part["rel_difference_rho_ee"] = _fmt(rel)
+        fl_part["rel_difference_rho_ee"] = round12(rel)
     payload = {"command": "steady-state", "rate_model": rate_part,
                "floquet": fl_part}
     lines = ["steady state (rate model vs exact solver)"]
@@ -278,10 +264,9 @@ def cmd_steady_state(doc: dict, config_path: str | None = None):
     return payload, lines
 
 
-def cmd_currents(doc: dict, config_path: str | None = None):
-    _require(doc, "currents")
+def cmd_currents(doc: dict, args):
     cfg = _atom(doc)
-    hot = _hot(doc, config_path)
+    hot = _hot(doc, args.config)
     t_cold = _cold_temperature(doc)
     cold = CubicColdSpectrum(cfg.gamma, cfg.omega0, t_cold)
     laser_power_w = doc["atom"].get("laser_power_w", 0.0)
@@ -290,10 +275,10 @@ def cmd_currents(doc: dict, config_path: str | None = None):
         flow = rate_model.energy_flow(
             cfg, hot, watts_to_internal(laser_power_w) if laser_power_w else None)
         rate_part = {
-            "j_hot_w": _fmt(internal_to_watts(flow.j_hot)),
-            "j_cold_w": _fmt(internal_to_watts(flow.j_cold)),
-            "p_abs_w": _fmt(internal_to_watts(flow.p_abs)),
-            "eta": _fmt(flow.eta),
+            "j_hot_w": round12(internal_to_watts(flow.j_hot)),
+            "j_cold_w": round12(internal_to_watts(flow.j_cold)),
+            "p_abs_w": round12(internal_to_watts(flow.p_abs)),
+            "eta": round12(flow.eta),
         }
         regime = flow.regime
     except DomainError as exc:
@@ -307,11 +292,11 @@ def cmd_currents(doc: dict, config_path: str | None = None):
         "regime": regime,
         "rate_model": rate_part,
         "floquet": {
-            "j_hot_w": _fmt(internal_to_watts(currents.j_hot)),
-            "j_cold_w": _fmt(internal_to_watts(currents.j_cold)),
-            "p_abs_w": _fmt(internal_to_watts(currents.p_abs)),
-            "conservation_residual_rel": _fmt(currents.conservation_residual
-                                              / scale),
+            "j_hot_w": round12(internal_to_watts(currents.j_hot)),
+            "j_cold_w": round12(internal_to_watts(currents.j_cold)),
+            "p_abs_w": round12(internal_to_watts(currents.p_abs)),
+            "conservation_residual_rel": round12(
+                currents.conservation_residual / scale),
         },
     }
     lines = [f"energy flows ({regime} regime); per atom, watts"]
@@ -321,18 +306,17 @@ def cmd_currents(doc: dict, config_path: str | None = None):
     return payload, lines
 
 
-def cmd_tmin(doc: dict):
-    _require(doc, "tmin")
+def cmd_tmin(doc: dict, args):
     cfg = _atom(doc)
     t_cold = _cold_temperature(doc)
     exact = analysis.min_temp_exact(cfg, t_cold)
     payload = {"command": "tmin",
-               "t_min_exact_k": _fmt(exact / kelvin_to_internal(1.0))}
+               "t_min_exact_k": round12(exact / kelvin_to_internal(1.0))}
     if cfg.g > 0 and cfg.g < cfg.detuning:
         asymptotic = analysis.min_temp_asymptotic(cfg)
-        payload["t_min_asymptotic_k"] = _fmt(asymptotic / kelvin_to_internal(1.0))
-        payload["relative_gap"] = _fmt(abs(exact - asymptotic)
-                                       / max(exact, 1e-300))
+        payload["t_min_asymptotic_k"] = round12(asymptotic / kelvin_to_internal(1.0))
+        payload["relative_gap"] = round12(abs(exact - asymptotic)
+                                          / max(exact, 1e-300))
     if exact > 0:
         below = floquet.heat_current_exact(cfg, 1.0, exact / 10.0, t_cold)
         above = floquet.heat_current_exact(cfg, 1.0, exact * 10.0, t_cold)
@@ -340,8 +324,8 @@ def cmd_tmin(doc: dict):
         payload["bracket_check"] = {
             "j_sign_below": -1 if below < 0 else (0 if below == 0 else 1),
             "j_sign_above": -1 if above < 0 else (0 if above == 0 else 1),
-            "bisect_root_k": _fmt(root / kelvin_to_internal(1.0)),
-            "bisect_rel_difference": _fmt(abs(root - exact) / exact),
+            "bisect_root_k": round12(root / kelvin_to_internal(1.0)),
+            "bisect_rel_difference": round12(abs(root - exact) / exact),
         }
     lines = [f"minimal hot-bath temperature: "
              f"{payload['t_min_exact_k']:.6g} K (exact)"]
@@ -356,27 +340,28 @@ def cmd_tmin(doc: dict):
     return payload, lines
 
 
-def cmd_compare(doc: dict):
-    _require(doc, "compare")
+def cmd_compare(doc: dict, args):
     cfg = _atom(doc)
     comp = doc["compare"]
     rabi = thz_to_internal(comp["rabi_thz"]) if "rabi_thz" in comp else cfg.rabi
+    mass_kg = amu_to_kg(comp["mass_amu"])
+    if mass_kg == 0.0:
+        raise ConfigError("compare: mass_amu underflows to zero kilograms")
     if cfg.detuning <= 0 or cfg.g <= 0:
         raise DomainError("comparison needs red detuning and g > 0")
     result = analysis.method_comparison(
-        cfg.gamma, rabi, cfg.detuning, cfg.g, cfg.nu, cfg.omega0,
-        amu_to_kg(comp["mass_amu"]))
+        cfg.gamma, rabi, cfg.detuning, cfg.g, cfg.nu, cfg.omega0, mass_kg)
     payload = {
         "command": "compare",
         "operating_regime": result.operating_regime,
         "t_min_scaled": [
             {"method": r.method, "regime": r.regime,
-             "value": _fmt(r.t_min_scaled), "reference": r.reference,
+             "value": round12(r.t_min_scaled), "reference": r.reference,
              "approximate": r.approximate}
             for r in result.limits
         ],
         "efficiency_bounds": [
-            {"method": e.method, "value": _fmt(e.value), "note": e.note}
+            {"method": e.method, "value": round12(e.value), "note": e.note}
             for e in result.efficiencies
         ],
     }
@@ -391,19 +376,18 @@ def cmd_compare(doc: dict):
     return payload, lines
 
 
-def cmd_calibrate(doc: dict, config_path: str | None = None):
-    _require(doc, "calibrate")
+def cmd_calibrate(doc: dict, args):
     cfg = _atom(doc)
     cal = doc["calibrate"]
     dataset = cellmod.load_absorption_csv(
-        _resolve_path(cal["dataset_csv"], config_path))
+        _resolve_path(cal["dataset_csv"], args.config))
     cell = _cell(doc)
     result = cellmod.calibrate_g0(dataset, cfg, cell,
                                   reference_nu_thz=cal.get("reference_nu_thz"))
     payload = {
         "command": "calibrate",
-        "g0_thz": _fmt(internal_to_thz(result.g0)),
-        "residual_rms": _fmt(result.residual_rms),
+        "g0_thz": round12(internal_to_thz(result.g0)),
+        "residual_rms": round12(result.residual_rms),
         "rows_used": len(result.rows_used),
     }
     lines = [f"calibrated flat hot-spectrum amplitude: "
@@ -413,18 +397,18 @@ def cmd_calibrate(doc: dict, config_path: str | None = None):
     return payload, lines
 
 
-def cmd_scan(doc: dict, dataset_path=None, jobs: int = 1,
-             config_path: str | None = None):
-    _require(doc, "scan")
+def cmd_scan(doc: dict, args):
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = _atom(doc)
     cell = _cell(doc)
     sc = doc["scan"]
     t_cold = _cold_temperature(doc) if "cold_bath" in doc else 0.0
 
-    if dataset_path is not None:
-        path = dataset_path
+    if args.dataset is not None:
+        path = args.dataset
     elif "dataset_csv" in sc:
-        path = _resolve_path(sc["dataset_csv"], config_path)
+        path = _resolve_path(sc["dataset_csv"], args.config)
     else:
         path = None
     dataset = cellmod.load_absorption_csv(path) if path else None
@@ -442,9 +426,8 @@ def cmd_scan(doc: dict, dataset_path=None, jobs: int = 1,
     deltas = [lo + k * step for k in range(n) if lo + k * step <= hi + step * 1e-9]
     if not deltas:
         raise ConfigError("empty detuning grid")
-    result = cellmod.detuning_scan(cell, cfg, g0, deltas, dataset=dataset,
-                                   t_cold=t_cold, jobs=jobs)
-    return result
+    return cellmod.detuning_scan(cell, cfg, g0, deltas, dataset=dataset,
+                                 t_cold=t_cold, jobs=args.jobs)
 
 
 def _human(v) -> str:
@@ -453,7 +436,20 @@ def _human(v) -> str:
     return str(v)
 
 
-def _emit(payload: dict, lines, args) -> None:
+def _require_finite(node) -> None:
+    """Refuse to emit output holding a non-finite number."""
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        for item in node:
+            _require_finite(item)
+    elif isinstance(node, float) and not math.isfinite(node):
+        raise DomainError("result is not finite for these parameters")
+
+
+def _emit(result, args) -> None:
+    payload, lines = result
+    _require_finite(payload)
     if not args.no_metadata:
         payload = dict(payload)
         payload["metadata"] = {
@@ -491,12 +487,13 @@ def _flatten(payload: dict, prefix: str = ""):
 
 
 def _emit_scan(result: cellmod.ScanResult, args) -> None:
+    doc = {"rows": cellmod.scan_records(result)}
+    _require_finite(doc["rows"])
     out = args.out or "scan_result"
     base = Path(out)
     if base.suffix:
         base = base.with_suffix("")
     cellmod.write_scan_csv(result, base.with_suffix(".csv"))
-    doc = {"rows": cellmod.scan_records(result)}
     if not args.no_metadata:
         meta = dict(result.metadata)
         meta["generated_at"] = datetime.now(timezone.utc).isoformat()
@@ -514,6 +511,21 @@ def _emit_scan(result: cellmod.ScanResult, args) -> None:
                      f"{base.with_suffix('.json')}\n")
 
 
+def _commands() -> dict:
+    """command -> (handler, emitter, config sections it needs).  Built per
+    call, so that a patched handler or emitter takes effect."""
+    return {
+        "steady-state": (cmd_steady_state, _emit,
+                         ("atom", "hot_bath", "cold_bath")),
+        "currents": (cmd_currents, _emit, ("atom", "hot_bath", "cold_bath")),
+        "scan": (cmd_scan, _emit_scan, ("atom", "hot_bath", "cell", "scan")),
+        "tmin": (cmd_tmin, _emit, ("atom", "cold_bath")),
+        "compare": (cmd_compare, _emit, ("atom", "compare")),
+        "calibrate": (cmd_calibrate, _emit,
+                      ("atom", "cell", "hot_bath", "calibrate")),
+    }
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="licore",
@@ -521,50 +533,42 @@ def build_parser() -> argparse.ArgumentParser:
                     "heat currents, detuning scans and minimal temperatures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("steady-state", "currents", "scan", "tmin", "compare",
-                 "calibrate"):
+    for name in _commands():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--set", action="append", default=[], metavar="K=V",
                        help="override config fields, dotted keys")
         p.add_argument("--out", default=None, help="output path")
-        p.add_argument("--format", choices=("csv", "json", "table"),
-                       default="json")
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--no-metadata", action="store_true",
                        help="omit timestamps/metadata for byte-stable output")
         if name == "scan":
+            p.add_argument("--jobs", type=int, default=1,
+                           help="worker processes for the rows (at least 1; "
+                                "capped at the CPU count)")
             p.add_argument("--dataset", default=None,
                            help="absorption CSV (overrides config)")
             p.add_argument("--emit-plot-data", action="store_true",
                            help="also write a gnuplot-friendly .dat file")
+        else:
+            p.add_argument("--format", choices=("csv", "json", "table"),
+                           default="json")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    handler, emit, sections = _commands()[args.command]
     try:
         doc = load_config(args.config, args.set)
-        if args.command == "scan":
-            result = cmd_scan(doc, dataset_path=args.dataset, jobs=args.jobs,
-                              config_path=args.config)
-            _emit_scan(result, args)
-        elif args.command == "calibrate":
-            payload, lines = cmd_calibrate(doc, config_path=args.config)
-            _emit(payload, lines, args)
-        elif args.command in ("steady-state", "currents"):
-            handler = {"steady-state": cmd_steady_state,
-                       "currents": cmd_currents}[args.command]
-            payload, lines = handler(doc, config_path=args.config)
-            _emit(payload, lines, args)
-        else:
-            handler = {"tmin": cmd_tmin, "compare": cmd_compare}[args.command]
-            payload, lines = handler(doc)
-            _emit(payload, lines, args)
+        missing = [s for s in sections if s not in doc]
+        if missing:
+            raise ConfigError(f"{args.command} needs config sections: "
+                              f"{', '.join(missing)}")
+        emit(handler(doc, args), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DomainError as exc:
+    except (DomainError, ArithmeticError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -70,8 +70,3 @@ class AtomDriveConfig:
             nu=thz_to_internal(nu_thz),
             laser_power=laser_power_w,
         )
-
-
-def derived_params(cfg: AtomDriveConfig) -> tuple[float, float]:
-    """(detuning, rabi) pair for a valid config."""
-    return cfg.detuning, cfg.rabi

@@ -49,10 +49,6 @@ def rotating_frame_hamiltonian(cfg: AtomDriveConfig) -> np.ndarray:
     return 0.5 * cfg.detuning * SIGMA_Z + cfg.g * SIGMA_X
 
 
-def dressed_hamiltonian(cfg: AtomDriveConfig) -> np.ndarray:
-    return np.diag([0.5 * cfg.rabi, -0.5 * cfg.rabi]).astype(complex)
-
-
 def dressing_rotation(cfg: AtomDriveConfig) -> np.ndarray:
     """Unitary whose columns are the (upper, lower) dressed states in the
     bare basis, with a deterministic sign convention."""
@@ -153,6 +149,8 @@ def build_liouvillian(couplings: HarmonicCouplingSet, hot: BathSpectrum,
         w_eff = entry.effective_frequency(couplings.drive_frequency)
         rate_down = spectrum.value(w_eff)
         rate_up = spectrum.value(-w_eff)
+        if not (math.isfinite(rate_down) and math.isfinite(rate_up)):
+            raise DomainError(f"non-finite spectrum value at {w_eff:.6g}")
         if rate_down < 0 or rate_up < 0:
             raise DomainError(f"negative spectrum value at {w_eff:.6g}")
         mat = rate_down * dissipator(entry.operator) \
@@ -186,7 +184,11 @@ def steady_state(liouv: LiouvillianOperator,
     Raises DegenerateSteadyStateError when the second-smallest singular
     value falls below degeneracy_tol times the generator norm.
     """
-    _, s, vh = np.linalg.svd(liouv.matrix)
+    try:
+        _, s, vh = np.linalg.svd(liouv.matrix)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateSteadyStateError(f"generator has no usable kernel: "
+                                         f"{exc}") from exc
     norm = s[0]
     if norm == 0.0:
         raise DegenerateSteadyStateError("zero generator has no unique steady state")

@@ -91,25 +91,31 @@ def steady_state(cfg: AtomDriveConfig, gamma_p: float, t_hot: float) -> RatePoin
     return RatePoint(gamma_p, ratio, t_tla, rho_ee, rho_gg)
 
 
-def _denominator(gamma: float, gamma_p: float, bw: float) -> float:
-    return gamma + (1.0 + bw) * gamma_p
+def weak_flows(cfg: AtomDriveConfig, gamma_p: float,
+               t_hot: float) -> tuple[float, float]:
+    """Weak-drive (J_hot, P_abs) per atom, on either branch.
 
-
-def heat_current_weak(cfg: AtomDriveConfig, gamma_p: float, t_hot: float) -> float:
-    """Heat current out of the hot bath, positive on the cooling branch."""
+    Both are one scattering rate gamma_p gamma w / (gamma + (1 + b) gamma_p),
+    b = exp(-|detuning|/T_hot), times the energy each scattering event
+    exchanges: detuning with the hot bath, nu with the laser.  The Boltzmann
+    suppression w = b acts on the cooling branch only (w = 1 on the heating
+    branch), and J_hot / P_abs = detuning / nu exactly.
+    """
     if gamma_p < 0:
         raise ValueError("gamma_p must be non-negative")
     if t_hot <= 0:
         raise ValueError("t_hot must be positive")
     delta = cfg.detuning
     if delta == 0.0 or gamma_p == 0.0:
-        return 0.0
+        return 0.0, 0.0
     check_weak_drive(cfg)
     bw = boltzmann_weight(abs(delta), t_hot)
-    den = _denominator(cfg.gamma, gamma_p, bw)
-    if delta > 0:
-        return delta * gamma_p * cfg.gamma * bw / den
-    return delta * gamma_p * cfg.gamma / den
+    w = bw if delta > 0 else 1.0
+    den = cfg.gamma + (1.0 + bw) * gamma_p
+    # each product starts from the energy: the all-row calibration fit
+    # moves with the last bit of P_abs
+    return (delta * gamma_p * cfg.gamma * w / den,
+            cfg.nu * gamma_p * cfg.gamma * w / den)
 
 
 def asymmetry_ratio(cfg: AtomDriveConfig, gamma_p: float, t_hot: float) -> float:
@@ -123,50 +129,9 @@ def asymmetry_ratio(cfg: AtomDriveConfig, gamma_p: float, t_hot: float) -> float
     # swapping omega0 and nu negates the detuning bit-exactly
     mirrored = AtomDriveConfig(omega0=cfg.nu, gamma=cfg.gamma, g=cfg.g,
                                nu=cfg.omega0, laser_power=cfg.laser_power)
-    j_red = heat_current_weak(cfg, gamma_p, t_hot)
-    j_blue = heat_current_weak(mirrored, gamma_p, t_hot)
+    j_red, _ = weak_flows(cfg, gamma_p, t_hot)
+    j_blue, _ = weak_flows(mirrored, gamma_p, t_hot)
     return -j_blue / j_red
-
-
-def absorbed_power_weak(cfg: AtomDriveConfig, gamma_p: float, t_hot: float) -> float:
-    """Absorbed laser power per atom on the cooling branch; satisfies
-    J_hot / P_abs = detuning / nu exactly."""
-    if cfg.detuning <= 0:
-        raise DomainError(
-            "weak-drive absorbed power is stated for the cooling branch "
-            "(detuning > 0) only"
-        )
-    check_weak_drive(cfg)
-    if gamma_p < 0:
-        raise ValueError("gamma_p must be non-negative")
-    if t_hot <= 0:
-        raise ValueError("t_hot must be positive")
-    bw = boltzmann_weight(cfg.detuning, t_hot)
-    return cfg.nu * gamma_p * cfg.gamma * bw / _denominator(cfg.gamma, gamma_p, bw)
-
-
-def _absorbed_power_signed(cfg: AtomDriveConfig, gamma_p: float, t_hot: float) -> float:
-    """Absorbed power on either branch (positive), via P = J * nu / detuning."""
-    check_weak_drive(cfg)
-    delta = cfg.detuning
-    bw = boltzmann_weight(abs(delta), t_hot)
-    den = _denominator(cfg.gamma, gamma_p, bw)
-    if delta > 0:
-        return cfg.nu * gamma_p * cfg.gamma * bw / den
-    return cfg.nu * gamma_p * cfg.gamma / den
-
-
-def cooling_efficiency(cfg: AtomDriveConfig, gamma_p: float, t_hot: float,
-                       laser_power: float) -> float:
-    """Total efficiency J_hot / P_laser in the weak-drive limit; equals
-    (P_abs/P_laser) * (detuning/nu).  laser_power in internal units."""
-    if laser_power <= 0:
-        raise ValueError("laser_power must be positive")
-    if cfg.detuning < 0:
-        raise DomainError("efficiency is defined on the cooling branch")
-    if cfg.detuning == 0.0:
-        return 0.0
-    return heat_current_weak(cfg, gamma_p, t_hot) / laser_power
 
 
 def regime_of(cfg: AtomDriveConfig) -> str:
@@ -189,12 +154,11 @@ class EnergyFlowReport:
 def energy_flow(cfg: AtomDriveConfig, hot: BathSpectrum,
                 laser_power: float | None = None) -> EnergyFlowReport:
     """Weak-drive energy bookkeeping: the cold bath receives everything,
-    J_cold = -(J_hot + P_abs)."""
+    J_cold = -(J_hot + P_abs).  eta = J_hot / laser_power is the cooling
+    efficiency; it reads 0 without a laser power."""
     regime = regime_of(cfg)
     if cfg.g == 0.0 or cfg.detuning == 0.0:
         return EnergyFlowReport(0.0, 0.0, 0.0, 0.0, regime)
-    gamma_p = pumping_rate(cfg, hot)
-    j_hot = heat_current_weak(cfg, gamma_p, hot.temperature)
-    p_abs = _absorbed_power_signed(cfg, gamma_p, hot.temperature)
+    j_hot, p_abs = weak_flows(cfg, pumping_rate(cfg, hot), hot.temperature)
     eta = j_hot / laser_power if laser_power else 0.0
     return EnergyFlowReport(j_hot, -(j_hot + p_abs), p_abs, eta, regime)

@@ -82,6 +82,11 @@ def amu_to_kg(mass_amu: float) -> float:
     return mass_amu * ATOMIC_MASS
 
 
+def round12(x: float) -> float:
+    """x rounded to 12 significant digits, the precision of machine output."""
+    return float(f"{x:.12g}")
+
+
 __all__ = [
     "UNIT_TAGS",
     "UnitSystem",
@@ -97,4 +102,5 @@ __all__ = [
     "watts_to_internal",
     "internal_to_watts",
     "amu_to_kg",
+    "round12",
 ]

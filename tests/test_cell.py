@@ -5,11 +5,11 @@ import pytest
 
 from licore.cell import (
     AbsorptionDataset,
+    _integrate_over_cell,
     CellConfig,
     calibrate_g0,
     detuning_scan,
     experimental_heat_current,
-    integrated_cooling_power,
     load_absorption_csv,
     pick_solver,
     scan_records,
@@ -17,8 +17,7 @@ from licore.cell import (
     write_scan_csv,
 )
 from licore.config import AtomDriveConfig
-from licore.errors import CalibrationError, ConfigError
-from licore.spectra import FlatHotSpectrum
+from licore.errors import CalibrationError, ConfigError, DomainError
 from licore.units import internal_to_watts, kelvin_to_internal, thz_to_internal
 
 
@@ -57,11 +56,8 @@ class TestCellConfig:
 class TestQuadrature:
     def test_constant_integrand_closed_form(self):
         cell = lab_cell(alpha=0.2, density=3e11)
-        cfg = lab_cfg()
-        hot = FlatHotSpectrum(1e10, kelvin_to_internal(500.0))
         j_const = 2.5e18  # internal units
-        total = integrated_cooling_power(cell, cfg, hot,
-                                         local_current=lambda att: j_const)
+        total = _integrate_over_cell(cell, 0.2, lambda att: j_const)
         n_atoms = cell.linear_atom_density_per_mm * cell.length_mm
         alpha_l = 0.2 * cell.length_mm
         expected = internal_to_watts(
@@ -70,14 +66,18 @@ class TestQuadrature:
 
     def test_no_attenuation_reduces_to_atom_count(self):
         cell = lab_cell(alpha=0.0)
-        cfg = lab_cfg()
-        hot = FlatHotSpectrum(1e10, kelvin_to_internal(500.0))
         j_const = 1.7e18
-        total = integrated_cooling_power(cell, cfg, hot, alpha_per_mm=0.0,
-                                         local_current=lambda att: j_const)
+        total = _integrate_over_cell(cell, 0.0, lambda att: j_const)
         n_atoms = cell.linear_atom_density_per_mm * cell.length_mm
         assert total == pytest.approx(internal_to_watts(n_atoms * j_const),
                                       rel=1e-10)
+
+    def test_unconverged_integral_rejected(self):
+        # a pole inside the cell: quad's error estimate cannot meet epsrel
+        cell = lab_cell(alpha=0.2)
+        pole = math.exp(-0.2 * math.pi)
+        with pytest.raises(DomainError, match="did not converge"):
+            _integrate_over_cell(cell, 0.2, lambda att: 1.0 / (att - pole))
 
 
 class TestExperimentalCurrent:
@@ -246,6 +246,24 @@ class TestScan:
         serial = detuning_scan(cell, cfg, g0, deltas, dataset=ds, jobs=1)
         parallel = detuning_scan(cell, cfg, g0, deltas, dataset=ds, jobs=3)
         assert serial.rows == parallel.rows
+
+    def test_jobs_below_one_rejected(self):
+        with pytest.raises(ValueError, match="jobs"):
+            detuning_scan(lab_cell(), lab_cfg(), 1.2e10, [1.0], jobs=0)
+
+    def test_jobs_capped_at_cpu_count(self, monkeypatch):
+        # one CPU: any jobs value runs serially and starts no process
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr("os.cpu_count", lambda: 1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        serial = detuning_scan(lab_cell(), lab_cfg(), 1.2e10, [-1.0, 1.0])
+        capped = detuning_scan(lab_cell(), lab_cfg(), 1.2e10, [-1.0, 1.0],
+                               jobs=8)
+        assert capped.rows == serial.rows
 
     def test_csv_output_schema(self, calibrated, tmp_path):
         ds, cfg, cell, g0 = calibrated

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from licore.cli import main
+from licore.cli import CONFIG_SCHEMA, build_parser, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 POINT = str(FIXTURES / "config_point.json")
@@ -132,6 +136,12 @@ class TestSubcommands:
 
 
 class TestExitCodes:
+    def test_config_schema_is_valid(self):
+        import jsonschema
+
+        jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(
+            CONFIG_SCHEMA)
+
     def test_unknown_config_key_is_schema_error(self, capsys, tmp_path):
         doc = json.loads(Path(POINT).read_text())
         doc["atom"]["coupling_thz"] = 1.0
@@ -164,6 +174,80 @@ class TestExitCodes:
         bad.write_text("{not json")
         code, _, err = run(capsys, "tmin", "--config", str(bad))
         assert code == 2
+
+    @pytest.mark.parametrize("argv, expected", [
+        # the hot plateau overflows to inf: non-finite generator rates
+        (["steady-state", "--set", "hot_bath.g0_thz=1e300"], 3),
+        (["currents", "--set", "hot_bath.g0_thz=1e300"], 3),
+        # an atom frequency overflows to inf in internal units
+        (["tmin", "--set", "atom.g_thz=1e308"], 2),
+        (["compare", "--set", "atom.gamma_thz=1e308"], 2),
+        # the mass underflows to zero kilograms
+        (["compare", "--set", "compare.mass_amu=1e-300"], 2),
+        # the sideband floor divides by a vanishing logarithm
+        (["compare", "--set", "compare.rabi_thz=1e-300"], 3),
+        # the relative gap of a vanishing floor is infinite
+        (["tmin", "--set", "atom.g_thz=1e-300",
+          "--set", "hot_bath.temperature_k=1e30"], 3),
+    ])
+    def test_extreme_values_end_in_an_exit_code(self, capsys, argv, expected):
+        code, out, err = run(capsys, argv[0], "--config", POINT, *argv[1:])
+        assert code == expected, err
+        assert out == ""
+        assert len(err.splitlines()) == 1
+
+    def test_jobs_below_one_is_config_error(self, capsys, tmp_path):
+        code, _, err = run(capsys, "scan", "--config", SCAN, "--jobs", "0",
+                           "--out", str(tmp_path / "scan"))
+        assert code == 2
+        assert "--jobs" in err
+        assert not (tmp_path / "scan.csv").exists()
+
+
+class TestFlags:
+    def test_jobs_on_scan_only_format_on_point_commands(self):
+        commands = build_parser()._subparsers._group_actions[0].choices
+        flags = {name: {opt for action in sub._actions
+                        for opt in action.option_strings} - {"-h", "--help"}
+                 for name, sub in commands.items()}
+        assert sum(len(f) for f in flags.values()) == 32
+        for name, f in flags.items():
+            assert ("--jobs" in f) == (name == "scan")
+            assert ("--format" in f) == (name != "scan")
+        help_text = " ".join(commands["scan"].format_help().split())
+        assert "capped at the CPU count" in help_text
+
+
+FUZZ_FIELDS = ("atom.omega0_thz", "atom.gamma_thz", "atom.g_thz", "atom.nu_thz",
+               "atom.laser_power_w", "hot_bath.temperature_k", "hot_bath.g0_thz",
+               "cold_bath.temperature_k", "compare.mass_amu", "compare.rabi_thz")
+FUZZ_VALUES = (0, 1e-300, -1e-300, 1e-6, 1, 377, 1e30, 1e308)
+
+
+def _all_finite(node) -> bool:
+    if isinstance(node, dict):
+        return all(_all_finite(v) for v in node.values())
+    if isinstance(node, list):
+        return all(_all_finite(v) for v in node)
+    return not isinstance(node, float) or math.isfinite(node)
+
+
+@given(command=st.sampled_from(("steady-state", "currents", "tmin", "compare")),
+       overrides=st.lists(st.tuples(st.sampled_from(FUZZ_FIELDS),
+                                    st.sampled_from(FUZZ_VALUES)),
+                          min_size=1, max_size=3))
+@settings(max_examples=150, deadline=None)
+@pytest.mark.filterwarnings("ignore::UserWarning")  # advisory validity notes
+def test_fuzzed_overrides_end_in_an_exit_code(command, overrides):
+    argv = [command, "--config", POINT, "--format", "json", "--no-metadata"]
+    for key, value in overrides:
+        argv += ["--set", f"{key}={value!r}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), err.getvalue()
+    if code == 0:
+        assert _all_finite(json.loads(out.getvalue()))
 
 
 class TestDeterminism:

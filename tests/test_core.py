@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from licore.config import AtomDriveConfig, derived_params
+from licore.config import AtomDriveConfig
 from licore.operators import (
     SIGMA_MINUS,
     SIGMA_PLUS,
@@ -24,7 +24,7 @@ positive = st.floats(min_value=1e-6, max_value=1e6)
 
 def test_derived_params_undriven():
     cfg = AtomDriveConfig(omega0=10.0, gamma=1.0, g=0.0, nu=9.0)
-    assert derived_params(cfg) == (1.0, 1.0)
+    assert (cfg.detuning, cfg.rabi) == (1.0, 1.0)
 
 
 def test_derived_params_on_resonance():

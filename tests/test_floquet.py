@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -23,7 +24,7 @@ from licore.floquet import (
     transient_populations,
 )
 from licore.operators import is_hermitian, unvec, vec
-from licore.rate_model import heat_current_weak, pumping_rate
+from licore.rate_model import pumping_rate, weak_flows
 from licore.rate_model import steady_state as rate_steady_state
 from licore.spectra import CubicColdSpectrum, FlatHotSpectrum, ZeroSpectrum
 
@@ -160,6 +161,14 @@ class TestLiouvillian:
         assert drift[0, 0].real == pytest.approx(-cfg.gamma, rel=1e-12)
         assert drift[1, 1].real == pytest.approx(+cfg.gamma, rel=1e-12)
 
+    def test_non_finite_rate_rejected(self):
+        # a plateau that overflowed to inf would make the generator NaN
+        cfg = make_cfg()
+        cold = CubicColdSpectrum(cfg.gamma, cfg.omega0, 0.0)
+        with pytest.raises(DomainError, match="non-finite"):
+            build_liouvillian(dressed_coupling_set(cfg),
+                              FlatHotSpectrum(math.inf, 2.0), cold)
+
 
 class TestSteadyState:
     def test_pure_decay_reaches_ground_state(self):
@@ -212,6 +221,15 @@ class TestSteadyState:
                                   ZeroSpectrum(1.0), ZeroSpectrum(0.0))
         with pytest.raises(DegenerateSteadyStateError):
             steady_state(liouv)
+
+    def test_failed_decomposition_is_degenerate(self):
+        cfg = make_cfg()
+        liouv = build_liouvillian(dressed_coupling_set(cfg),
+                                  FlatHotSpectrum(5.0, 2.0),
+                                  CubicColdSpectrum(cfg.gamma, cfg.omega0, 0.0))
+        broken = dataclasses.replace(liouv, matrix=np.full((4, 4), np.nan))
+        with pytest.raises(DegenerateSteadyStateError, match="no usable kernel"):
+            steady_state(broken)
 
     def test_propagation_relaxes_to_kernel_state(self):
         # independent route: exp(L t) applied to an excited start must land
@@ -270,8 +288,8 @@ class TestHeatCurrents:
                 cfg, hot = random_weak_cfg(rng, g_over_delta=g_over_delta)
                 cold = CubicColdSpectrum(cfg.gamma, cfg.omega0, 0.0)
                 _, _, currents = solve_pipeline(cfg, hot, cold)
-                j_weak = heat_current_weak(cfg, pumping_rate(cfg, hot),
-                                           hot.temperature)
+                j_weak, _ = weak_flows(cfg, pumping_rate(cfg, hot),
+                                       hot.temperature)
                 rel = abs(currents.j_hot - j_weak) / j_weak
                 assert rel <= 10.0 * g_over_delta ** 2
 
@@ -317,8 +335,8 @@ class TestExactCurrent:
             cfg, hot = random_weak_cfg(rng, g_over_delta=1e-3)
             k = hot_channel_rate(cfg, hot)
             j_exact = heat_current_exact(cfg, k, hot.temperature, 0.0)
-            j_weak = heat_current_weak(cfg, pumping_rate(cfg, hot),
-                                       hot.temperature)
+            j_weak, _ = weak_flows(cfg, pumping_rate(cfg, hot),
+                                   hot.temperature)
             assert j_exact == pytest.approx(j_weak, rel=1e-3)
 
     def test_matches_numerical_currents_exactly(self):
