@@ -12,8 +12,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from scipy.optimize import bisect
-
 from .config import AtomDriveConfig
 from .errors import DomainError, NoSolutionError
 from .floquet import heat_current_exact, sideband_weights
@@ -94,6 +92,8 @@ def min_temp_bisect(cfg: AtomDriveConfig, t_cold: float,
                     gamma_p: float = 1.0) -> float:
     """Independent root of the exact heat current in T_hot, bracketing the
     closed-form value by a factor of ten each way."""
+    from scipy.optimize import bisect
+
     t_root = min_temp_exact(cfg, t_cold)
     if t_root == 0.0:
         return 0.0

@@ -3,7 +3,9 @@
 The beam attenuates as exp(-alpha z) along the cell, the local coupling
 scales as g^2(z) = g^2 exp(-alpha z), and the cell's cooling power and
 absorbed power are attenuation-weighted integrals of the local per-atom
-(J_hot, P_abs) times the linear atom density.  The flat hot-spectrum
+(J_hot, P_abs) times the linear atom density.  On the weak-drive branch
+that integral is elementary and taken in closed form; exact-solver rows
+are integrated by adaptive quadrature.  The flat hot-spectrum
 amplitude is calibrated so the modeled absorbed-power fraction reproduces
 measured absorption data.
 
@@ -22,8 +24,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq, least_squares
 
 from .config import AtomDriveConfig
 from .errors import CalibrationError, ConfigError, DomainError
@@ -39,7 +39,7 @@ from .units import (
 )
 
 WEAK_DRIVE_SWITCH = 0.1     # rate model below g/|detuning| <= 0.1, exact solver above
-QUAD_EPSREL = 1e-8          # relative tolerance of the cell integral
+QUAD_EPSREL = 1e-8          # relative tolerance of the exact-solver cell integral
 
 
 @dataclass(frozen=True)
@@ -142,11 +142,9 @@ def experimental_heat_current(p_l_watt: float, a_nu: float, delta: float,
 
 
 def _local_flows(cfg_local: AtomDriveConfig, hot: FlatHotSpectrum,
-                 t_cold: float, solver: str) -> tuple[float, float]:
-    """(J_hot, P_abs) per atom at one depth of the cell, from one solve."""
-    if solver == "rate":
-        return weak_flows(cfg_local, pumping_rate(cfg_local, hot),
-                          hot.temperature)
+                 t_cold: float) -> tuple[float, float]:
+    """Exact-solver (J_hot, P_abs) per atom at one depth of the cell, from
+    one solve."""
     cold = CubicColdSpectrum(cfg_local.gamma, cfg_local.omega0, t_cold)
     _, _, currents = solve_pipeline(cfg_local, hot, cold)
     return currents.j_hot, currents.p_abs
@@ -165,6 +163,8 @@ def _integrate_over_cell(cell: CellConfig, alpha_per_mm: float, local_fn) -> flo
     local_fn returns an internal per-atom power; result in watts.
 
     Raises DomainError when quad's error estimate misses QUAD_EPSREL."""
+    from scipy.integrate import quad
+
     length = cell.length_mm
 
     def integrand(z: float) -> float:
@@ -180,6 +180,54 @@ def _integrate_over_cell(cell: CellConfig, alpha_per_mm: float, local_fn) -> flo
     return internal_to_watts(cell.linear_atom_density_per_mm * value)
 
 
+def _x_minus_log1p_over_x2(x: float) -> float:
+    """(x - log1p(x)) / x^2 for x >= 0, free of cancellation: below 1e-2
+    the direct form would lose digits, and the Taylor series, cut after
+    x^7, is exact to rounding there."""
+    if x < 1e-2:
+        return 0.5 - x * (1 / 3 - x * (1 / 4 - x * (1 / 5 - x * (
+            1 / 6 - x * (1 / 7 - x * (1 / 8 - x / 9))))))
+    return (x - math.log1p(x)) / (x * x)
+
+
+def _weak_cell_flows(cfg_row: AtomDriveConfig, hot: FlatHotSpectrum,
+                     cell: CellConfig, alpha_per_mm: float) -> tuple[float, float]:
+    """Cell (J_hot, P_abs) in watts on the weak-drive branch, in closed form.
+
+    The pumping rate follows the beam, gamma_p(u) = u gamma_p(1) at the
+    attenuation u = exp(-alpha z), so weak_flows gives
+    P(u) = P(1) u (B + C) / (B + C u), with B = gamma and
+    C = (1 + b) gamma_p(1), and J(u) / P(u) = detuning / nu.  The cell
+    integral of u P(u) dz is then elementary,
+
+        P(1) (B + C) D / (alpha E) [B D h(x) / E + u_L],
+
+    with D = -expm1(-alpha L), u_L = 1 - D, E = B + C u_L, x = C D / E and
+    h(x) = (x - log1p x) / x^2; both bracketed terms are positive.  It is
+    L P(1) without attenuation and reaches _saturated_absorption's cap as
+    C -> infinity.  The weak-drive check runs at full beam, the strictest
+    depth (g sqrt(u) <= g).
+    """
+    gamma_p = pumping_rate(cfg_row, hot)
+    j_1, p_1 = weak_flows(cfg_row, gamma_p, hot.temperature)
+    d = -math.expm1(-alpha_per_mm * cell.length_mm)
+    if d == 0.0:
+        weight = cell.length_mm
+    else:
+        b = boltzmann_weight(abs(cfg_row.detuning), hot.temperature)
+        big_b, big_c = cfg_row.gamma, (1.0 + b) * gamma_p
+        u_l = 1.0 - d
+        e = big_b + big_c * u_l
+        weight = ((big_b + big_c) * d / (alpha_per_mm * e)
+                  * (big_b * d * _x_minus_log1p_over_x2(big_c * d / e) / e + u_l))
+    atoms = cell.linear_atom_density_per_mm * weight
+    j_w, p_w = internal_to_watts(atoms * j_1), internal_to_watts(atoms * p_1)
+    if not (math.isfinite(j_w) and math.isfinite(p_w)):
+        raise DomainError("weak-drive cell integral is not finite for these "
+                          "parameters")
+    return j_w, p_w
+
+
 # ---------------------------------------------------------------------------
 # Calibration of the flat hot-spectrum amplitude
 # ---------------------------------------------------------------------------
@@ -189,16 +237,10 @@ def _modeled_absorption(cfg: AtomDriveConfig, cell: CellConfig, g0: float,
                         alpha_per_mm: float) -> float:
     """Absorbed-power fraction of the cell predicted by the weak-drive model
     with a flat hot spectrum of amplitude g0."""
-    t_hot = kelvin_to_internal(cell.bath_temperature_k)
-    hot = FlatHotSpectrum(g0, t_hot) if g0 > 0 else None
-
-    def local_p(att):
-        if hot is None:
-            return 0.0
-        return _local_flows(cfg.attenuated(att), hot, 0.0, "rate")[1]
-
-    absorbed_w = _integrate_over_cell(cell, alpha_per_mm, local_p)
-    return absorbed_w / cell.laser_power_w
+    if g0 <= 0:
+        return 0.0
+    hot = FlatHotSpectrum(g0, kelvin_to_internal(cell.bath_temperature_k))
+    return _weak_cell_flows(cfg, hot, cell, alpha_per_mm)[1] / cell.laser_power_w
 
 
 def _saturated_absorption(cfg: AtomDriveConfig, cell: CellConfig,
@@ -223,6 +265,8 @@ class CalibrationResult:
 
 def _row_root(cfg_row: AtomDriveConfig, cell: CellConfig, alpha: float,
               target: float, g0_seed: float) -> float:
+    from scipy.optimize import brentq
+
     cap = _saturated_absorption(cfg_row, cell, alpha)
     if target >= cap:
         raise CalibrationError(
@@ -252,6 +296,8 @@ def calibrate_g0(dataset: AbsorptionDataset, cfg_template: AtomDriveConfig,
     least-squares fit.  The attenuation profile per row is taken from the
     measured absorption itself.
     """
+    from scipy.optimize import least_squares
+
     rows = []
     for nu_thz, a in zip(dataset.nu_thz, dataset.absorption):
         delta = cfg_template.omega0 - thz_to_internal(nu_thz)
@@ -301,6 +347,8 @@ def synthesize_absorption(cfg_template: AtomDriveConfig, cell: CellConfig,
     """Self-consistent absorption a(nu) predicted by the model itself:
     a solves a = fraction(alpha(a)).  Round-trips exactly through
     calibrate_g0."""
+    from scipy.optimize import brentq
+
     if g0 <= 0:
         raise ValueError("g0 must be positive")
     values = []
@@ -369,12 +417,15 @@ def _scan_row(args) -> ScanRow:
         return ScanRow(delta_thz, 0.0, _experimental(cell, dataset, delta, nu),
                        0.0, 0.0, regime, "none")
     solver = pick_solver(cfg_row)
-    # the local coupling follows the attenuated beam, g^2(z) = g^2 e^(-alpha z);
-    # both integrals visit the same depths, so each depth is solved once
-    flows = functools.cache(
-        lambda att: _local_flows(cfg_row.attenuated(att), hot, t_cold, solver))
-    j_tot = _integrate_over_cell(cell, alpha, lambda att: flows(att)[0])
-    p_abs = _integrate_over_cell(cell, alpha, lambda att: flows(att)[1])
+    if solver == "rate":
+        j_tot, p_abs = _weak_cell_flows(cfg_row, hot, cell, alpha)
+    else:
+        # the local coupling follows the attenuated beam, g^2(z) = g^2 e^(-alpha z);
+        # both integrals visit the same depths, so each depth is solved once
+        flows = functools.cache(
+            lambda att: _local_flows(cfg_row.attenuated(att), hot, t_cold))
+        j_tot = _integrate_over_cell(cell, alpha, lambda att: flows(att)[0])
+        p_abs = _integrate_over_cell(cell, alpha, lambda att: flows(att)[1])
     eta = j_tot / cell.laser_power_w
     return ScanRow(delta_thz, j_tot, _experimental(cell, dataset, delta, nu),
                    p_abs, eta, regime, solver)

@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -170,9 +171,18 @@ def _atom(doc: dict) -> AtomDriveConfig:
     )
 
 
+def _temperature(section: str, doc: dict) -> float:
+    """A bath temperature in internal units; one that overflows them is a
+    config error, not an infinitely hot bath."""
+    temperature = kelvin_to_internal(doc[section]["temperature_k"])
+    if not math.isfinite(temperature):
+        raise ConfigError(f"{section}: temperature_k overflows internal units")
+    return temperature
+
+
 def _hot(doc: dict, config_path: str | None = None):
     h = doc["hot_bath"]
-    temperature = kelvin_to_internal(h["temperature_k"])
+    temperature = _temperature("hot_bath", doc)
     if "spectrum_csv" in h:
         from .spectra import load_tabulated_spectrum
         return load_tabulated_spectrum(
@@ -185,7 +195,7 @@ def _hot(doc: dict, config_path: str | None = None):
 
 
 def _cold_temperature(doc: dict) -> float:
-    return kelvin_to_internal(doc["cold_bath"]["temperature_k"])
+    return _temperature("cold_bath", doc)
 
 
 def _cell(doc: dict) -> cellmod.CellConfig:
@@ -196,6 +206,7 @@ def _cell(doc: dict) -> cellmod.CellConfig:
         alpha = 1.0 / c["absorption_length_mm"]
     else:
         alpha = 0.0
+    _temperature("hot_bath", doc)   # the cell keeps it in kelvin; check it converts
     return _construct(
         "cell", cellmod.CellConfig,
         length_mm=c["length_mm"],
@@ -558,23 +569,28 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler, emit, sections = _commands()[args.command]
-    try:
-        doc = load_config(args.config, args.set)
-        missing = [s for s in sections if s not in doc]
-        if missing:
-            raise ConfigError(f"{args.command} needs config sections: "
-                              f"{', '.join(missing)}")
-        emit(handler(doc, args), args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (DomainError, ArithmeticError) as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 4
-    return 0
+    # the library's warnings are recorded and printed one line each, once
+    # per distinct message, ahead of any error message
+    message, code = None, 0
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            doc = load_config(args.config, args.set)
+            missing = [s for s in sections if s not in doc]
+            if missing:
+                raise ConfigError(f"{args.command} needs config sections: "
+                                  f"{', '.join(missing)}")
+            emit(handler(doc, args), args)
+        except ConfigError as exc:
+            message, code = f"config error: {exc}", 2
+        except (DomainError, ArithmeticError) as exc:
+            message, code = f"domain error: {exc}", 3
+        except OSError as exc:
+            message, code = f"i/o error: {exc}", 4
+    for text in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {text}", file=sys.stderr)
+    if message is not None:
+        print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -12,7 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.constants import c as C_LIGHT, hbar as HBAR, k as KB, u as ATOMIC_MASS
+# CODATA 2022, as scipy.constants gives them (c, hbar, k_B, atomic mass
+# unit); literals, since importing scipy.constants costs ~0.3 s at start-up
+C_LIGHT = 299792458.0                   # m/s
+HBAR = 1.0545718176461565e-34           # J s
+KB = 1.380649e-23                       # J/K
+ATOMIC_MASS = 1.66053906892e-27         # kg
 
 UNIT_TAGS = ("THz", "K", "W", "mm", "dimensionless")
 

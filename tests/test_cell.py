@@ -6,6 +6,10 @@ import pytest
 from licore.cell import (
     AbsorptionDataset,
     _integrate_over_cell,
+    _modeled_absorption,
+    _saturated_absorption,
+    _weak_cell_flows,
+    _x_minus_log1p_over_x2,
     CellConfig,
     calibrate_g0,
     detuning_scan,
@@ -18,6 +22,8 @@ from licore.cell import (
 )
 from licore.config import AtomDriveConfig
 from licore.errors import CalibrationError, ConfigError, DomainError
+from licore.rate_model import pumping_rate, weak_flows
+from licore.spectra import FlatHotSpectrum, boltzmann_weight
 from licore.units import internal_to_watts, kelvin_to_internal, thz_to_internal
 
 
@@ -78,6 +84,98 @@ class TestQuadrature:
         pole = math.exp(-0.2 * math.pi)
         with pytest.raises(DomainError, match="did not converge"):
             _integrate_over_cell(cell, 0.2, lambda att: 1.0 / (att - pole))
+
+
+def _hot_for_pumping_ratio(cfg, ratio):
+    """Flat hot spectrum whose full-beam C = (1 + b) gamma_p is ``ratio``
+    times B = gamma."""
+    t_hot = kelvin_to_internal(500.0)
+    b = boltzmann_weight(abs(cfg.detuning), t_hot)
+    g0 = ratio * cfg.gamma / ((1.0 + b) * (2.0 * cfg.g / cfg.detuning) ** 2)
+    return FlatHotSpectrum(g0, t_hot)
+
+
+class TestWeakCellClosedForm:
+    """The closed-form weak-drive cell integral against quadrature of the
+    local integrand it replaces."""
+
+    @pytest.mark.parametrize("delta_thz", [-20.0, -2.0, 2.0, 20.0])
+    @pytest.mark.parametrize("alpha_l", [0.0, 1e-12, 1e-3, 10.0 / 9.0, 50.0])
+    def test_matches_quadrature(self, delta_thz, alpha_l):
+        cfg = lab_cfg(nu_thz=377.0 - delta_thz)
+        cell = lab_cell(alpha=alpha_l / 10.0)
+        alpha = cell.absorption_coeff_per_mm
+        for ratio in (1e-8, 1e-5, 1e-2, 0.1, 1.0, 30.0, 1e3):
+            hot = _hot_for_pumping_ratio(cfg, ratio)
+
+            def local(att):
+                cfg_att = cfg.attenuated(att)
+                return weak_flows(cfg_att, pumping_rate(cfg_att, hot),
+                                  hot.temperature)
+
+            j_quad = _integrate_over_cell(cell, alpha, lambda att: local(att)[0])
+            p_quad = _integrate_over_cell(cell, alpha, lambda att: local(att)[1])
+            j, p = _weak_cell_flows(cfg, hot, cell, alpha)
+            # abs=0: weak pumping gives powers below approx's default abs
+            assert j == pytest.approx(j_quad, rel=1e-10, abs=0), ratio
+            assert p == pytest.approx(p_quad, rel=1e-10, abs=0), ratio
+            assert (j > 0) == (delta_thz > 0) and p > 0
+
+    def test_series_and_direct_forms_against_50_digits(self):
+        import decimal
+
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            for x in (1e-12, 1e-6, 3e-3, 9.99e-3, 1e-2, 0.1, 1.0, 37.0, 1e3):
+                d = decimal.Decimal(x)
+                exact = float((d - (1 + d).ln()) / (d * d))
+                assert _x_minus_log1p_over_x2(x) == pytest.approx(exact,
+                                                                  rel=5e-14), x
+
+    def test_fraction_approaches_saturation_cap(self):
+        cfg = lab_cfg()
+        cell = lab_cell()
+        alpha = cell.absorption_coeff_per_mm
+        cap = _saturated_absorption(cfg, cell, alpha)
+        gaps = [cap - _modeled_absorption(cfg, cell, g0, alpha)
+                for g0 in (1e12, 1e15, 1e18, 1e21)]
+        assert all(gap > 0 for gap in gaps)
+        assert all(b < a / 100 for a, b in zip(gaps, gaps[1:]))
+        assert gaps[-1] <= 1e-8 * cap
+
+    def test_no_amplitude_no_absorption(self):
+        assert _modeled_absorption(lab_cfg(), lab_cell(), 0.0, 0.1) == 0.0
+
+    def test_weak_drive_checked_at_full_beam(self):
+        # g above the detuning at the entrance, below it deeper in the cell
+        cfg = lab_cfg(nu_thz=376.96, g_thz=0.05)
+        with pytest.raises(DomainError, match="not small"):
+            _weak_cell_flows(cfg, FlatHotSpectrum(1e10, 1e13), lab_cell(), 0.1)
+
+    def test_non_finite_result_rejected(self):
+        # nu gamma_p overflows: no finite power to report
+        with pytest.raises(DomainError, match="not finite"):
+            _weak_cell_flows(lab_cfg(), FlatHotSpectrum(1e308, 1e13),
+                             lab_cell(), 0.1)
+
+    def test_rate_paths_run_without_quadrature(self, monkeypatch):
+        import scipy.integrate
+
+        def no_quad(*args, **kwargs):
+            raise AssertionError("quad was called")
+
+        monkeypatch.setattr(scipy.integrate, "quad", no_quad)
+        cfg = lab_cfg()
+        cell = lab_cell()
+        ds = synthesize_absorption(cfg, cell, 1.2e10, (360.0, 365.0, 370.0))
+        assert calibrate_g0(ds, cfg, cell).g0 == pytest.approx(1.2e10, rel=1e-6)
+        calibrate_g0(ds, cfg, cell, reference_nu_thz=365.0)
+        scan = detuning_scan(cell, cfg, 1.2e10, [-8.0, -2.0, 2.0, 8.0],
+                             dataset=ds)
+        assert all(r.model == "rate" for r in scan.rows)
+        # the patch bites: an exact-solver row still integrates with quad
+        with pytest.raises(AssertionError, match="quad was called"):
+            detuning_scan(cell, cfg, 1.2e10, [0.0])
 
 
 class TestExperimentalCurrent:

@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -196,12 +199,64 @@ class TestExitCodes:
         assert out == ""
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("command, section", [
+        ("currents", "hot_bath"),
+        ("currents", "cold_bath"),
+        ("calibrate", "hot_bath"),   # the cell takes the hot-bath temperature
+    ])
+    def test_overflowing_bath_temperature_is_config_error(
+            self, capsys, command, section):
+        config = SCAN if command == "calibrate" else POINT
+        code, out, err = run(capsys, command, "--config", config,
+                             "--set", f"{section}.temperature_k=1e308")
+        assert code == 2
+        assert out == ""
+        assert err == (f"config error: {section}: temperature_k overflows "
+                       "internal units\n")
+
     def test_jobs_below_one_is_config_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "scan", "--config", SCAN, "--jobs", "0",
                            "--out", str(tmp_path / "scan"))
         assert code == 2
         assert "--jobs" in err
         assert not (tmp_path / "scan.csv").exists()
+
+
+class TestWarnings:
+    def test_library_warning_is_one_stderr_line(self, capsys):
+        # g/detuning = 0.2 lies outside the asymptotic formula's advisory range
+        code, out, err = run(capsys, "tmin", "--config", POINT,
+                             "--set", "atom.g_thz=0.2",
+                             "--set", "atom.nu_thz=376", "--no-metadata")
+        assert code == 0
+        assert json.loads(out) == {
+            "bracket_check": {
+                "bisect_rel_difference": 2.55846291443e-13,
+                "bisect_root_k": 7.82448663478,
+                "j_sign_above": 1,
+                "j_sign_below": -1,
+            },
+            "command": "tmin",
+            "relative_gap": 0.0261519375253,
+            "t_min_asymptotic_k": 8.02911212042,
+            "t_min_exact_k": 7.82448663478,
+        }
+        assert err.splitlines() == [
+            "warning: outside the advisory validity range g/detuning <= 0.05, "
+            "detuning/nu <= 0.1"]
+
+
+class TestColdStart:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        src = str(Path(__file__).parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"]
+                                   if env.get("PYTHONPATH") else "")
+        probe = ("import sys, licore.cli; "
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout == "[]\n"
 
 
 class TestFlags:

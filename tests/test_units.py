@@ -24,6 +24,15 @@ def test_zero_maps_to_zero(unit):
     assert from_internal(0.0, unit) == 0.0
 
 
+def test_constants_equal_scipy_bit_for_bit():
+    import scipy.constants as sc
+
+    from licore import units
+
+    ours = (units.C_LIGHT, units.HBAR, units.KB, units.ATOMIC_MASS)
+    assert [x.hex() for x in ours] == [x.hex() for x in (sc.c, sc.hbar, sc.k, sc.u)]
+
+
 def test_dimensionless_is_identity():
     assert to_internal(3.25, "dimensionless") == 3.25
 
