@@ -5,7 +5,8 @@ scales as g^2(z) = g^2 exp(-alpha z), and the cell's cooling power and
 absorbed power are attenuation-weighted integrals of the local per-atom
 (J_hot, P_abs) times the linear atom density.  On the weak-drive branch
 that integral is elementary and taken in closed form; exact-solver rows
-are integrated by adaptive quadrature.  The flat hot-spectrum
+integrate the closed-form dressed steady state (floquet.dressed_flows) by
+adaptive quadrature.  The flat hot-spectrum
 amplitude is calibrated so the modeled absorbed-power fraction reproduces
 measured absorption data.
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from .config import AtomDriveConfig
 from .errors import CalibrationError, ConfigError, DomainError
-from .floquet import solve_pipeline
+from .floquet import dressed_flows
 from .rate_model import pumping_rate, regime_of, weak_flows
 from .spectra import CubicColdSpectrum, FlatHotSpectrum, boltzmann_weight
 from .units import (
@@ -144,10 +145,10 @@ def experimental_heat_current(p_l_watt: float, a_nu: float, delta: float,
 def _local_flows(cfg_local: AtomDriveConfig, hot: FlatHotSpectrum,
                  t_cold: float) -> tuple[float, float]:
     """Exact-solver (J_hot, P_abs) per atom at one depth of the cell, from
-    one solve."""
+    the closed-form five-channel steady state."""
     cold = CubicColdSpectrum(cfg_local.gamma, cfg_local.omega0, t_cold)
-    _, _, currents = solve_pipeline(cfg_local, hot, cold)
-    return currents.j_hot, currents.p_abs
+    flows = dressed_flows(cfg_local, hot, cold)
+    return flows.j_hot, flows.p_abs
 
 
 def pick_solver(cfg: AtomDriveConfig) -> str:

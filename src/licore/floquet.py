@@ -15,6 +15,13 @@ production (Spohn) expression (w_eff/wbar) Tr[(L rho) H]; the dephasing-type
 wbar = 0 channels are handled by the same quantum-counting rule directly,
 which assigns zero heat to the static hot channel and nu times the net
 scattering rate to the elastic cold channel.
+
+Every dressed jump operator is sigma+, sigma- or sigma_z, so the steady
+state is a two-level rate balance and dressed_flows gives populations and
+flows in closed form; the cell model uses it.  The generator route
+(build_liouvillian, steady_state via SVD, heat_currents, bundled as
+solve_pipeline) is the numerical oracle that checks it, and serves the CLI
+point commands, which report its residuals.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,19 +71,32 @@ def dressing_rotation(cfg: AtomDriveConfig) -> np.ndarray:
     return u
 
 
-@dataclass(frozen=True)
-class HarmonicCoupling:
+# dressed-basis jump operators; the upper dressed state comes first, so
+# sigma+ raises and sigma- lowers the atom between the dressed states
+RAISE, LOWER, DEPHASE = "sigma+", "sigma-", "sigma_z"
+JUMP_OPERATORS = {RAISE: SIGMA_PLUS, LOWER: SIGMA_MINUS, DEPHASE: SIGMA_Z}
+_ADJOINT = {RAISE: LOWER, LOWER: RAISE, DEPHASE: DEPHASE}
+# D[c S] = |c|^2 D[S]: the generator scales these three, built once
+_DISSIPATORS = {jump: dissipator(op) for jump, op in JUMP_OPERATORS.items()}
+
+
+class HarmonicCoupling(NamedTuple):
     bath: str
     harmonic: int           # q, multiplying the drive frequency
     dressed_freq: float     # wbar, the dressed-basis Bohr frequency
-    operator: np.ndarray    # 2x2 in the dressed basis, prefactor included
+    jump: str               # RAISE, LOWER or DEPHASE
+    coefficient: float      # real prefactor c of the jump operator
+
+    @property
+    def operator(self) -> np.ndarray:
+        """c S, 2x2 in the dressed basis."""
+        return self.coefficient * JUMP_OPERATORS[self.jump]
 
     def effective_frequency(self, drive_freq: float) -> float:
         return self.dressed_freq + self.harmonic * drive_freq
 
 
-@dataclass(frozen=True)
-class HarmonicCouplingSet:
+class HarmonicCouplingSet(NamedTuple):
     drive_frequency: float
     rabi: float
     entries: tuple
@@ -101,13 +122,98 @@ def dressed_coupling_set(cfg: AtomDriveConfig) -> HarmonicCouplingSet:
         warnings.warn("nu - rabi nearly vanishes; Floquet channels are "
                       "almost degenerate", stacklevel=2)
     entries = (
-        HarmonicCoupling(COLD, 1, -rabi, (delta - rabi) / (2 * rabi) * SIGMA_PLUS),
-        HarmonicCoupling(COLD, 1, 0.0, (cfg.g / rabi) * SIGMA_Z),
-        HarmonicCoupling(COLD, 1, +rabi, (delta + rabi) / (2 * rabi) * SIGMA_MINUS),
-        HarmonicCoupling(HOT, 0, 0.0, (delta / rabi) * SIGMA_Z),
-        HarmonicCoupling(HOT, 0, +rabi, -(2 * cfg.g / rabi) * SIGMA_MINUS),
+        HarmonicCoupling(COLD, 1, -rabi, RAISE, (delta - rabi) / (2 * rabi)),
+        HarmonicCoupling(COLD, 1, 0.0, DEPHASE, cfg.g / rabi),
+        HarmonicCoupling(COLD, 1, +rabi, LOWER, (delta + rabi) / (2 * rabi)),
+        HarmonicCoupling(HOT, 0, 0.0, DEPHASE, delta / rabi),
+        HarmonicCoupling(HOT, 0, +rabi, LOWER, -(2 * cfg.g / rabi)),
     )
     return HarmonicCouplingSet(cfg.nu, rabi, entries)
+
+
+def _rate_pair(spectrum: BathSpectrum, w_eff: float) -> tuple[float, float]:
+    """(G(w_eff), G(-w_eff)), the rates of D[S] and D[S+]; DomainError
+    unless both are finite and non-negative."""
+    rate_down = spectrum.value(w_eff)
+    rate_up = spectrum.value(-w_eff)
+    if not (math.isfinite(rate_down) and math.isfinite(rate_up)):
+        raise DomainError(f"non-finite spectrum value at {w_eff:.6g}")
+    if rate_down < 0 or rate_up < 0:
+        raise DomainError(f"negative spectrum value at {w_eff:.6g}")
+    return rate_down, rate_up
+
+
+@dataclass(frozen=True)
+class DressedFlows:
+    populations: tuple      # (upper, lower), dressed basis
+    j_hot: float
+    j_cold: float
+    p_abs: float            # -(j_hot + j_cold), as in CurrentReport
+
+
+def dressed_flows(cfg: AtomDriveConfig, hot: BathSpectrum,
+                  cold: BathSpectrum) -> DressedFlows:
+    """Closed-form steady state and heat flows of the five-channel model.
+
+    Every dressed jump is sigma+, sigma- or sigma_z and the generator has
+    no Hamiltonian part, so the populations decouple from the coherence
+    and obey a two-level rate balance: p_upper = k_up / (k_up + k_down),
+    with k_up (k_down) the summed |c|^2-weighted rates that raise (lower)
+    the atom; sigma_z channels only dephase.  Each channel takes
+    n_down = |c|^2 G(w_eff) <S+S> and gives n_up = |c|^2 G(-w_eff) <SS+>
+    quanta, so the bath receives w_eff (n_down - n_up) and the drive
+    supplies q nu (n_down - n_up), the bookkeeping of heat_currents.  A
+    channel's net flux is summed pairwise over the other channels, so the
+    products of its own rates cancel exactly: J_hot keeps its digits where
+    strong hot rates nearly balance, which the SVD state does not (~1e-12
+    relative there).  solve_pipeline is the numerical oracle for this
+    function.
+
+    Raises DegenerateSteadyStateError when k_up + k_down is zero or not
+    finite, and DomainError when the drive power summed over the channels
+    misses -(J_hot + J_cold) by more than 1e-10 of the largest flow.
+    """
+    couplings = dressed_coupling_set(cfg)
+    nu = couplings.drive_frequency
+    channels = []
+    for entry in couplings.entries:
+        w_eff = entry.effective_frequency(nu)
+        rate_down, rate_up = _rate_pair(hot if entry.bath == HOT else cold,
+                                        w_eff)
+        weight = entry.coefficient * entry.coefficient
+        down, up = weight * rate_down, weight * rate_up
+        # rates that raise and lower the atom; for sigma_z, G(-w) and G(w)
+        raising, lowering = (down, up) if entry.jump == RAISE else (up, down)
+        channels.append((entry, w_eff, raising, lowering))
+    transfers = [(raising, lowering) for entry, _, raising, lowering
+                 in channels if entry.jump != DEPHASE]
+    k_up = sum(raising for raising, _ in transfers)
+    k_down = sum(lowering for _, lowering in transfers)
+    total = k_up + k_down
+    if not (math.isfinite(total) and total > 0.0):
+        raise DegenerateSteadyStateError(
+            f"dressed rate balance has no unique steady state (k_up = "
+            f"{k_up:.3e}, k_down = {k_down:.3e})")
+    flows = {HOT: 0.0, COLD: 0.0}
+    p_direct = 0.0
+    for entry, w_eff, raising, lowering in channels:
+        if entry.jump == DEPHASE:
+            net = lowering - raising    # n_down - n_up; <S+S> = <SS+> = 1
+        else:
+            # lowering p_upper - raising p_lower, with the channel's own
+            # raising * lowering product cancelled exactly
+            flux = sum(lowering * r - raising * l for r, l in transfers) / total
+            net = flux if entry.jump == LOWER else -flux
+        flows[entry.bath] -= w_eff * net
+        p_direct += entry.harmonic * nu * net
+    j_hot, j_cold = flows[HOT], flows[COLD]
+    p_abs = -(j_hot + j_cold)
+    scale = max(abs(j_hot), abs(j_cold), abs(p_abs))
+    if not abs(p_direct - p_abs) <= 1e-10 * scale:
+        raise DomainError(
+            f"energy balance broken: drive power {p_direct:.6g} against "
+            f"-(J_hot + J_cold) = {p_abs:.6g}")
+    return DressedFlows((k_up / total, k_down / total), j_hot, j_cold, p_abs)
 
 
 @dataclass(frozen=True)
@@ -147,14 +253,10 @@ def build_liouvillian(couplings: HarmonicCouplingSet, hot: BathSpectrum,
     for entry in couplings.entries:
         spectrum = hot if entry.bath == HOT else cold
         w_eff = entry.effective_frequency(couplings.drive_frequency)
-        rate_down = spectrum.value(w_eff)
-        rate_up = spectrum.value(-w_eff)
-        if not (math.isfinite(rate_down) and math.isfinite(rate_up)):
-            raise DomainError(f"non-finite spectrum value at {w_eff:.6g}")
-        if rate_down < 0 or rate_up < 0:
-            raise DomainError(f"negative spectrum value at {w_eff:.6g}")
-        mat = rate_down * dissipator(entry.operator) \
-            + rate_up * dissipator(entry.operator.conj().T)
+        rate_down, rate_up = _rate_pair(spectrum, w_eff)
+        weight = entry.coefficient * entry.coefficient
+        mat = (weight * rate_down) * _DISSIPATORS[entry.jump] \
+            + (weight * rate_up) * _DISSIPATORS[_ADJOINT[entry.jump]]
         components.append(LiouvillianComponent(entry, w_eff, rate_down, rate_up, mat))
         total = total + mat
     return LiouvillianOperator(total, tuple(components), couplings.drive_frequency,

@@ -20,10 +20,12 @@ from licore.cell import (
     synthesize_absorption,
     write_scan_csv,
 )
+from licore import floquet
 from licore.config import AtomDriveConfig
 from licore.errors import CalibrationError, ConfigError, DomainError
+from licore.floquet import solve_pipeline
 from licore.rate_model import pumping_rate, weak_flows
-from licore.spectra import FlatHotSpectrum, boltzmann_weight
+from licore.spectra import CubicColdSpectrum, FlatHotSpectrum, boltzmann_weight
 from licore.units import internal_to_watts, kelvin_to_internal, thz_to_internal
 
 
@@ -176,6 +178,48 @@ class TestWeakCellClosedForm:
         # the patch bites: an exact-solver row still integrates with quad
         with pytest.raises(AssertionError, match="quad was called"):
             detuning_scan(cell, cfg, 1.2e10, [0.0])
+
+
+class TestExactRows:
+    """Exact-solver rows take the closed-form dressed steady state."""
+
+    GRID = [-1.0, -0.5, 0.0, 0.5, 1.0]
+
+    @staticmethod
+    def oracle_row(cell, cfg, g0, delta_thz):
+        """(J_hot, P_abs) in watts: the cell integral over solve_pipeline."""
+        cfg_row = cfg.with_laser_frequency(cfg.omega0 - thz_to_internal(delta_thz))
+        hot = FlatHotSpectrum(g0, kelvin_to_internal(cell.bath_temperature_k))
+
+        def local(att):
+            cfg_local = cfg_row.attenuated(att)
+            cold = CubicColdSpectrum(cfg_local.gamma, cfg_local.omega0, 0.0)
+            currents = solve_pipeline(cfg_local, hot, cold)[2]
+            return currents.j_hot, currents.p_abs
+
+        alpha = cell.absorption_coeff_per_mm
+        return (_integrate_over_cell(cell, alpha, lambda att: local(att)[0]),
+                _integrate_over_cell(cell, alpha, lambda att: local(att)[1]))
+
+    def test_strong_scan_matches_svd_oracle_without_it(self, monkeypatch):
+        cell, cfg, g0 = lab_cell(), lab_cfg(g_thz=0.5), thz_to_internal(0.002)
+        oracle = [self.oracle_row(cell, cfg, g0, d) for d in self.GRID]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("cell rows must not build a generator")
+
+        monkeypatch.setattr(floquet, "build_liouvillian", refuse)
+        monkeypatch.setattr(floquet, "steady_state", refuse)
+        scan = detuning_scan(cell, cfg, g0, self.GRID)
+        assert all(r.model == "floquet" for r in scan.rows)
+        for row, (j_hot, p_abs) in zip(scan.rows, oracle):
+            assert row.p_abs_watt == pytest.approx(p_abs, rel=1e-10, abs=0)
+            if row.delta_thz != 0.0:
+                assert row.j_hot_watt == pytest.approx(j_hot, rel=1e-10, abs=0)
+            else:
+                # on resonance J_hot cancels to ~3e-5 of the absorbed power
+                largest = max(abs(row.j_hot_watt), abs(row.p_abs_watt))
+                assert abs(row.j_hot_watt - j_hot) <= 1e-10 * largest
 
 
 class TestExperimentalCurrent:

@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import math
 import warnings
 
@@ -10,9 +11,12 @@ from licore.errors import DegenerateSteadyStateError, DomainError
 from licore.floquet import (
     COLD,
     HOT,
+    LOWER,
+    RAISE,
     bare_populations,
     build_liouvillian,
     dressed_coupling_set,
+    dressed_flows,
     dressing_rotation,
     heat_current_exact,
     heat_currents,
@@ -23,10 +27,17 @@ from licore.floquet import (
     steady_state,
     transient_populations,
 )
-from licore.operators import is_hermitian, unvec, vec
+from licore.operators import dissipator, is_hermitian, unvec, vec
 from licore.rate_model import pumping_rate, weak_flows
 from licore.rate_model import steady_state as rate_steady_state
-from licore.spectra import CubicColdSpectrum, FlatHotSpectrum, ZeroSpectrum
+from licore.spectra import (
+    BathSpectrum,
+    CubicColdSpectrum,
+    FlatHotSpectrum,
+    TabulatedSpectrum,
+    ZeroSpectrum,
+)
+from licore.units import kelvin_to_internal, thz_to_internal
 
 
 def make_cfg(delta=1.0, g=1e-3, gamma=0.05, nu=99.0):
@@ -160,6 +171,26 @@ class TestLiouvillian:
         drift = unvec(liouv.matrix @ vec(excited))
         assert drift[0, 0].real == pytest.approx(-cfg.gamma, rel=1e-12)
         assert drift[1, 1].real == pytest.approx(+cfg.gamma, rel=1e-12)
+
+    def test_scaled_dissipators_match_per_entry_build(self):
+        # D[c S] = |c|^2 D[S]: the generator scales three constant
+        # dissipators; the direct build makes one per entry and rate
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            cfg, hot = random_weak_cfg(rng, g_over_delta=10.0 ** rng.uniform(-3, 0.3))
+            cold = CubicColdSpectrum(cfg.gamma, cfg.omega0,
+                                     rng.uniform(0.0, cfg.nu / 30))
+            couplings = dressed_coupling_set(cfg)
+            direct = np.zeros((4, 4), dtype=complex)
+            for entry in couplings.entries:
+                spectrum = hot if entry.bath == HOT else cold
+                w_eff = entry.effective_frequency(cfg.nu)
+                s = entry.operator
+                direct += spectrum.value(w_eff) * dissipator(s) \
+                    + spectrum.value(-w_eff) * dissipator(s.conj().T)
+            liouv = build_liouvillian(couplings, hot, cold)
+            assert np.abs(liouv.matrix - direct).max() <= \
+                1e-14 * np.abs(direct).max()
 
     def test_non_finite_rate_rejected(self):
         # a plateau that overflowed to inf would make the generator NaN
@@ -385,3 +416,161 @@ class TestTransient:
         cfg = AtomDriveConfig(omega0=100.0, gamma=0.05, g=1e-3, nu=100.0)
         with pytest.raises(DomainError):
             transient_populations(cfg, 0.5, 1.0, 0.5, 1.0)
+
+
+class _NegativeSpectrum(BathSpectrum):
+    temperature = 1.0
+
+    def value(self, omega):
+        return -1.0
+
+
+def _tabulated_hot(g0, t_hot):
+    """A structured hot spectrum, detailed-balanced at its nodes."""
+    omegas = thz_to_internal(np.linspace(-100.0, 100.0, 81))
+    scale = thz_to_internal(100.0)
+    values = g0 * (1.0 + (omegas / scale) ** 2) * np.exp(np.minimum(omegas, 0.0) / t_hot)
+    return TabulatedSpectrum(tuple(omegas), tuple(values), t_hot)
+
+
+def strong_drive_grid(seed=41):
+    """Lab-scale points: g/|delta| from 0.1 to 2 on both signs and at
+    delta = 0, with a vacuum and a 300 K cold bath; every third point has a
+    tabulated hot spectrum."""
+    rng = np.random.default_rng(seed)
+    g0 = thz_to_internal(0.002)
+    points = []
+    for t_cold_k in (0.0, 300.0):
+        draws = [(ratio * d, sign * d)
+                 for ratio in np.geomspace(0.1, 2.0, 8)
+                 for sign, d in ((1.0, rng.uniform(1.0, 20.0)),
+                                 (-1.0, rng.uniform(1.0, 20.0)))]
+        draws.append((rng.uniform(0.05, 5.0), 0.0))
+        for g_thz, delta_thz in draws:
+            cfg = AtomDriveConfig.from_thz(377.0, 6e-6, g_thz, 377.0 - delta_thz)
+            t_hot = kelvin_to_internal(rng.uniform(300.0, 700.0))
+            hot = _tabulated_hot(g0, t_hot) if len(points) % 3 == 2 \
+                else FlatHotSpectrum(g0, t_hot)
+            cold = CubicColdSpectrum(cfg.gamma, cfg.omega0,
+                                     kelvin_to_internal(t_cold_k))
+            points.append((cfg, hot, cold))
+    return points
+
+
+def _hot_current_50_digits(cfg, hot, cold):
+    """J_hot of the five-channel rate balance, worked in 50-digit decimals
+    from the channel coefficients; flat hot spectrum, vacuum cold bath."""
+    dec = decimal.Context(prec=50)
+    D = dec.create_decimal
+    nu, t_hot = D(cfg.nu), D(hot.temperature)
+
+    def rate(bath, w):
+        if bath == HOT:
+            return D(hot.plateau) * (1 if w >= 0 else dec.exp(w / t_hot))
+        return D(cfg.gamma) * (w / D(cfg.omega0)) ** 3 if w > 0 else D(0)
+
+    channels, k_up, k_down = [], D(0), D(0)
+    for entry in dressed_coupling_set(cfg).entries:
+        w = D(entry.dressed_freq) + entry.harmonic * nu
+        c2 = D(entry.coefficient) ** 2
+        down, up = c2 * rate(entry.bath, w), c2 * rate(entry.bath, -w)
+        if entry.jump == LOWER:
+            k_down, k_up = k_down + down, k_up + up
+        elif entry.jump == RAISE:
+            k_down, k_up = k_down + up, k_up + down
+        channels.append((entry, w, down, up))
+    p_up, p_low = k_up / (k_up + k_down), k_down / (k_up + k_down)
+    # (<S+S>, <SS+>) per jump; sigma_z squares to one
+    moments = {LOWER: (p_up, p_low), RAISE: (p_low, p_up)}
+    j_hot = D(0)
+    for entry, w, down, up in channels:
+        s_dag_s, s_s_dag = moments.get(entry.jump, (1, 1))
+        if entry.bath == HOT:
+            j_hot -= w * (down * s_dag_s - up * s_s_dag)
+    return float(j_hot)
+
+
+class TestDressedFlows:
+    """The closed-form rate balance against the SVD oracle."""
+
+    def test_matches_svd_oracle(self):
+        for cfg, hot, cold in strong_drive_grid():
+            flows = dressed_flows(cfg, hot, cold)
+            _, report, currents = solve_pipeline(cfg, hot, cold)
+            assert flows.populations == pytest.approx(report.populations,
+                                                      rel=1e-12, abs=0)
+            assert flows.j_cold == pytest.approx(currents.j_cold, rel=1e-12, abs=0)
+            assert flows.p_abs == pytest.approx(currents.p_abs, rel=1e-12, abs=0)
+            # J_hot is a difference of nearly balanced hot-channel quanta at
+            # strong drive; the SVD state carries ~1e-12 of it in rounding,
+            # so the oracle is held to the largest flow of the point
+            scale = max(abs(currents.j_hot), abs(currents.j_cold))
+            assert abs(flows.j_hot - currents.j_hot) <= 1e-12 * scale
+
+    def test_hot_current_matches_closed_form_current(self):
+        for cfg, hot, cold in strong_drive_grid():
+            if not isinstance(hot, FlatHotSpectrum):
+                continue    # heat_current_exact assumes detailed balance at rabi
+            flows = dressed_flows(cfg, hot, cold)
+            j_exact = heat_current_exact(cfg, hot_channel_rate(cfg, hot),
+                                         hot.temperature, cold.temperature)
+            assert flows.j_hot == pytest.approx(j_exact, rel=1e-12, abs=0)
+
+    def test_hot_current_against_50_digits(self):
+        # strong drive, hot rates far above the cold ones: the pairwise form
+        # keeps J_hot to ~1e-14 where the rate balance cancels
+        for cfg, hot, cold in strong_drive_grid():
+            if not isinstance(hot, FlatHotSpectrum) or cold.temperature > 0:
+                continue
+            reference = _hot_current_50_digits(cfg, hot, cold)
+            assert dressed_flows(cfg, hot, cold).j_hot == \
+                pytest.approx(reference, rel=1e-13, abs=0)
+
+    def test_no_generator_is_built(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the closed form must not build a generator")
+
+        cfg, hot, cold = strong_drive_grid()[0]
+        monkeypatch.setattr("licore.floquet.build_liouvillian", refuse)
+        monkeypatch.setattr("licore.floquet.steady_state", refuse)
+        assert math.isfinite(dressed_flows(cfg, hot, cold).j_hot)
+
+    @pytest.mark.parametrize("hot", [FlatHotSpectrum(math.inf, 2.0),
+                                     _NegativeSpectrum()],
+                             ids=["non-finite", "negative"])
+    def test_bad_rates_rejected(self, hot):
+        cfg = make_cfg(delta=1.0, g=0.3)
+        cold = CubicColdSpectrum(cfg.gamma, cfg.omega0, 0.0)
+        with pytest.raises(DomainError, match="spectrum value"):
+            dressed_flows(cfg, hot, cold)
+
+    def test_uncoupled_baths_are_degenerate(self):
+        cfg = make_cfg(delta=1.0, g=0.3)
+        with pytest.raises(DegenerateSteadyStateError, match="rate balance"):
+            dressed_flows(cfg, ZeroSpectrum(1.0), ZeroSpectrum(0.0))
+
+    def test_coupling_checks_shared(self):
+        with pytest.raises(DomainError, match="sideband"):
+            dressed_flows(AtomDriveConfig(omega0=30.0, gamma=1.0, g=10.0, nu=10.0),
+                          FlatHotSpectrum(1.0, 1.0), ZeroSpectrum(0.0))
+        cfg = AtomDriveConfig(omega0=10.0 + 9.9999999, gamma=1.0, g=0.0, nu=10.0)
+        with pytest.warns(UserWarning, match="degenerate"):
+            dressed_flows(cfg, FlatHotSpectrum(1.0, 1.0),
+                          CubicColdSpectrum(cfg.gamma, cfg.omega0, 0.0))
+
+    def test_broken_energy_balance_rejected(self, monkeypatch):
+        # a hot channel whose Bohr frequency does not match its jump breaks
+        # J_hot + J_cold + P_abs = 0; the closed form must refuse it
+        real = dressed_coupling_set
+
+        def miswired(cfg):
+            couplings = real(cfg)
+            entries = list(couplings.entries)
+            entries[4] = entries[4]._replace(dressed_freq=0.5 * couplings.rabi)
+            return couplings._replace(entries=tuple(entries))
+
+        cfg, hot, cold = strong_drive_grid()[0]
+        dressed_flows(cfg, hot, cold)
+        monkeypatch.setattr("licore.floquet.dressed_coupling_set", miswired)
+        with pytest.raises(DomainError, match="energy balance"):
+            dressed_flows(cfg, hot, cold)
