@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .config import AtomDriveConfig
 from .errors import DomainError, NoSolutionError
 from .floquet import heat_current_exact, sideband_weights
+from .numerics import bisect
 from .spectra import boltzmann_weight
 from .units import C_LIGHT, HBAR
 
@@ -92,8 +93,6 @@ def min_temp_bisect(cfg: AtomDriveConfig, t_cold: float,
                     gamma_p: float = 1.0) -> float:
     """Independent root of the exact heat current in T_hot, bracketing the
     closed-form value by a factor of ten each way."""
-    from scipy.optimize import bisect
-
     t_root = min_temp_exact(cfg, t_cold)
     if t_root == 0.0:
         return 0.0
@@ -105,7 +104,8 @@ def min_temp_bisect(cfg: AtomDriveConfig, t_cold: float,
     if not current(lo) < 0.0 < current(hi):
         raise NoSolutionError("exact current does not change sign across the "
                               "expected bracket")
-    return float(bisect(current, lo, hi, xtol=1e-300, rtol=1e-12))
+    return bisect(current, lo, hi, xtol=1e-300, rtol=1e-12,
+                  error=NoSolutionError)
 
 
 # ---------------------------------------------------------------------------

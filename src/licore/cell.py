@@ -29,6 +29,7 @@ import numpy as np
 from .config import AtomDriveConfig
 from .errors import CalibrationError, ConfigError, DomainError
 from .floquet import dressed_flows
+from .numerics import brentq, gauss_newton, integrate
 from .rate_model import pumping_rate, regime_of, weak_flows
 from .spectra import CubicColdSpectrum, FlatHotSpectrum, boltzmann_weight
 from .units import (
@@ -163,18 +164,14 @@ def _integrate_over_cell(cell: CellConfig, alpha_per_mm: float, local_fn) -> flo
     """(N_a/L) integral of exp(-alpha z) local_fn(attenuation(z)) dz, where
     local_fn returns an internal per-atom power; result in watts.
 
-    Raises DomainError when quad's error estimate misses QUAD_EPSREL."""
-    from scipy.integrate import quad
-
+    Raises DomainError when the error estimate misses QUAD_EPSREL."""
     length = cell.length_mm
 
     def integrand(z: float) -> float:
         att = math.exp(-alpha_per_mm * z)
         return att * local_fn(att)
 
-    # full_output turns quad's warnings off; the error check replaces them
-    value, err = quad(integrand, 0.0, length, epsabs=0.0, epsrel=QUAD_EPSREL,
-                      limit=200, full_output=1)[:2]
+    value, err = integrate(integrand, 0.0, length, QUAD_EPSREL)
     if not err <= QUAD_EPSREL * abs(value):
         raise DomainError(f"cell integral did not converge: error estimate "
                           f"{err:.3g} against value {value:.6g}")
@@ -266,8 +263,6 @@ class CalibrationResult:
 
 def _row_root(cfg_row: AtomDriveConfig, cell: CellConfig, alpha: float,
               target: float, g0_seed: float) -> float:
-    from scipy.optimize import brentq
-
     cap = _saturated_absorption(cfg_row, cell, alpha)
     if target >= cap:
         raise CalibrationError(
@@ -281,10 +276,10 @@ def _row_root(cfg_row: AtomDriveConfig, cell: CellConfig, alpha: float,
         hi *= 2.0
     else:
         raise CalibrationError("failed to bracket the calibration root")
-    return float(brentq(
+    return brentq(
         lambda g0: _modeled_absorption(cfg_row, cell, g0, alpha) - target,
-        0.0, hi, xtol=1e-300, rtol=1e-14,
-    ))
+        0.0, hi, xtol=1e-300, rtol=1e-14, error=CalibrationError,
+    )
 
 
 def calibrate_g0(dataset: AbsorptionDataset, cfg_template: AtomDriveConfig,
@@ -297,8 +292,6 @@ def calibrate_g0(dataset: AbsorptionDataset, cfg_template: AtomDriveConfig,
     least-squares fit.  The attenuation profile per row is taken from the
     measured absorption itself.
     """
-    from scipy.optimize import least_squares
-
     rows = []
     for nu_thz, a in zip(dataset.nu_thz, dataset.absorption):
         delta = cfg_template.omega0 - thz_to_internal(nu_thz)
@@ -328,7 +321,7 @@ def calibrate_g0(dataset: AbsorptionDataset, cfg_template: AtomDriveConfig,
         return CalibrationResult(g0, resid, tuple(rows))
 
     def residuals(x):
-        g0 = math.exp(x[0])
+        g0 = math.exp(x)
         out = []
         for nu_thz, a in rows:
             cfg_row = cfg_template.with_laser_frequency(thz_to_internal(nu_thz))
@@ -336,11 +329,13 @@ def calibrate_g0(dataset: AbsorptionDataset, cfg_template: AtomDriveConfig,
             out.append(_modeled_absorption(cfg_row, cell, g0, alpha) - a)
         return out
 
-    x0 = [float(np.mean(np.log(per_row)))]
-    fit = least_squares(residuals, x0, xtol=1e-15, ftol=1e-15, gtol=1e-15)
-    g0 = math.exp(fit.x[0])
-    resid = float(np.sqrt(np.mean(np.square(fit.fun))))
-    return CalibrationResult(g0, resid, tuple(rows))
+    # each residual rises with g0 and vanishes at its row's root, so the
+    # least-squares g0 lies between the smallest and the largest root
+    logs = [math.log(g0) for g0 in per_row]
+    x, fun = gauss_newton(residuals, math.fsum(logs) / len(logs), min(logs),
+                          max(logs), error=CalibrationError)
+    resid = math.sqrt(math.fsum(r * r for r in fun) / len(fun))
+    return CalibrationResult(math.exp(x), resid, tuple(rows))
 
 
 def synthesize_absorption(cfg_template: AtomDriveConfig, cell: CellConfig,
@@ -348,8 +343,6 @@ def synthesize_absorption(cfg_template: AtomDriveConfig, cell: CellConfig,
     """Self-consistent absorption a(nu) predicted by the model itself:
     a solves a = fraction(alpha(a)).  Round-trips exactly through
     calibrate_g0."""
-    from scipy.optimize import brentq
-
     if g0 <= 0:
         raise ValueError("g0 must be positive")
     values = []
@@ -368,8 +361,7 @@ def synthesize_absorption(cfg_template: AtomDriveConfig, cell: CellConfig,
         if gap(0.0) <= 0.0:
             values.append(0.0)
             continue
-        values.append(float(brentq(gap, 0.0, 1.0 - 1e-12,
-                                   xtol=1e-300, rtol=1e-14)))
+        values.append(brentq(gap, 0.0, 1.0 - 1e-12, xtol=1e-300, rtol=1e-14))
     return AbsorptionDataset(tuple(float(n) for n in nus_thz), tuple(values),
                              ("synthetic: self-consistent model absorption",))
 

@@ -161,12 +161,12 @@ class TestWeakCellClosedForm:
                              lab_cell(), 0.1)
 
     def test_rate_paths_run_without_quadrature(self, monkeypatch):
-        import scipy.integrate
+        import licore.cell
 
         def no_quad(*args, **kwargs):
             raise AssertionError("quad was called")
 
-        monkeypatch.setattr(scipy.integrate, "quad", no_quad)
+        monkeypatch.setattr(licore.cell, "integrate", no_quad)
         cfg = lab_cfg()
         cell = lab_cell()
         ds = synthesize_absorption(cfg, cell, 1.2e10, (360.0, 365.0, 370.0))
@@ -293,6 +293,29 @@ class TestCalibration:
                                     min(ds.absorption[1] + 0.05, 1.0)))
         result = calibrate_g0(bumped, cfg, cell)
         assert result.residual_rms > 1e-3
+
+    def test_all_row_fit_lands_on_the_least_squares_minimum(self,
+                                                            scan_dataset_path):
+        from scipy.optimize import bisect
+
+        # the fixture is a Gaussian line the model does not match: the
+        # residuals stay large (rms 0.13) at the least-squares g0
+        ds = load_absorption_csv(scan_dataset_path)
+        cfg, cell = lab_cfg(), lab_cell()
+        result = calibrate_g0(ds, cfg, cell)
+
+        def sum_of_squares(log_g0):
+            return math.fsum(
+                (_modeled_absorption(cfg.with_laser_frequency(thz_to_internal(nu)),
+                                     cell, math.exp(log_g0),
+                                     ds.alpha_at(nu, cell.length_mm)) - a) ** 2
+                for nu, a in result.rows_used)
+
+        h = 2.5e-6    # the difference's own O(h^2) shift of the root is ~2e-12
+        x = math.log(result.g0)
+        x_min = bisect(lambda y: sum_of_squares(y + h) - sum_of_squares(y - h),
+                       x - 0.01, x + 0.01, xtol=1e-300, rtol=1e-15)
+        assert result.g0 == pytest.approx(math.exp(x_min), rel=1e-10, abs=0)
 
     def test_dark_dataset_rejected(self):
         ds = AbsorptionDataset((360.0, 365.0), (0.0, 0.0))

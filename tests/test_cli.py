@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -246,17 +247,87 @@ class TestWarnings:
             "detuning/nu <= 0.1"]
 
 
+def _scan_config(tmp_path, edit) -> str:
+    """config_scan.json with absolute dataset paths, edited by ``edit``."""
+    doc = json.loads(Path(SCAN).read_text())
+    doc["scan"]["dataset_csv"] = doc["calibrate"]["dataset_csv"] = DATASET
+    edit(doc)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _without_reference_row(doc):
+    del doc["calibrate"]["reference_nu_thz"]
+
+
+def _optically_thick(doc):
+    # alpha L = 50 without a dataset, so the floquet rows' cell integrals
+    # subdivide
+    del doc["scan"]["dataset_csv"]
+    doc["cell"]["absorption_length_mm"] = 0.2
+
+
+FLOQUET_ROWS = ["--set", "hot_bath.g0_thz=0.002", "--set", "atom.g_thz=0.5",
+                "--set", "scan.delta_min_thz=-1.0", "--set", "scan.delta_max_thz=1.0",
+                "--set", "scan.delta_step_thz=0.5"]
+COLD_START_RUNS = {
+    "steady-state": lambda tmp: ["steady-state", "--config", POINT],
+    "currents": lambda tmp: ["currents", "--config", POINT],
+    "tmin": lambda tmp: ["tmin", "--config", POINT],
+    "compare": lambda tmp: ["compare", "--config", POINT],
+    "calibrate-reference-row": lambda tmp: ["calibrate", "--config", SCAN],
+    "calibrate-all-rows": lambda tmp: [
+        "calibrate", "--config", _scan_config(tmp, _without_reference_row)],
+    "scan-floquet-rows": lambda tmp: [
+        "scan", "--config", SCAN, *FLOQUET_ROWS, "--out", str(tmp / "scan")],
+    "scan-optically-thick": lambda tmp: [
+        "scan", "--config", _scan_config(tmp, _optically_thick), *FLOQUET_ROWS,
+        "--out", str(tmp / "scan")],
+}
+SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def _python(code: str, *argv) -> str:
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"]
+                               if env.get("PYTHONPATH") else "")
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+@pytest.fixture(scope="module")
+def cold_start(tmp_path_factory):
+    """Each run of COLD_START_RUNS in a fresh interpreter, two at a time:
+    name -> (exit code, scipy modules loaded when it returned, its
+    directory)."""
+    dirs = {name: tmp_path_factory.mktemp(name) for name in COLD_START_RUNS}
+    probe = ("import contextlib, io, sys\n"
+             "from licore.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = main(sys.argv[1:])\n"
+             f"print(code, {SCIPY_MODULES})\n")
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        outs = list(pool.map(
+            lambda name: _python(probe, *COLD_START_RUNS[name](dirs[name])),
+            COLD_START_RUNS))
+    return {name: (*out.split(" ", 1), dirs[name])
+            for name, out in zip(COLD_START_RUNS, outs)}
+
+
 class TestColdStart:
     def test_cli_import_leaves_scipy_unloaded(self):
-        src = str(Path(__file__).parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"]
-                                   if env.get("PYTHONPATH") else "")
-        probe = ("import sys, licore.cli; "
-                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        proc = subprocess.run([sys.executable, "-c", probe], env=env,
-                              capture_output=True, text=True, check=True)
-        assert proc.stdout == "[]\n"
+        assert _python(f"import sys, licore.cli; print({SCIPY_MODULES})") == "[]\n"
+
+    @pytest.mark.parametrize("name", COLD_START_RUNS)
+    def test_command_leaves_scipy_unloaded(self, name, cold_start):
+        code, modules, tmp = cold_start[name]
+        assert (code, modules) == ("0", "[]\n")
+        if name.startswith("scan"):
+            models = {line.rsplit(",", 1)[1] for line in
+                      (tmp / "scan.csv").read_text().splitlines()[1:]}
+            assert "floquet" in models
 
 
 class TestFlags:
