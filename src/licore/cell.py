@@ -24,12 +24,10 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .config import AtomDriveConfig
 from .errors import CalibrationError, ConfigError, DomainError
 from .floquet import dressed_flows
-from .numerics import brentq, gauss_newton, integrate
+from .numerics import brentq, gauss_newton, integrate, interp
 from .rate_model import pumping_rate, regime_of, weak_flows
 from .spectra import CubicColdSpectrum, FlatHotSpectrum, boltzmann_weight
 from .units import (
@@ -82,13 +80,15 @@ class AbsorptionDataset:
     metadata: tuple = ()
 
     def __post_init__(self):
-        nu = np.asarray(self.nu_thz, dtype=float)
-        a = np.asarray(self.absorption, dtype=float)
-        if nu.size == 0 or nu.size != a.size:
+        nu, a = self.nu_thz, self.absorption
+        if len(nu) == 0 or len(nu) != len(a):
             raise ConfigError("dataset needs matching nu/absorption columns")
-        if not np.all(np.diff(nu) > 0):
+        if not all(math.isfinite(x) for x in nu):
+            raise ConfigError("dataset frequencies must be finite numbers")
+        if not all(lo < hi for lo, hi in zip(nu, nu[1:])):
             raise ConfigError("dataset frequencies must be strictly increasing")
-        if np.any((a < 0) | (a > 1)):
+        # written so that a NaN fails it too
+        if not all(0.0 <= x <= 1.0 for x in a):
             raise ConfigError("absorption probabilities must lie in [0, 1]")
 
     def covers(self, nu_thz: float) -> bool:
@@ -96,7 +96,7 @@ class AbsorptionDataset:
 
     def absorption_at(self, nu_thz: float) -> float:
         """Linear interpolation, clamped to the endpoint values outside."""
-        return float(np.interp(nu_thz, self.nu_thz, self.absorption))
+        return interp(nu_thz, self.nu_thz, self.absorption)
 
     def alpha_at(self, nu_thz: float, length_mm: float) -> float:
         """Attenuation coefficient implied by a(nu) via 1 - exp(-alpha L)."""

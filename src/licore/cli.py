@@ -4,6 +4,7 @@ Subcommands: steady-state, currents, scan, tmin, compare, calibrate.
 Configuration is a JSON document in lab units (THz, K, W, mm) validated
 against a fixed schema; ``--set section.key=value`` overrides fields for
 sweeps.  Machine output carries 12 significant digits, human tables 4.
+The module and every command it runs import the standard library only.
 
 Exit codes: 0 success, 2 config/schema error, 3 numerical-domain error,
 4 I/O error.
@@ -18,8 +19,6 @@ import sys
 import warnings
 from datetime import datetime, timezone
 from pathlib import Path
-
-import jsonschema
 
 from . import analysis, cell as cellmod, floquet, rate_model
 from .config import AtomDriveConfig
@@ -114,35 +113,82 @@ CONFIG_SCHEMA = {
         },
     },
 }
-# the schema is a constant: checked against the metaschema by the tests,
-# not on every load
-_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+MAX_SCAN_ROWS = 10**6     # the largest detuning grid `scan` builds
+
+
+def _schema_violations(schema: dict, node, path: tuple = ()):
+    """(message, path) of each way ``node`` breaks ``schema``, for the
+    keywords CONFIG_SCHEMA uses, worded as jsonschema words them.  A JSON
+    number is an int or a float, never a bool."""
+    kind = schema.get("type")
+    if kind == "object":
+        if not isinstance(node, dict):
+            yield f"{node!r} is not of type 'object'", path
+            return
+        for key in schema.get("required", ()):
+            if key not in node:
+                yield f"{key!r} is a required property", path
+        properties = schema.get("properties", {})
+        extras = sorted((k for k in node if k not in properties), key=str)
+        if extras and schema.get("additionalProperties", True) is False:
+            verb = "was" if len(extras) == 1 else "were"
+            yield (f"Additional properties are not allowed "
+                   f"({', '.join(map(repr, extras))} {verb} unexpected)", path)
+        for key, sub in properties.items():
+            if key in node:
+                yield from _schema_violations(sub, node[key], (*path, key))
+    elif kind == "string":
+        if not isinstance(node, str):
+            yield f"{node!r} is not of type 'string'", path
+    elif kind == "number":
+        if isinstance(node, bool) or not isinstance(node, (int, float)):
+            yield f"{node!r} is not of type 'number'", path
+        elif "minimum" in schema and node < schema["minimum"]:
+            yield (f"{node!r} is less than the minimum of "
+                   f"{schema['minimum']!r}", path)
+        elif "exclusiveMinimum" in schema and node <= schema["exclusiveMinimum"]:
+            yield (f"{node!r} is less than or equal to the minimum of "
+                   f"{schema['exclusiveMinimum']!r}", path)
+
+
+def _finite_number(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
+def _parse_json(text: str):
+    """json.loads that refuses NaN, Infinity and numbers that overflow."""
+    return json.loads(text, parse_float=_finite_number,
+                      parse_constant=_finite_number)
 
 
 def load_config(path: str, overrides) -> dict:
     try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        doc = _parse_json(Path(path).read_text())
+    except ValueError as exc:   # also undecodable bytes
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, raw = item.split("=", 1)
         try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw
+            value = _parse_json(raw)
+        except ValueError:
+            value = raw     # a bare string, which the schema then checks
         node = doc
         parts = key.split(".")
         for part in parts[:-1]:
-            node = node.setdefault(part, {})
             if not isinstance(node, dict):
-                raise ConfigError(f"--set path {key!r} crosses a non-object")
+                break
+            node = node.setdefault(part, {})
+        if not isinstance(node, dict):
+            raise ConfigError(f"--set path {key!r} crosses a non-object")
         node[parts[-1]] = value
-    exc = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
-    if exc is not None:
-        raise ConfigError(f"config schema violation: {exc.message} "
-                          f"(at {'/'.join(str(p) for p in exc.absolute_path)})")
+    for message, at in _schema_violations(CONFIG_SCHEMA, doc):
+        raise ConfigError(f"config schema violation: {message} "
+                          f"(at {'/'.join(at)})")
     return doc
 
 
@@ -250,8 +296,8 @@ def cmd_steady_state(doc: dict, args):
                 if math.isfinite(pt.t_tla) else "inf",
             }
 
-    _, report, _ = floquet.solve_pipeline(cfg, hot, cold)
-    ee, gg = floquet.bare_populations(cfg, report.rho)
+    flows = floquet.dressed_flows(cfg, hot, cold)
+    ee, gg = floquet.bare_from_dressed(cfg, flows.populations)
     if ee > 0 and gg > 0 and ee < gg:
         t_tla_fl = abs(cfg.detuning) / math.log(gg / ee)
         t_tla_fl_k = round12(t_tla_fl / kelvin_to_internal(1.0))
@@ -261,7 +307,7 @@ def cmd_steady_state(doc: dict, args):
         "rho_ee": round12(ee),
         "rho_gg": round12(gg),
         "t_tla_k": t_tla_fl_k,
-        "residual": round12(report.residual),
+        "rate_balance_residual": round12(flows.rate_balance_residual),
     }
     if rate_pops is not None:
         rel = abs(rate_pops[0] - ee) / max(abs(ee), 1e-300)
@@ -295,19 +341,17 @@ def cmd_currents(doc: dict, args):
     except DomainError as exc:
         rate_part = {"note": f"weak-drive model out of regime: {exc}"}
         regime = rate_model.regime_of(cfg)
-    _, report, currents = floquet.solve_pipeline(cfg, hot, cold)
-    scale = max(abs(currents.j_hot), abs(currents.j_cold), abs(currents.p_abs),
-                1e-300)
+    flows = floquet.dressed_flows(cfg, hot, cold)
     payload = {
         "command": "currents",
         "regime": regime,
         "rate_model": rate_part,
         "floquet": {
-            "j_hot_w": round12(internal_to_watts(currents.j_hot)),
-            "j_cold_w": round12(internal_to_watts(currents.j_cold)),
-            "p_abs_w": round12(internal_to_watts(currents.p_abs)),
+            "j_hot_w": round12(internal_to_watts(flows.j_hot)),
+            "j_cold_w": round12(internal_to_watts(flows.j_cold)),
+            "p_abs_w": round12(internal_to_watts(flows.p_abs)),
             "conservation_residual_rel": round12(
-                currents.conservation_residual / scale),
+                flows.energy_balance_residual),
         },
     }
     lines = [f"energy flows ({regime} regime); per atom, watts"]
@@ -433,7 +477,10 @@ def cmd_scan(doc: dict, args):
                           "calibrate from")
 
     lo, hi, step = sc["delta_min_thz"], sc["delta_max_thz"], sc["delta_step_thz"]
-    n = int(math.floor((hi - lo) / step + 0.5)) + 1
+    span = (hi - lo) / step
+    if not span < MAX_SCAN_ROWS - 0.5:
+        raise ConfigError(f"scan grid has more than {MAX_SCAN_ROWS} rows")
+    n = int(math.floor(max(span, -1.0) + 0.5)) + 1   # none if hi < lo
     deltas = [lo + k * step for k in range(n) if lo + k * step <= hi + step * 1e-9]
     if not deltas:
         raise ConfigError("empty detuning grid")

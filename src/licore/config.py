@@ -48,9 +48,6 @@ class AtomDriveConfig:
         """Dressed-state splitting sqrt(4 g^2 + detuning^2)."""
         return math.hypot(2.0 * self.g, self.detuning)
 
-    def with_coupling(self, g: float) -> "AtomDriveConfig":
-        return replace(self, g=g)
-
     def with_laser_frequency(self, nu: float) -> "AtomDriveConfig":
         return replace(self, nu=nu)
 

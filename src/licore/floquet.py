@@ -18,48 +18,53 @@ scattering rate to the elastic cold channel.
 
 Every dressed jump operator is sigma+, sigma- or sigma_z, so the steady
 state is a two-level rate balance and dressed_flows gives populations and
-flows in closed form; the cell model uses it.  The generator route
-(build_liouvillian, steady_state via SVD, heat_currents, bundled as
-solve_pipeline) is the numerical oracle that checks it, and serves the CLI
-point commands, which report its residuals.
+flows in closed form, with its own residuals, and bare_from_dressed the
+bare populations; the CLI and the cell model use them.  The generator
+route (build_liouvillian, steady_state via SVD, heat_currents, bundled as
+solve_pipeline, with dressing_rotation and bare_populations) is the
+numerical oracle that checks both.  Only that route needs numpy, and it
+imports numpy on first use, so no command loads it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .config import AtomDriveConfig
 from .errors import DegenerateSteadyStateError, DomainError
-from .operators import (
-    SIGMA_MINUS,
-    SIGMA_PLUS,
-    SIGMA_X,
-    SIGMA_Z,
-    dissipator,
-    hermitize,
-    unvec,
-    vec,
-)
 from .spectra import BathSpectrum, boltzmann_weight
+
+if TYPE_CHECKING:
+    import numpy as np
 
 HOT = "hot"
 COLD = "cold"
 
 
+@functools.cache
+def _oracle_modules():
+    """numpy and licore.operators, imported on first use: only the SVD
+    oracle needs them."""
+    import numpy
+    from . import operators
+    return numpy, operators
+
+
 def rotating_frame_hamiltonian(cfg: AtomDriveConfig) -> np.ndarray:
     """(detuning/2) sigma_z + g sigma_x in the bare basis; eigenvalues are
     +/- rabi/2."""
-    return 0.5 * cfg.detuning * SIGMA_Z + cfg.g * SIGMA_X
+    _, ops = _oracle_modules()
+    return 0.5 * cfg.detuning * ops.SIGMA_Z + cfg.g * ops.SIGMA_X
 
 
 def dressing_rotation(cfg: AtomDriveConfig) -> np.ndarray:
     """Unitary whose columns are the (upper, lower) dressed states in the
     bare basis, with a deterministic sign convention."""
+    np, _ = _oracle_modules()
     evals, evecs = np.linalg.eigh(rotating_frame_hamiltonian(cfg))
     order = np.argsort(evals)[::-1]     # upper first
     u = evecs[:, order]
@@ -74,10 +79,17 @@ def dressing_rotation(cfg: AtomDriveConfig) -> np.ndarray:
 # dressed-basis jump operators; the upper dressed state comes first, so
 # sigma+ raises and sigma- lowers the atom between the dressed states
 RAISE, LOWER, DEPHASE = "sigma+", "sigma-", "sigma_z"
-JUMP_OPERATORS = {RAISE: SIGMA_PLUS, LOWER: SIGMA_MINUS, DEPHASE: SIGMA_Z}
 _ADJOINT = {RAISE: LOWER, LOWER: RAISE, DEPHASE: DEPHASE}
-# D[c S] = |c|^2 D[S]: the generator scales these three, built once
-_DISSIPATORS = {jump: dissipator(op) for jump, op in JUMP_OPERATORS.items()}
+
+
+@functools.cache
+def _jump_operators() -> dict:
+    """jump -> (2x2 operator S, 4x4 dissipator D[S]), built on first use.
+    D[c S] = |c|^2 D[S], so the generator only scales these three."""
+    _, ops = _oracle_modules()
+    jumps = {RAISE: ops.SIGMA_PLUS, LOWER: ops.SIGMA_MINUS,
+             DEPHASE: ops.SIGMA_Z}
+    return {jump: (op, ops.dissipator(op)) for jump, op in jumps.items()}
 
 
 class HarmonicCoupling(NamedTuple):
@@ -90,7 +102,7 @@ class HarmonicCoupling(NamedTuple):
     @property
     def operator(self) -> np.ndarray:
         """c S, 2x2 in the dressed basis."""
-        return self.coefficient * JUMP_OPERATORS[self.jump]
+        return self.coefficient * _jump_operators()[self.jump][0]
 
     def effective_frequency(self, drive_freq: float) -> float:
         return self.dressed_freq + self.harmonic * drive_freq
@@ -143,12 +155,15 @@ def _rate_pair(spectrum: BathSpectrum, w_eff: float) -> tuple[float, float]:
     return rate_down, rate_up
 
 
-@dataclass(frozen=True)
-class DressedFlows:
+class DressedFlows(NamedTuple):
     populations: tuple      # (upper, lower), dressed basis
     j_hot: float
     j_cold: float
     p_abs: float            # -(j_hot + j_cold), as in CurrentReport
+    # |k_up p_lower - k_down p_upper| / (k_up + k_down)
+    rate_balance_residual: float
+    # |drive power - p_abs| / max(|j_hot|, |j_cold|, |p_abs|)
+    energy_balance_residual: float
 
 
 def dressed_flows(cfg: AtomDriveConfig, hot: BathSpectrum,
@@ -209,11 +224,39 @@ def dressed_flows(cfg: AtomDriveConfig, hot: BathSpectrum,
     j_hot, j_cold = flows[HOT], flows[COLD]
     p_abs = -(j_hot + j_cold)
     scale = max(abs(j_hot), abs(j_cold), abs(p_abs))
-    if not abs(p_direct - p_abs) <= 1e-10 * scale:
+    defect = abs(p_direct - p_abs)
+    if not defect <= 1e-10 * scale:
         raise DomainError(
             f"energy balance broken: drive power {p_direct:.6g} against "
             f"-(J_hot + J_cold) = {p_abs:.6g}")
-    return DressedFlows((k_up / total, k_down / total), j_hot, j_cold, p_abs)
+    upper, lower = k_up / total, k_down / total
+    return DressedFlows((upper, lower), j_hot, j_cold, p_abs,
+                        abs(k_up * lower - k_down * upper) / total,
+                        defect / scale if scale else 0.0)
+
+
+def bare_from_dressed(cfg: AtomDriveConfig,
+                      populations: tuple) -> tuple[float, float]:
+    """(rho_ee, rho_gg) of a state with dressed (upper, lower) populations
+    and no coherence, as dressed_flows returns it.
+
+    The dressed states carry the excited-state weights (1 +/- cos)/2, with
+    cos = detuning/rabi, so rho_ee = (p_upper (1 + cos) + p_lower
+    (1 - cos)) / 2.  The smaller weight is taken as
+    2 g^2 / (rabi (rabi + |detuning|)), free of the cancellation in
+    1 - |cos| at weak drive.  bare_populations, which rotates the SVD
+    oracle's density matrix, is the numerical check of this function.
+    """
+    upper, lower = populations
+    rabi, delta, two_g = cfg.rabi, cfg.detuning, 2.0 * cfg.g
+    if rabi == 0.0:
+        raise DomainError("degenerate config: g = detuning = 0")
+    # 1 - |cos| and 1 + |cos|, twice the excited-state weights
+    small = (two_g / rabi) * (two_g / (rabi + abs(delta)))
+    large = 2.0 - small
+    w_upper, w_lower = (large, small) if delta >= 0 else (small, large)
+    return (0.5 * (upper * w_upper + lower * w_lower),
+            0.5 * (upper * w_lower + lower * w_upper))
 
 
 @dataclass(frozen=True)
@@ -236,18 +279,22 @@ class LiouvillianOperator:
 
     @property
     def dressed_hamiltonian(self) -> np.ndarray:
+        np, _ = _oracle_modules()
         return np.diag([0.5 * self.rabi, -0.5 * self.rabi]).astype(complex)
 
     def trace_defect(self) -> float:
         """Norm of the adjoint generator applied to the identity; zero for
         a trace-preserving generator."""
-        return float(np.linalg.norm(self.matrix.conj().T @ vec(np.eye(2))))
+        np, ops = _oracle_modules()
+        return float(np.linalg.norm(self.matrix.conj().T @ ops.vec(np.eye(2))))
 
 
 def build_liouvillian(couplings: HarmonicCouplingSet, hot: BathSpectrum,
                       cold: BathSpectrum) -> LiouvillianOperator:
     """Assemble the generator: each harmonic contributes
     G(w_eff) D[S] + G(-w_eff) D[S+], kept separately for current bookkeeping."""
+    np, _ = _oracle_modules()
+    jumps = _jump_operators()
     components = []
     total = np.zeros((4, 4), dtype=complex)
     for entry in couplings.entries:
@@ -255,8 +302,8 @@ def build_liouvillian(couplings: HarmonicCouplingSet, hot: BathSpectrum,
         w_eff = entry.effective_frequency(couplings.drive_frequency)
         rate_down, rate_up = _rate_pair(spectrum, w_eff)
         weight = entry.coefficient * entry.coefficient
-        mat = (weight * rate_down) * _DISSIPATORS[entry.jump] \
-            + (weight * rate_up) * _DISSIPATORS[_ADJOINT[entry.jump]]
+        mat = (weight * rate_down) * jumps[entry.jump][1] \
+            + (weight * rate_up) * jumps[_ADJOINT[entry.jump]][1]
         components.append(LiouvillianComponent(entry, w_eff, rate_down, rate_up, mat))
         total = total + mat
     return LiouvillianOperator(total, tuple(components), couplings.drive_frequency,
@@ -286,6 +333,7 @@ def steady_state(liouv: LiouvillianOperator,
     Raises DegenerateSteadyStateError when the second-smallest singular
     value falls below degeneracy_tol times the generator norm.
     """
+    np, ops = _oracle_modules()
     try:
         _, s, vh = np.linalg.svd(liouv.matrix)
     except np.linalg.LinAlgError as exc:
@@ -299,13 +347,13 @@ def steady_state(liouv: LiouvillianOperator,
             f"Liouvillian kernel not one-dimensional (singular values "
             f"{s[-2]:.3e}, {s[-1]:.3e} vs norm {norm:.3e})"
         )
-    candidate = unvec(vh[-1].conj())
+    candidate = ops.unvec(vh[-1].conj())
     tr = np.trace(candidate)
     if abs(tr) < 1e-12:
         raise DegenerateSteadyStateError("steady-state candidate is traceless")
-    rho = hermitize(candidate / tr)
+    rho = ops.hermitize(candidate / tr)
     rho = rho / np.trace(rho).real
-    residual = float(np.linalg.norm(liouv.matrix @ vec(rho)))
+    residual = float(np.linalg.norm(liouv.matrix @ ops.vec(rho)))
     return SteadyStateReport(
         rho=rho,
         residual=residual,
@@ -349,8 +397,9 @@ def heat_currents(liouv: LiouvillianOperator, rho: np.ndarray,
     Currents are exact at the steady state; a non-stationary rho is flagged
     via ``stationary=False``.
     """
+    np, ops = _oracle_modules()
     h_dressed = liouv.dressed_hamiltonian
-    drift = np.linalg.norm(liouv.matrix @ vec(rho))
+    drift = np.linalg.norm(liouv.matrix @ ops.vec(rho))
     norm = np.linalg.norm(liouv.matrix)
     stationary = bool(drift <= stationarity_tol * max(norm, 1.0))
     if not stationary:
@@ -366,7 +415,7 @@ def heat_currents(liouv: LiouvillianOperator, rho: np.ndarray,
         n_down = comp.rate_down * np.trace(rho @ sd @ s).real
         n_up = comp.rate_up * np.trace(rho @ s @ sd).real
         if entry.dressed_freq != 0.0:
-            change = unvec(comp.matrix @ vec(rho))
+            change = ops.unvec(comp.matrix @ ops.vec(rho))
             heat = (comp.omega_eff / entry.dressed_freq) \
                 * np.trace(change @ h_dressed).real
         else:

@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ConfigError
+from .numerics import interp
 from .units import thz_to_internal
 
 
@@ -120,34 +119,39 @@ class TabulatedSpectrum(BathSpectrum):
     temperature: float
 
     def __post_init__(self):
-        om = np.asarray(self.omegas, dtype=float)
-        va = np.asarray(self.values, dtype=float)
-        if om.size < 2 or om.size != va.size:
+        om, va = self.omegas, self.values
+        if len(om) < 2 or len(om) != len(va):
             raise ConfigError("tabulated spectrum needs >= 2 (omega, value) rows")
-        if not np.all(np.diff(om) > 0):
+        if not all(math.isfinite(w) for w in (*om, *va)):
+            raise ConfigError("tabulated spectrum rows must be finite numbers")
+        if not all(lo < hi for lo, hi in zip(om, om[1:])):
             raise ConfigError("tabulated frequencies must be strictly increasing")
-        if np.any(va < 0):
+        if any(v < 0 for v in va):
             raise ConfigError("tabulated spectrum values must be non-negative")
         if self.temperature < 0:
             raise ConfigError("temperature must be non-negative")
 
     def value(self, omega: float) -> float:
-        return float(np.interp(omega, self.omegas, self.values))
+        return interp(omega, self.omegas, self.values)
 
 
 def kms_violation(spectrum: BathSpectrum, omegas, floor: float = 1e-300) -> float:
-    """Max relative defect of G(-w) = exp(-w/T) G(w) over a grid of w > 0."""
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    if omegas.size == 0:
+    """Max relative defect of G(-w) = exp(-w/T) G(w) over a grid of w > 0
+    (a single frequency or an iterable of them); NaN if any defect is."""
+    omegas = [omegas] if isinstance(omegas, (int, float)) else list(omegas)
+    if not omegas:
         raise ValueError("frequency grid must be non-empty")
-    if np.any(omegas <= 0):
+    if not all(w > 0 for w in omegas):
         raise ValueError("grid frequencies must be positive")
     worst = 0.0
     for w in omegas:
         gp = spectrum.value(w)
         gm = spectrum.value(-w)
         expected = boltzmann_weight(w, spectrum.temperature) * gp
-        worst = max(worst, abs(gm - expected) / max(gp, floor))
+        defect = abs(gm - expected) / max(gp, floor)
+        if math.isnan(defect):
+            return defect
+        worst = max(worst, defect)
     return worst
 
 
@@ -176,7 +180,7 @@ def load_tabulated_spectrum(path, temperature: float,
             "detailed-balance check"
         )
     violation = kms_violation(spec, grid)
-    if violation > kms_tol:
+    if not violation <= kms_tol:
         raise ConfigError(
             f"{path}: tabulated spectrum violates detailed balance "
             f"(max relative defect {violation:.3e} > {kms_tol:.1e})"

@@ -260,6 +260,15 @@ class TestDataset:
         with pytest.raises(ConfigError):
             AbsorptionDataset((360.0, 370.0), (0.1, 1.5))
 
+    @pytest.mark.parametrize("row", ["365.0,nan", "365.0,inf", "nan,0.2",
+                                     "inf,0.2"])
+    def test_rejects_non_finite_rows(self, tmp_path, row):
+        # (a < 0) | (a > 1) is False for NaN, so a NaN row used to pass
+        path = tmp_path / "a.csv"
+        path.write_text(f"nu_thz,absorption\n360.0,0.1\n{row}\n370.0,0.2\n")
+        with pytest.raises(ConfigError):
+            load_absorption_csv(path)
+
 
 class TestCalibration:
     def test_round_trip_on_synthetic_data(self):

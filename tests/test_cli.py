@@ -8,11 +8,20 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from licore.cli import CONFIG_SCHEMA, build_parser, main
+from licore.cli import (
+    CONFIG_SCHEMA,
+    MAX_SCAN_ROWS,
+    _schema_violations,
+    build_parser,
+    load_config,
+    main,
+)
+from licore.errors import ConfigError
 
 FIXTURES = Path(__file__).parent / "fixtures"
 POINT = str(FIXTURES / "config_point.json")
@@ -58,6 +67,30 @@ class TestSubcommands:
         assert payload["floquet"]["conservation_residual_rel"] <= 1e-10
         assert payload["regime"] == "cooling"
         assert payload["rate_model"]["j_hot_w"] > 0
+
+    def test_steady_state_reports_closed_form_residuals(self, capsys):
+        floquet = run_json(capsys, "steady-state", "--config", POINT)["floquet"]
+        assert "residual" not in floquet
+        assert 0.0 <= floquet["rate_balance_residual"] <= 1e-15
+        assert floquet["rho_ee"] + floquet["rho_gg"] == pytest.approx(1.0,
+                                                                      abs=1e-15)
+
+    def test_currents_on_resonance_print_the_closed_form(self, capsys):
+        # delta = 0: J_hot is a small difference of hot-channel quanta, whose
+        # last digits the SVD state used to get wrong (-2.49824220369e-18)
+        from licore.config import AtomDriveConfig
+        from licore.floquet import heat_current_exact, hot_channel_rate
+        from licore.spectra import FlatHotSpectrum
+        from licore.units import (internal_to_watts, kelvin_to_internal,
+                                  round12, thz_to_internal)
+        payload = run_json(capsys, "currents", "--config", POINT,
+                           "--set", "atom.nu_thz=377.0")
+        cfg = AtomDriveConfig.from_thz(377.0, 6e-6, 0.05, 377.0)
+        hot = FlatHotSpectrum(thz_to_internal(0.002), kelvin_to_internal(500.0))
+        j_hot = heat_current_exact(cfg, hot_channel_rate(cfg, hot),
+                                   hot.temperature, 0.0)
+        assert payload["floquet"]["j_hot_w"] == round12(internal_to_watts(j_hot))
+        assert payload["floquet"]["j_hot_w"] == -2.49824220387e-18
 
     def test_currents_blue_mirror_matches_asymmetry(self, capsys):
         red = run_json(capsys, "currents", "--config", POINT,
@@ -215,6 +248,69 @@ class TestExitCodes:
         assert err == (f"config error: {section}: temperature_k overflows "
                        "internal units\n")
 
+    @pytest.mark.parametrize("item", [
+        "scan.delta_step_thz=NaN", "scan.delta_min_thz=NaN",
+        "cell.length_mm=NaN", "cell.laser_power_w=Infinity",
+        "scan.delta_max_thz=-Infinity", "cell.length_mm=1e400",
+    ])
+    def test_non_finite_override_is_config_error(self, capsys, tmp_path, item):
+        code, out, err = run(capsys, "scan", "--config", SCAN, "--set", item,
+                             "--out", str(tmp_path / "scan"))
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: config schema violation: ")
+        assert "is not of type 'number'" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_number_in_file_is_config_error(self, capsys, tmp_path,
+                                                       text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(Path(POINT).read_text().replace('"g_thz": 0.05',
+                                                       f'"g_thz": {text}'))
+        code, out, err = run(capsys, "tmin", "--config", str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"config error: {bad}: not valid JSON")
+        assert len(err.splitlines()) == 1
+
+    def test_undecodable_config_is_config_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{")
+        code, _, err = run(capsys, "tmin", "--config", str(bad))
+        assert code == 2
+        assert err.startswith("config error:")
+
+    @pytest.mark.parametrize("document, item", [
+        (None, "atom.g_thz.x=1"),
+        ("[1]", "atom.g_thz=1"),    # a list document used to be a traceback
+        ("[1]", "x=1"),
+    ])
+    def test_override_through_a_non_object_is_config_error(
+            self, capsys, tmp_path, document, item):
+        config = POINT
+        if document is not None:
+            config = tmp_path / "list.json"
+            config.write_text(document)
+        code, out, err = run(capsys, "tmin", "--config", str(config),
+                             "--set", item)
+        assert (code, out) == (2, "")
+        assert err.endswith("crosses a non-object\n")
+
+    @pytest.mark.parametrize("sets", [
+        ["scan.delta_step_thz=1e-300"],
+        # 10^6 + 1 rows: the grid rounds the span to the nearest step
+        ["scan.delta_min_thz=0", "scan.delta_max_thz=999999.6",
+         "scan.delta_step_thz=1"],
+    ])
+    def test_oversized_scan_grid_is_config_error(self, capsys, tmp_path, sets):
+        argv = ["scan", "--config", SCAN, "--out", str(tmp_path / "scan")]
+        for item in sets:
+            argv += ["--set", item]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (f"config error: scan grid has more than "
+                       f"{MAX_SCAN_ROWS} rows\n")
+        assert not (tmp_path / "scan.csv").exists()
+
     def test_jobs_below_one_is_config_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "scan", "--config", SCAN, "--jobs", "0",
                            "--out", str(tmp_path / "scan"))
@@ -285,7 +381,13 @@ COLD_START_RUNS = {
         "scan", "--config", _scan_config(tmp, _optically_thick), *FLOQUET_ROWS,
         "--out", str(tmp / "scan")],
 }
-SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+# third-party packages no command may load, listed as loaded when a module
+# of theirs is in sys.modules (a blocked one sits there as None)
+THIRD_PARTY = ("numpy", "jsonschema", "scipy")
+LOADED = ("sorted(m for m, mod in sys.modules.items() if mod is not None "
+          f"and m.split('.')[0] in {THIRD_PARTY})")
+# importing a blocked package raises ImportError
+BLOCK = "sys.modules['numpy'] = sys.modules['jsonschema'] = None\n"
 
 
 def _python(code: str, *argv) -> str:
@@ -299,15 +401,16 @@ def _python(code: str, *argv) -> str:
 
 @pytest.fixture(scope="module")
 def cold_start(tmp_path_factory):
-    """Each run of COLD_START_RUNS in a fresh interpreter, two at a time:
-    name -> (exit code, scipy modules loaded when it returned, its
-    directory)."""
+    """Each run of COLD_START_RUNS in a fresh interpreter where numpy and
+    jsonschema cannot be imported, two at a time: name -> (exit code,
+    third-party modules loaded when it returned, its directory)."""
     dirs = {name: tmp_path_factory.mktemp(name) for name in COLD_START_RUNS}
     probe = ("import contextlib, io, sys\n"
+             + BLOCK +
              "from licore.cli import main\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              "    code = main(sys.argv[1:])\n"
-             f"print(code, {SCIPY_MODULES})\n")
+             f"print(code, {LOADED})\n")
     with ThreadPoolExecutor(max_workers=2) as pool:
         outs = list(pool.map(
             lambda name: _python(probe, *COLD_START_RUNS[name](dirs[name])),
@@ -318,7 +421,12 @@ def cold_start(tmp_path_factory):
 
 class TestColdStart:
     def test_cli_import_leaves_scipy_unloaded(self):
-        assert _python(f"import sys, licore.cli; print({SCIPY_MODULES})") == "[]\n"
+        # nor numpy nor jsonschema, though the test dependencies install both
+        assert _python(f"import sys, licore.cli; print({LOADED})") == "[]\n"
+
+    def test_package_imports_without_numpy_or_jsonschema(self):
+        assert _python("import sys\n" + BLOCK + "import licore\n"
+                       f"print(licore.__version__, {LOADED})") == "0.1.0 []\n"
 
     @pytest.mark.parametrize("name", COLD_START_RUNS)
     def test_command_leaves_scipy_unloaded(self, name, cold_start):
@@ -374,6 +482,121 @@ def test_fuzzed_overrides_end_in_an_exit_code(command, overrides):
     assert code in (0, 2, 3, 4), err.getvalue()
     if code == 0:
         assert _all_finite(json.loads(out.getvalue()))
+
+
+SCAN_FUZZ_FIELDS = ("scan.delta_min_thz", "scan.delta_max_thz",
+                    "scan.delta_step_thz", "cell.length_mm",
+                    "cell.absorption_length_mm", "cell.absorption_coeff_per_mm",
+                    "cell.linear_atom_density_per_mm", "cell.laser_power_w")
+# no pair of these makes a grid of more than about 800 rows but fewer than
+# MAX_SCAN_ROWS, so every example stays quick
+SCAN_FUZZ_VALUES = ("0", "1e-300", "-1e-300", "0.5", "1", "-25", "377", "1e30",
+                    "1e308", "NaN", "Infinity", "-Infinity", "1e400")
+
+
+@pytest.fixture(scope="module")
+def scan_out(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("fuzz") / "scan")
+
+
+@given(overrides=st.lists(st.tuples(st.sampled_from(SCAN_FUZZ_FIELDS),
+                                    st.sampled_from(SCAN_FUZZ_VALUES)),
+                          min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None)
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_fuzzed_scan_overrides_end_in_an_exit_code(overrides, scan_out):
+    argv = ["scan", "--config", SCAN, "--no-metadata", "--out", scan_out]
+    for key, value in overrides:
+        argv += ["--set", f"{key}={value}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), err.getvalue()
+    if code == 0:
+        rows = json.loads(Path(scan_out).with_suffix(".json").read_text())
+        assert _all_finite(rows)
+    else:
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+
+
+# -- the config schema check against jsonschema ------------------------------
+
+SECTIONS = tuple(CONFIG_SCHEMA["properties"])
+LEAVES = tuple((section, key) for section in SECTIONS
+               for key in CONFIG_SCHEMA["properties"][section]["properties"])
+FULL_CONFIG = {
+    **json.loads(Path(SCAN).read_text()),
+    "hot_bath": {"temperature_k": 500.0, "g0_thz": 0.002,
+                 "spectrum_csv": "hot.csv"},
+    "compare": {"mass_amu": 86.909, "rabi_thz": 10.4},
+}
+FULL_CONFIG["cell"]["absorption_coeff_per_mm"] = 0.1
+JSON_VALUES = st.one_of(
+    st.sampled_from((0, 0.0, -0.0, 1, -1, 1e-300, -1e-300, 377.0, True, False,
+                     None, "x", "", [], [1.0], {})),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(),
+    st.sampled_from(FUZZ_VALUES),
+)
+MUTATIONS = st.one_of(
+    st.tuples(st.just("set"), st.sampled_from(LEAVES), JSON_VALUES),
+    st.tuples(st.just("delete"),
+              st.sampled_from(LEAVES + tuple((s,) for s in SECTIONS))),
+    st.tuples(st.just("extra"),
+              st.sampled_from(((),) + tuple((s,) for s in SECTIONS)),
+              st.sampled_from(("bogus", "g_thz", "atom", "Zeta", "1"))),
+    st.tuples(st.just("set"), st.sampled_from(tuple((s,) for s in SECTIONS)),
+              JSON_VALUES),
+    st.tuples(st.just("root"), JSON_VALUES),
+)
+_JSONSCHEMA = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
+
+def _mutated(mutations):
+    doc = json.loads(json.dumps(FULL_CONFIG))
+    for kind, *args in mutations:
+        if kind == "root":
+            doc = args[0]
+            continue
+        if not isinstance(doc, dict):
+            continue
+        path = args[0]
+        parent = doc
+        for key in path[:-1]:
+            parent = parent.get(key) if isinstance(parent, dict) else None
+        if not isinstance(parent, dict):
+            continue
+        if kind == "set":
+            parent[path[-1]] = args[1]
+        elif kind == "delete":
+            parent.pop(path[-1], None)
+        else:   # extra: a key in the object at path
+            target = parent.get(path[-1]) if path else doc
+            if isinstance(target, dict):
+                target[args[1]] = 1.0
+    return doc
+
+
+@given(mutations=st.lists(MUTATIONS, max_size=4))
+@settings(max_examples=400, deadline=None)
+def test_schema_check_agrees_with_jsonschema(mutations):
+    doc = _mutated(mutations)
+    ours = list(_schema_violations(CONFIG_SCHEMA, doc))
+    theirs = list(_JSONSCHEMA.iter_errors(doc))
+    assert bool(ours) == bool(theirs), (ours, [e.message for e in theirs])
+    if len(theirs) == 1:
+        assert ours == [(theirs[0].message, tuple(theirs[0].absolute_path))]
+
+
+def test_load_config_words_a_violation_with_its_path():
+    with pytest.raises(ConfigError) as info:
+        load_config(POINT, ["atom.g_thz=true"])
+    assert str(info.value) == ("config schema violation: True is not of type "
+                               "'number' (at atom/g_thz)")
+    with pytest.raises(ConfigError) as info:
+        load_config(POINT, ["extra=1"])
+    assert str(info.value) == ("config schema violation: Additional properties "
+                               "are not allowed ('extra' was unexpected) (at )")
 
 
 class TestDeterminism:

@@ -13,6 +13,7 @@ from licore.floquet import (
     HOT,
     LOWER,
     RAISE,
+    bare_from_dressed,
     bare_populations,
     build_liouvillian,
     dressed_coupling_set,
@@ -506,6 +507,30 @@ class TestDressedFlows:
             # so the oracle is held to the largest flow of the point
             scale = max(abs(currents.j_hot), abs(currents.j_cold))
             assert abs(flows.j_hot - currents.j_hot) <= 1e-12 * scale
+
+    def test_bare_populations_and_residuals(self):
+        for cfg, hot, cold in strong_drive_grid():
+            flows = dressed_flows(cfg, hot, cold)
+            _, report, _ = solve_pipeline(cfg, hot, cold)
+            ee, gg = bare_populations(cfg, report.rho)
+            assert bare_from_dressed(cfg, flows.populations) == \
+                pytest.approx((ee, gg), rel=1e-13, abs=0)
+            assert flows.rate_balance_residual <= 1e-15
+            assert flows.energy_balance_residual <= 1e-12
+
+    def test_bare_populations_keep_digits_at_weak_drive(self):
+        # 1 - detuning/rabi rounds to zero at g/detuning = 1e-9; the excited
+        # weight of the lower dressed state is 2 g^2 / (rabi (rabi + delta))
+        cfg = make_cfg(delta=1.0, g=1e-9)
+        cold = CubicColdSpectrum(cfg.gamma, cfg.omega0, 0.0)
+        flows = dressed_flows(cfg, FlatHotSpectrum(1e-3, 0.2), cold)
+        upper, lower = flows.populations
+        rabi = cfg.rabi
+        weight = 2 * cfg.g ** 2 / (rabi * (rabi + cfg.detuning))
+        expected = upper * (1 - weight) + lower * weight
+        assert lower * weight > 1e-3 * upper     # the admixture shows
+        assert bare_from_dressed(cfg, flows.populations)[0] == \
+            pytest.approx(expected, rel=1e-14)
 
     def test_hot_current_matches_closed_form_current(self):
         for cfg, hot, cold in strong_drive_grid():

@@ -1,4 +1,5 @@
-"""The stdlib root finders and quadrature against SciPy, their oracle."""
+"""The stdlib root finders, quadrature and interpolation against SciPy and
+numpy, their oracles."""
 
 import functools
 import math
@@ -6,6 +7,7 @@ import random
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
 from scipy import optimize as sp_optimize
@@ -164,3 +166,43 @@ class TestGaussNewton:
         with pytest.raises(CalibrationError, match="do not depend"):
             numerics.gauss_newton(lambda x: [1.0, 2.0], 0.0, -1.0, 1.0,
                                   error=CalibrationError)
+
+
+def _same_float(a: float, b: float) -> bool:
+    """Equal bit patterns, NaN included."""
+    return (math.isnan(a) and math.isnan(b)) or (a == b and math.copysign(
+        1.0, a) == math.copysign(1.0, b))
+
+
+class TestInterp:
+    def test_bitwise_equal_to_numpy(self):
+        rng = random.Random(11)
+        for _ in range(400):
+            xp = sorted({rng.uniform(-10, 10) * 10.0 ** rng.randint(-3, 3)
+                         for _ in range(rng.choice((1, 2, 3, 5, 8, 40)))})
+            fp = [rng.uniform(-1, 1) * 10.0 ** rng.randint(-200, 200) for _ in xp]
+            span = xp[-1] - xp[0] + 1.0
+            queries = [rng.uniform(xp[0] - span, xp[-1] + span) for _ in range(25)]
+            queries += xp    # at the nodes
+            queries += [math.nan, math.inf, -math.inf, xp[0] - 1.0, xp[-1] + 1.0]
+            for x in queries:
+                got = numerics.interp(x, tuple(xp), tuple(fp))
+                want = float(np.interp(x, xp, fp))
+                assert _same_float(got, want), (xp, fp, x, got, want)
+
+    def test_non_finite_table_values_follow_numpy(self):
+        # where the slope form gives NaN, numpy tries the other end and then
+        # the shared value; interp must land on the same numbers
+        xp = (0.0, 1.0, 2.0, 3.0)
+        for fp in ((math.inf, math.inf, 1.0, -math.inf),
+                   (1.0, math.inf, math.inf, 2.0)):
+            for x in (0.0, 0.25, 1.0, 1.5, 2.0, 2.5, 3.0, -1.0, 4.0):
+                assert _same_float(numerics.interp(x, xp, fp),
+                                   float(np.interp(x, xp, fp))), (fp, x)
+
+    def test_clamps_and_passes_nan_through(self):
+        xp, fp = (1.0, 2.0, 4.0), (10.0, 20.0, 0.0)
+        assert numerics.interp(0.0, xp, fp) == 10.0
+        assert numerics.interp(9.0, xp, fp) == 0.0
+        assert numerics.interp(3.0, xp, fp) == 10.0
+        assert math.isnan(numerics.interp(math.nan, xp, fp))

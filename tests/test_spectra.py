@@ -135,3 +135,23 @@ def test_tabulated_clamps_out_of_range():
     spec = TabulatedSpectrum((-1.0, 0.0, 1.0), (0.1, 1.0, 2.0), temperature=1e9)
     assert spec.value(5.0) == 2.0
     assert spec.value(-5.0) == 0.1
+
+
+@pytest.mark.parametrize("row", ["0.0,nan", "0.0,inf", "nan,4.0"])
+def test_tabulated_loader_rejects_non_finite_rows(tmp_path, row):
+    # max() drops a NaN defect, so the detailed-balance check alone would
+    # let a NaN value through
+    path = tmp_path / "bad.csv"
+    path.write_text(f"omega_thz,g_rate\n-1.0,1.0\n{row}\n1.0,4.0\n")
+    with pytest.raises(ConfigError, match="finite"):
+        load_tabulated_spectrum(path, temperature=thz_to_internal(1.0))
+
+
+def test_kms_check_reports_nan_defect():
+    class NanAbove(FlatHotSpectrum):
+        def value(self, omega):
+            return math.nan if omega > 1.5 else super().value(omega)
+
+    spec = NanAbove(1.0, 1.0)
+    assert math.isnan(kms_violation(spec, [1.0, 2.0, 3.0]))
+    assert kms_violation(spec, 1.0) <= 1e-15
