@@ -12,20 +12,19 @@ Usage: python scripts/minimal_temperature_study.py
 from licore.analysis import method_comparison, min_temp_asymptotic, \
     min_temp_bisect, min_temp_exact
 from licore.config import AtomDriveConfig
-from licore.units import amu_to_kg, kelvin_to_internal
+from licore.units import amu_to_kg, internal_to_kelvin
 
 
 def floor_sweep() -> None:
     print("cooling floor vs drive ratio (detuning 10.4 THz, vacuum cold bath)")
     print(f"{'detuning/g':>12s} {'exact [K]':>12s} {'asymptotic [K]':>15s} "
           f"{'bisection [K]':>14s} {'gap':>8s}")
-    kelvin = kelvin_to_internal(1.0)
     for ratio in (50.0, 200.0, 1000.0, 5000.0):
         g_thz = 10.4 / ratio
         cfg = AtomDriveConfig.from_thz(377.0, 6e-6, g_thz, 366.6)
-        exact = min_temp_exact(cfg, 0.0) / kelvin
-        asym = min_temp_asymptotic(cfg) / kelvin
-        root = min_temp_bisect(cfg, 0.0) / kelvin
+        exact = internal_to_kelvin(min_temp_exact(cfg, 0.0))
+        asym = internal_to_kelvin(min_temp_asymptotic(cfg))
+        root = internal_to_kelvin(min_temp_bisect(cfg, 0.0))
         gap = abs(exact - asym) / exact
         print(f"{ratio:12g} {exact:12.4g} {asym:15.4g} {root:14.4g} {gap:8.2%}")
 

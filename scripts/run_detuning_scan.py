@@ -9,11 +9,10 @@ terminal summary (peak cooling power and the heating/cooling asymmetry).
 Usage: python scripts/run_detuning_scan.py [output_dir]
 """
 
+import json
 import math
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from licore.cell import (
     AbsorptionDataset,
@@ -43,8 +42,8 @@ CELL = CellConfig(
 
 
 def synthetic_profile() -> AbsorptionDataset:
-    nus = np.arange(352.0, 402.5, 1.0)
-    a = 0.95 * np.exp(-(nus - 377.0) ** 2 / (2 * 6.0 ** 2))
+    nus = [352.0 + k for k in range(51)]
+    a = [0.95 * math.exp(-(nu - 377.0) ** 2 / (2 * 6.0 ** 2)) for nu in nus]
     return AbsorptionDataset(tuple(nus), tuple(a),
                              ("synthetic symmetric profile, 500 K",))
 
@@ -57,11 +56,10 @@ def main() -> None:
     print(f"calibrated G0 = {internal_to_thz(cal.g0):.6g} THz "
           f"(rms misfit {cal.residual_rms:.2e})")
 
-    deltas = [float(d) for d in np.arange(-25.0, 25.5, 0.5)]
+    deltas = [-25.0 + 0.5 * k for k in range(101)]
     scan = detuning_scan(CELL, ATOM, cal.g0, deltas, dataset=dataset)
 
     write_scan_csv(scan, OUT / "detuning_scan.csv")
-    import json
     (OUT / "detuning_scan.json").write_text(
         json.dumps({"rows": scan_records(scan), "metadata": scan.metadata},
                    indent=2, sort_keys=True) + "\n")

@@ -23,7 +23,6 @@ from .spectra import (
     kms_violation,
     load_tabulated_spectrum,
 )
-from .units import UNITS, UnitSystem, from_internal, to_internal
 
 __version__ = "0.1.0"
 
@@ -37,10 +36,6 @@ __all__ = [
     "boltzmann_weight",
     "kms_violation",
     "load_tabulated_spectrum",
-    "UnitSystem",
-    "UNITS",
-    "to_internal",
-    "from_internal",
     "LicoreError",
     "ConfigError",
     "DomainError",

@@ -20,29 +20,13 @@ from .spectra import boltzmann_weight
 from .units import C_LIGHT, HBAR
 
 
-@dataclass(frozen=True)
-class MinTempParams:
-    """Sideband frequencies and rates entering the balance condition."""
-
-    nu_plus: float
-    nu_minus: float
-    delta_plus: float
-    delta_minus: float
-    t_cold: float
-
-    @classmethod
-    def from_config(cls, cfg: AtomDriveConfig, t_cold: float) -> "MinTempParams":
-        if t_cold < 0:
-            raise ValueError("t_cold must be non-negative")
-        d_plus, d_minus = sideband_weights(cfg)
-        return cls(cfg.nu + cfg.rabi, cfg.nu - cfg.rabi, d_plus, d_minus, t_cold)
-
-
-def _balance_rhs(params: MinTempParams) -> float:
-    bw_p = boltzmann_weight(params.nu_plus, params.t_cold)
-    bw_m = boltzmann_weight(params.nu_minus, params.t_cold)
-    return (params.delta_plus * bw_p + params.delta_minus) \
-        / (params.delta_plus + params.delta_minus * bw_m)
+def _balance_rhs(cfg: AtomDriveConfig, t_cold: float) -> float:
+    if t_cold < 0:
+        raise ValueError("t_cold must be non-negative")
+    d_plus, d_minus = sideband_weights(cfg)
+    bw_p = boltzmann_weight(cfg.nu + cfg.rabi, t_cold)
+    bw_m = boltzmann_weight(cfg.nu - cfg.rabi, t_cold)
+    return (d_plus * bw_p + d_minus) / (d_plus + d_minus * bw_m)
 
 
 def min_temp_exact(cfg: AtomDriveConfig, t_cold: float) -> float:
@@ -55,7 +39,7 @@ def min_temp_exact(cfg: AtomDriveConfig, t_cold: float) -> float:
         )
     if cfg.g == 0.0:
         return 0.0
-    rhs = _balance_rhs(MinTempParams.from_config(cfg, t_cold))
+    rhs = _balance_rhs(cfg, t_cold)
     if rhs >= 1.0:
         raise NoSolutionError(
             f"balance ratio {rhs:.6g} >= 1: no positive-temperature root"
@@ -67,7 +51,7 @@ def min_temp_exact(cfg: AtomDriveConfig, t_cold: float) -> float:
 
 def min_temp_residual(cfg: AtomDriveConfig, t_cold: float, t_hot: float) -> float:
     """Relative defect of the balance condition at t_hot."""
-    rhs = _balance_rhs(MinTempParams.from_config(cfg, t_cold))
+    rhs = _balance_rhs(cfg, t_cold)
     lhs = boltzmann_weight(cfg.rabi, t_hot)
     return abs(lhs - rhs) / max(rhs, 1e-300)
 

@@ -307,31 +307,25 @@ def calibrate_g0(dataset: AbsorptionDataset, cfg_template: AtomDriveConfig,
         nearest = min(rows, key=lambda r: abs(r[0] - reference_nu_thz))
         rows = [nearest]
 
-    per_row = []
-    for nu_thz, a in rows:
-        cfg_row = cfg_template.with_laser_frequency(thz_to_internal(nu_thz))
-        alpha = dataset.alpha_at(nu_thz, cell.length_mm)
-        per_row.append(_row_root(cfg_row, cell, alpha, a, cfg_template.gamma))
+    # each row's drive config and attenuation, shared by its root and the fit
+    fits = [(cfg_template.with_laser_frequency(thz_to_internal(nu_thz)),
+             dataset.alpha_at(nu_thz, cell.length_mm), a) for nu_thz, a in rows]
+    roots = [_row_root(cfg_row, cell, alpha, a, cfg_template.gamma)
+             for cfg_row, alpha, a in fits]
 
-    if len(rows) == 1:
-        g0 = per_row[0]
-        resid = abs(_modeled_absorption(
-            cfg_template.with_laser_frequency(thz_to_internal(rows[0][0])),
-            cell, g0, dataset.alpha_at(rows[0][0], cell.length_mm)) - rows[0][1])
-        return CalibrationResult(g0, resid, tuple(rows))
+    if len(fits) == 1:
+        (cfg_row, alpha, a), = fits
+        resid = abs(_modeled_absorption(cfg_row, cell, roots[0], alpha) - a)
+        return CalibrationResult(roots[0], resid, tuple(rows))
 
     def residuals(x):
         g0 = math.exp(x)
-        out = []
-        for nu_thz, a in rows:
-            cfg_row = cfg_template.with_laser_frequency(thz_to_internal(nu_thz))
-            alpha = dataset.alpha_at(nu_thz, cell.length_mm)
-            out.append(_modeled_absorption(cfg_row, cell, g0, alpha) - a)
-        return out
+        return [_modeled_absorption(cfg_row, cell, g0, alpha) - a
+                for cfg_row, alpha, a in fits]
 
     # each residual rises with g0 and vanishes at its row's root, so the
     # least-squares g0 lies between the smallest and the largest root
-    logs = [math.log(g0) for g0 in per_row]
+    logs = [math.log(g0) for g0 in roots]
     x, fun = gauss_newton(residuals, math.fsum(logs) / len(logs), min(logs),
                           max(logs), error=CalibrationError)
     resid = math.sqrt(math.fsum(r * r for r in fun) / len(fun))

@@ -23,9 +23,10 @@ from pathlib import Path
 from . import analysis, cell as cellmod, floquet, rate_model
 from .config import AtomDriveConfig
 from .errors import ConfigError, DomainError
-from .spectra import CubicColdSpectrum, FlatHotSpectrum
+from .spectra import CubicColdSpectrum, FlatHotSpectrum, load_tabulated_spectrum
 from .units import (
     amu_to_kg,
+    internal_to_kelvin,
     internal_to_thz,
     internal_to_watts,
     kelvin_to_internal,
@@ -173,12 +174,17 @@ def load_config(path: str, overrides) -> dict:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, raw = item.split("=", 1)
+        parts = key.split(".")
+        field = CONFIG_SCHEMA
+        for part in parts:
+            field = field.get("properties", {}).get(part, {})
         try:
             value = _parse_json(raw)
         except ValueError:
             value = raw     # a bare string, which the schema then checks
+        if field.get("type") == "string" and not isinstance(value, str):
+            value = raw     # a string field keeps its text: a file named 2024
         node = doc
-        parts = key.split(".")
         for part in parts[:-1]:
             if not isinstance(node, dict):
                 break
@@ -230,7 +236,6 @@ def _hot(doc: dict, config_path: str | None = None):
     h = doc["hot_bath"]
     temperature = _temperature("hot_bath", doc)
     if "spectrum_csv" in h:
-        from .spectra import load_tabulated_spectrum
         return load_tabulated_spectrum(
             _resolve_path(h["spectrum_csv"], config_path), temperature)
     if "g0_thz" not in h:
@@ -238,10 +243,6 @@ def _hot(doc: dict, config_path: str | None = None):
                           "`calibrate` first or set one explicitly)")
     return _construct("hot_bath", FlatHotSpectrum,
                       thz_to_internal(h["g0_thz"]), temperature)
-
-
-def _cold_temperature(doc: dict) -> float:
-    return _temperature("cold_bath", doc)
 
 
 def _cell(doc: dict) -> cellmod.CellConfig:
@@ -272,7 +273,7 @@ def _cell(doc: dict) -> cellmod.CellConfig:
 def cmd_steady_state(doc: dict, args):
     cfg = _atom(doc)
     hot = _hot(doc, args.config)
-    t_cold = _cold_temperature(doc)
+    t_cold = _temperature("cold_bath", doc)
     cold = CubicColdSpectrum(cfg.gamma, cfg.omega0, t_cold)
 
     rate_pops = None
@@ -292,7 +293,7 @@ def cmd_steady_state(doc: dict, args):
                 "rho_ee": round12(pt.rho_ee),
                 "rho_gg": round12(pt.rho_gg),
                 "boltzmann_factor": round12(pt.boltzmann_factor),
-                "t_tla_k": round12(pt.t_tla / kelvin_to_internal(1.0))
+                "t_tla_k": round12(internal_to_kelvin(pt.t_tla))
                 if math.isfinite(pt.t_tla) else "inf",
             }
 
@@ -300,7 +301,7 @@ def cmd_steady_state(doc: dict, args):
     ee, gg = floquet.bare_from_dressed(cfg, flows.populations)
     if ee > 0 and gg > 0 and ee < gg:
         t_tla_fl = abs(cfg.detuning) / math.log(gg / ee)
-        t_tla_fl_k = round12(t_tla_fl / kelvin_to_internal(1.0))
+        t_tla_fl_k = round12(internal_to_kelvin(t_tla_fl))
     else:
         t_tla_fl_k = "inf" if ee >= gg else 0.0
     fl_part = {
@@ -324,7 +325,7 @@ def cmd_steady_state(doc: dict, args):
 def cmd_currents(doc: dict, args):
     cfg = _atom(doc)
     hot = _hot(doc, args.config)
-    t_cold = _cold_temperature(doc)
+    t_cold = _temperature("cold_bath", doc)
     cold = CubicColdSpectrum(cfg.gamma, cfg.omega0, t_cold)
     laser_power_w = doc["atom"].get("laser_power_w", 0.0)
 
@@ -363,13 +364,13 @@ def cmd_currents(doc: dict, args):
 
 def cmd_tmin(doc: dict, args):
     cfg = _atom(doc)
-    t_cold = _cold_temperature(doc)
+    t_cold = _temperature("cold_bath", doc)
     exact = analysis.min_temp_exact(cfg, t_cold)
     payload = {"command": "tmin",
-               "t_min_exact_k": round12(exact / kelvin_to_internal(1.0))}
+               "t_min_exact_k": round12(internal_to_kelvin(exact))}
     if cfg.g > 0 and cfg.g < cfg.detuning:
         asymptotic = analysis.min_temp_asymptotic(cfg)
-        payload["t_min_asymptotic_k"] = round12(asymptotic / kelvin_to_internal(1.0))
+        payload["t_min_asymptotic_k"] = round12(internal_to_kelvin(asymptotic))
         payload["relative_gap"] = round12(abs(exact - asymptotic)
                                           / max(exact, 1e-300))
     if exact > 0:
@@ -379,7 +380,7 @@ def cmd_tmin(doc: dict, args):
         payload["bracket_check"] = {
             "j_sign_below": -1 if below < 0 else (0 if below == 0 else 1),
             "j_sign_above": -1 if above < 0 else (0 if above == 0 else 1),
-            "bisect_root_k": round12(root / kelvin_to_internal(1.0)),
+            "bisect_root_k": round12(internal_to_kelvin(root)),
             "bisect_rel_difference": round12(abs(root - exact) / exact),
         }
     lines = [f"minimal hot-bath temperature: "
@@ -458,7 +459,7 @@ def cmd_scan(doc: dict, args):
     cfg = _atom(doc)
     cell = _cell(doc)
     sc = doc["scan"]
-    t_cold = _cold_temperature(doc) if "cold_bath" in doc else 0.0
+    t_cold = _temperature("cold_bath", doc) if "cold_bath" in doc else 0.0
 
     if args.dataset is not None:
         path = args.dataset

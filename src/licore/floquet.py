@@ -274,13 +274,6 @@ class LiouvillianOperator:
     components: tuple
     drive_frequency: float
     rabi: float
-    hot_temperature: float
-    cold_temperature: float
-
-    @property
-    def dressed_hamiltonian(self) -> np.ndarray:
-        np, _ = _oracle_modules()
-        return np.diag([0.5 * self.rabi, -0.5 * self.rabi]).astype(complex)
 
     def trace_defect(self) -> float:
         """Norm of the adjoint generator applied to the identity; zero for
@@ -307,7 +300,7 @@ def build_liouvillian(couplings: HarmonicCouplingSet, hot: BathSpectrum,
         components.append(LiouvillianComponent(entry, w_eff, rate_down, rate_up, mat))
         total = total + mat
     return LiouvillianOperator(total, tuple(components), couplings.drive_frequency,
-                               couplings.rabi, hot.temperature, cold.temperature)
+                               couplings.rabi)
 
 
 @dataclass(frozen=True)
@@ -316,14 +309,6 @@ class SteadyStateReport:
     residual: float             # ||L vec(rho)||
     populations: tuple          # (upper, lower)
     coherence: complex
-
-    @property
-    def rho_upper(self) -> float:
-        return self.populations[0]
-
-    @property
-    def rho_lower(self) -> float:
-        return self.populations[1]
 
 
 def steady_state(liouv: LiouvillianOperator,
@@ -370,23 +355,11 @@ def bare_populations(cfg: AtomDriveConfig, rho_dressed: np.ndarray) -> tuple[flo
 
 
 @dataclass(frozen=True)
-class ChannelCurrent:
-    bath: str
-    harmonic: int
-    dressed_freq: float
-    omega_eff: float
-    heat: float         # out of the bath, into atom + drive
-    drive_power: float  # supplied by the laser through this channel
-
-
-@dataclass(frozen=True)
 class CurrentReport:
     j_hot: float
     j_cold: float
     p_abs: float                  # -(j_hot + j_cold), the defining identity
-    p_abs_direct: float           # independent per-channel drive bookkeeping
-    conservation_residual: float  # |p_abs_direct + j_hot + j_cold|
-    channels: tuple
+    conservation_residual: float  # |summed drive power + j_hot + j_cold|
     stationary: bool
 
 
@@ -398,14 +371,13 @@ def heat_currents(liouv: LiouvillianOperator, rho: np.ndarray,
     via ``stationary=False``.
     """
     np, ops = _oracle_modules()
-    h_dressed = liouv.dressed_hamiltonian
+    h_dressed = np.diag([0.5 * liouv.rabi, -0.5 * liouv.rabi]).astype(complex)
     drift = np.linalg.norm(liouv.matrix @ ops.vec(rho))
     norm = np.linalg.norm(liouv.matrix)
     stationary = bool(drift <= stationarity_tol * max(norm, 1.0))
     if not stationary:
         warnings.warn("heat currents evaluated on a non-stationary state",
                       stacklevel=2)
-    channels = []
     totals = {HOT: 0.0, COLD: 0.0}
     p_direct = 0.0
     for comp in liouv.components:
@@ -421,16 +393,11 @@ def heat_currents(liouv: LiouvillianOperator, rho: np.ndarray,
         else:
             # quantum counting; zero for the static hot channel (w_eff = 0)
             heat = comp.omega_eff * (n_up - n_down)
-        drive = entry.harmonic * liouv.drive_frequency * (n_down - n_up)
         totals[entry.bath] += heat
-        p_direct += drive
-        channels.append(ChannelCurrent(entry.bath, entry.harmonic,
-                                       entry.dressed_freq, comp.omega_eff,
-                                       heat, drive))
+        p_direct += entry.harmonic * liouv.drive_frequency * (n_down - n_up)
     j_hot, j_cold = totals[HOT], totals[COLD]
     residual = abs(p_direct + j_hot + j_cold)
-    return CurrentReport(j_hot, j_cold, -(j_hot + j_cold), p_direct,
-                         residual, tuple(channels), stationary)
+    return CurrentReport(j_hot, j_cold, -(j_hot + j_cold), residual, stationary)
 
 
 def hot_channel_rate(cfg: AtomDriveConfig, hot: BathSpectrum) -> float:
@@ -481,24 +448,6 @@ def heat_current_exact(cfg: AtomDriveConfig, gamma_p: float, t_hot: float,
     num = bw_hot * (d_plus + d_minus * bw_m) - (d_plus * bw_p + d_minus)
     den = d_minus * (1.0 + bw_m) + d_plus * (1.0 + bw_p) + (1.0 + bw_hot) * gamma_p
     return n_atoms * rabi * gamma_p * num / den
-
-
-def transient_populations(cfg: AtomDriveConfig, gamma_p: float, t_hot: float,
-                          rho_ee0: float, t: float) -> tuple[float, float]:
-    """Closed-form relaxation of the excited population toward the rate-model
-    fixed point, at rate gamma_p (1 + e^(-|detuning|/T)) + gamma."""
-    if cfg.detuning == 0.0:
-        raise DomainError("transient rate equations need nonzero detuning")
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    if not 0.0 <= rho_ee0 <= 1.0:
-        raise ValueError("rho_ee0 must be a population")
-    bw = boltzmann_weight(abs(cfg.detuning), t_hot)
-    rate = gamma_p * (1.0 + bw) + cfg.gamma
-    source = gamma_p * bw if cfg.detuning > 0 else gamma_p * bw + cfg.gamma
-    ee_inf = source / rate
-    ee = ee_inf + (rho_ee0 - ee_inf) * math.exp(-rate * t)
-    return ee, 1.0 - ee
 
 
 def solve_pipeline(cfg: AtomDriveConfig, hot: BathSpectrum, cold: BathSpectrum):

@@ -40,18 +40,3 @@ def dissipator(s: np.ndarray) -> np.ndarray:
 def hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
-
-def is_hermitian(m: np.ndarray, tol: float = 1e-12) -> bool:
-    m = np.asarray(m)
-    scale = max(1.0, np.abs(m).max())
-    return bool(np.abs(m - m.conj().T).max() <= tol * scale)
-
-
-def density_diagnostics(rho: np.ndarray) -> tuple[float, float, float]:
-    """(trace defect, hermiticity defect, min eigenvalue) of a candidate
-    density matrix."""
-    rho = np.asarray(rho, dtype=complex)
-    trace_defect = abs(np.trace(rho) - 1.0)
-    herm_defect = float(np.abs(rho - rho.conj().T).max())
-    min_eig = float(np.linalg.eigvalsh(hermitize(rho)).min())
-    return float(trace_defect), herm_defect, min_eig

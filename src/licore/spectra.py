@@ -46,9 +46,6 @@ class BathSpectrum(abc.ABC):
     def value(self, omega: float) -> float:
         ...
 
-    def __call__(self, omega: float) -> float:
-        return self.value(omega)
-
 
 @dataclass(frozen=True)
 class FlatHotSpectrum(BathSpectrum):

@@ -2,15 +2,14 @@
 
 Internally hbar = k_B = 1 and every energy-like quantity (frequency,
 temperature, rate) is an angular frequency in rad/s.  Lab-facing I/O uses
-ordinary frequency in THz, temperature in kelvin, power in watts and
-length in millimeters.  All conversions are linear, so round trips are
-exact to floating-point rounding.
+ordinary frequency in THz, temperature in kelvin and power in watts; each
+converts by one constant factor, so round trips are exact to
+floating-point rounding.  Cell lengths stay in millimeters throughout.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 # CODATA 2022, as scipy.constants gives them (c, hbar, k_B, atomic mass
 # unit); literals, since importing scipy.constants costs ~0.3 s at start-up
@@ -19,68 +18,33 @@ HBAR = 1.0545718176461565e-34           # J s
 KB = 1.380649e-23                       # J/K
 ATOMIC_MASS = 1.66053906892e-27         # kg
 
-UNIT_TAGS = ("THz", "K", "W", "mm", "dimensionless")
-
-
-@dataclass(frozen=True)
-class UnitSystem:
-    """Linear scale factors taking one lab unit to internal units."""
-
-    angular_per_thz: float = 2.0 * math.pi * 1e12   # ordinary THz -> rad/s
-    angular_per_kelvin: float = KB / HBAR           # k_B T / hbar
-    internal_per_watt: float = 1.0 / HBAR           # J/s -> (rad/s)/s
-    meters_per_mm: float = 1e-3
-
-    def _factor(self, unit: str) -> float:
-        try:
-            return {
-                "THz": self.angular_per_thz,
-                "K": self.angular_per_kelvin,
-                "W": self.internal_per_watt,
-                "mm": self.meters_per_mm,
-                "dimensionless": 1.0,
-            }[unit]
-        except KeyError:
-            raise ValueError(
-                f"unknown unit tag {unit!r}; expected one of {UNIT_TAGS}"
-            ) from None
-
-    def to_internal(self, value: float, unit: str) -> float:
-        return value * self._factor(unit)
-
-    def from_internal(self, value: float, unit: str) -> float:
-        return value / self._factor(unit)
-
-
-UNITS = UnitSystem()
-
-
-def to_internal(value: float, unit: str) -> float:
-    return UNITS.to_internal(value, unit)
-
-
-def from_internal(value: float, unit: str) -> float:
-    return UNITS.from_internal(value, unit)
-
-
-def kelvin_to_internal(t_kelvin: float) -> float:
-    return UNITS.to_internal(t_kelvin, "K")
+ANGULAR_PER_THZ = 2.0 * math.pi * 1e12  # ordinary THz -> rad/s
+ANGULAR_PER_KELVIN = KB / HBAR          # k_B T / hbar
+INTERNAL_PER_WATT = 1.0 / HBAR          # J/s -> (rad/s)/s
 
 
 def thz_to_internal(f_thz: float) -> float:
-    return UNITS.to_internal(f_thz, "THz")
+    return f_thz * ANGULAR_PER_THZ
 
 
 def internal_to_thz(omega: float) -> float:
-    return UNITS.from_internal(omega, "THz")
+    return omega / ANGULAR_PER_THZ
+
+
+def kelvin_to_internal(t_kelvin: float) -> float:
+    return t_kelvin * ANGULAR_PER_KELVIN
+
+
+def internal_to_kelvin(temperature: float) -> float:
+    return temperature / ANGULAR_PER_KELVIN
 
 
 def watts_to_internal(p_watt: float) -> float:
-    return UNITS.to_internal(p_watt, "W")
+    return p_watt * INTERNAL_PER_WATT
 
 
 def internal_to_watts(p_internal: float) -> float:
-    return UNITS.from_internal(p_internal, "W")
+    return p_internal / INTERNAL_PER_WATT
 
 
 def amu_to_kg(mass_amu: float) -> float:
@@ -93,17 +57,16 @@ def round12(x: float) -> float:
 
 
 __all__ = [
-    "UNIT_TAGS",
-    "UnitSystem",
-    "UNITS",
     "C_LIGHT",
     "HBAR",
     "KB",
-    "to_internal",
-    "from_internal",
-    "kelvin_to_internal",
+    "ANGULAR_PER_THZ",
+    "ANGULAR_PER_KELVIN",
+    "INTERNAL_PER_WATT",
     "thz_to_internal",
     "internal_to_thz",
+    "kelvin_to_internal",
+    "internal_to_kelvin",
     "watts_to_internal",
     "internal_to_watts",
     "amu_to_kg",

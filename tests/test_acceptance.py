@@ -49,7 +49,7 @@ from licore.spectra import (
     boltzmann_weight,
     kms_violation,
 )
-from licore.units import from_internal, kelvin_to_internal, thz_to_internal
+from licore.units import internal_to_thz, kelvin_to_internal, thz_to_internal
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -221,7 +221,7 @@ def test_criterion_07_minimal_temperature():
 def test_criterion_08_desk_scale_lab_numbers():
     with criterion(8, "500 K <-> 10.4 THz, 67% cell absorption, "
                       "thermodynamic factor near T/omega0", 1.0):
-        thz = from_internal(kelvin_to_internal(500.0), "THz")
+        thz = internal_to_thz(kelvin_to_internal(500.0))
         assert abs(thz - 10.4) <= 0.1
         absorption = 1.0 - math.exp(-10.0 / 9.0)
         assert abs(absorption - 0.67) <= 0.01

@@ -9,7 +9,6 @@ from licore.analysis import (
     RESOLVED,
     SIDEBAND,
     UNRESOLVED,
-    MinTempParams,
     doppler_efficiency_bound,
     doppler_temperature_limit,
     licore_temperature_limit,
@@ -32,10 +31,14 @@ def make_cfg(delta=1.0, g=1e-3, gamma=0.05, nu=99.0):
 
 
 class TestMinTempParams:
+    """The sideband frequencies nu +/- rabi and weights d+/- that enter the
+    balance condition."""
+
     def test_sideband_ordering_and_positivity(self):
-        p = MinTempParams.from_config(make_cfg(g=0.01), 0.1)
-        assert p.nu_plus > p.nu_minus > 0
-        assert p.delta_plus > 0 and p.delta_minus > 0
+        cfg = make_cfg(g=0.01)
+        d_plus, d_minus = sideband_weights(cfg)
+        assert cfg.nu + cfg.rabi > cfg.nu - cfg.rabi > 0
+        assert d_plus > 0 and d_minus > 0
 
     def test_weights_factorize_through_cold_spectrum(self):
         # delta_+/- must equal the squared sideband amplitude times the cold
@@ -50,8 +53,8 @@ class TestMinTempParams:
         assert d_minus == pytest.approx(c_minus * cold.value(cfg.nu - rabi), rel=1e-14)
 
     def test_lower_sideband_closes_as_drive_vanishes(self):
-        weak = MinTempParams.from_config(make_cfg(g=1e-8), 0.0)
-        assert weak.delta_minus < 1e-30
+        _, d_minus = sideband_weights(make_cfg(g=1e-8))
+        assert d_minus < 1e-30
 
 
 class TestMinTempExact:

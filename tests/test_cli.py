@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -261,6 +262,29 @@ class TestExitCodes:
         assert "is not of type 'number'" in err
         assert len(err.splitlines()) == 1
 
+    def test_string_field_keeps_text_that_parses_as_json(self, capsys,
+                                                         tmp_path):
+        # dataset files named 2024 and true, beside a copy of the config
+        config = str(shutil.copy(SCAN, tmp_path / "config.json"))
+        for name in ("2024", "true"):
+            shutil.copy(DATASET, tmp_path / name)
+        expected = run_json(capsys, "calibrate", "--config", SCAN)["g0_thz"]
+        for item in ("calibrate.dataset_csv=2024",
+                     'calibrate.dataset_csv="2024"'):
+            payload = run_json(capsys, "calibrate", "--config", config,
+                               "--set", item)
+            assert payload["g0_thz"] == expected
+        code, _, err = run(capsys, "scan", "--config", config, "--set",
+                           "scan.dataset_csv=true", "--out",
+                           str(tmp_path / "scan"))
+        assert code == 0, err
+        # a number field still refuses what is not a finite number
+        for item in ("cell.length_mm=NaN", "cell.length_mm=1e400"):
+            code, out, err = run(capsys, "calibrate", "--config", config,
+                                 "--set", item)
+            assert (code, out) == (2, "")
+            assert "is not of type 'number'" in err
+
     @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e400"])
     def test_non_finite_number_in_file_is_config_error(self, capsys, tmp_path,
                                                        text):
@@ -427,6 +451,21 @@ class TestColdStart:
     def test_package_imports_without_numpy_or_jsonschema(self):
         assert _python("import sys\n" + BLOCK + "import licore\n"
                        f"print(licore.__version__, {LOADED})") == "0.1.0 []\n"
+
+    @pytest.mark.parametrize("script", ["run_detuning_scan.py",
+                                        "minimal_temperature_study.py"])
+    def test_script_runs_without_numpy(self, script, tmp_path):
+        path = Path(__file__).parents[1] / "scripts" / script
+        probe = ("import runpy, sys\n" + BLOCK
+                 + "sys.argv = sys.argv[1:]\n"
+                 "runpy.run_path(sys.argv[0], run_name='__main__')\n"
+                 f"print({LOADED})\n")
+        out = _python(probe, str(path), str(tmp_path))
+        assert out.endswith("\n[]\n")
+        if script == "run_detuning_scan.py":
+            assert "calibrated G0 = 0.00868636 THz" in out
+            assert sorted(p.name for p in tmp_path.iterdir()) == [
+                "detuning_scan.csv", "detuning_scan.json"]
 
     @pytest.mark.parametrize("name", COLD_START_RUNS)
     def test_command_leaves_scipy_unloaded(self, name, cold_start):

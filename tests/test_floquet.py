@@ -26,9 +26,8 @@ from licore.floquet import (
     sideband_weights,
     solve_pipeline,
     steady_state,
-    transient_populations,
 )
-from licore.operators import dissipator, is_hermitian, unvec, vec
+from licore.operators import dissipator, unvec, vec
 from licore.rate_model import pumping_rate, weak_flows
 from licore.rate_model import steady_state as rate_steady_state
 from licore.spectra import (
@@ -230,8 +229,8 @@ class TestSteadyState:
                                   ZeroSpectrum(0.0))
         report = steady_state(liouv)
         expected = math.exp(-cfg.rabi / hot.temperature)
-        assert report.rho_upper / report.rho_lower == \
-            pytest.approx(expected, rel=1e-10)
+        upper, lower = report.populations
+        assert upper / lower == pytest.approx(expected, rel=1e-10)
         assert abs(report.coherence) <= 1e-12
 
     def test_density_matrix_sanity(self):
@@ -243,7 +242,9 @@ class TestSteadyState:
             liouv = build_liouvillian(dressed_coupling_set(cfg), hot, cold)
             report = steady_state(liouv)
             assert np.trace(report.rho).real == pytest.approx(1.0, abs=1e-14)
-            assert is_hermitian(report.rho, tol=1e-12)
+            rho = report.rho
+            assert np.abs(rho - rho.conj().T).max() \
+                <= 1e-12 * max(1.0, np.abs(rho).max())
             assert np.linalg.eigvalsh(report.rho).min() >= -1e-12
             assert report.residual <= 1e-10 * np.linalg.norm(liouv.matrix)
 
@@ -381,42 +382,6 @@ class TestExactCurrent:
             k = hot_channel_rate(cfg, hot)
             j_exact = heat_current_exact(cfg, k, hot.temperature, t_cold)
             assert currents.j_hot == pytest.approx(j_exact, rel=1e-10)
-
-
-class TestTransient:
-    def test_initial_condition(self):
-        cfg = make_cfg()
-        ee, gg = transient_populations(cfg, 0.5, 1.0, rho_ee0=0.3, t=0.0)
-        assert (ee, gg) == (0.3, 0.7)
-
-    def test_relaxes_to_rate_model_fixed_point(self):
-        cfg = make_cfg(delta=1.0)
-        gp, t_hot = 0.7, 1.3
-        ee, _ = transient_populations(cfg, gp, t_hot, rho_ee0=0.9, t=1e6)
-        pt = rate_steady_state(cfg, gp, t_hot)
-        assert ee == pytest.approx(pt.rho_ee, rel=1e-12)
-
-    def test_relaxation_rate_hand_solved(self):
-        cfg = make_cfg(delta=1.0)
-        gp, t_hot = 0.7, 1.3
-        rate = gp * (1.0 + math.exp(-1.0 / 1.3)) + cfg.gamma
-        pt = rate_steady_state(cfg, gp, t_hot)
-        for t in (0.1, 0.5, 2.0):
-            ee, _ = transient_populations(cfg, gp, t_hot, rho_ee0=0.9, t=t)
-            expected = pt.rho_ee + (0.9 - pt.rho_ee) * math.exp(-rate * t)
-            assert ee == pytest.approx(expected, rel=1e-12)
-
-    def test_heating_branch_fixed_point(self):
-        cfg = AtomDriveConfig(omega0=99.0, gamma=0.05, g=1e-3, nu=100.0)
-        gp, t_hot = 0.7, 1.3
-        ee, _ = transient_populations(cfg, gp, t_hot, rho_ee0=0.0, t=1e6)
-        pt = rate_steady_state(cfg, gp, t_hot)
-        assert ee == pytest.approx(pt.rho_ee, rel=1e-12)
-
-    def test_zero_detuning_rejected(self):
-        cfg = AtomDriveConfig(omega0=100.0, gamma=0.05, g=1e-3, nu=100.0)
-        with pytest.raises(DomainError):
-            transient_populations(cfg, 0.5, 1.0, 0.5, 1.0)
 
 
 class _NegativeSpectrum(BathSpectrum):
