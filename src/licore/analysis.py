@@ -73,16 +73,16 @@ def min_temp_asymptotic(cfg: AtomDriveConfig) -> float:
     return cfg.rabi / (4.0 * math.log(delta / cfg.g))
 
 
-def min_temp_bisect(cfg: AtomDriveConfig, t_cold: float,
-                    gamma_p: float = 1.0) -> float:
+def min_temp_bisect(cfg: AtomDriveConfig, t_cold: float) -> float:
     """Independent root of the exact heat current in T_hot, bracketing the
-    closed-form value by a factor of ten each way."""
+    closed-form value by a factor of ten each way.  The current's sign, and
+    so its root, does not depend on the pumping rate, taken as 1."""
     t_root = min_temp_exact(cfg, t_cold)
     if t_root == 0.0:
         return 0.0
 
     def current(t_hot: float) -> float:
-        return heat_current_exact(cfg, gamma_p, t_hot, t_cold)
+        return heat_current_exact(cfg, 1.0, t_hot, t_cold)
 
     lo, hi = t_root / 10.0, t_root * 10.0
     if not current(lo) < 0.0 < current(hi):

@@ -40,6 +40,7 @@ from .units import (
 
 WEAK_DRIVE_SWITCH = 0.1     # rate model below g/|detuning| <= 0.1, exact solver above
 QUAD_EPSREL = 1e-8          # relative tolerance of the exact-solver cell integral
+MIN_ABSORPTION = 1e-6       # calibration leaves out rows that absorb less
 
 
 @dataclass(frozen=True)
@@ -261,43 +262,23 @@ class CalibrationResult:
     rows_used: tuple        # (nu_thz, measured absorption) pairs
 
 
-def _row_root(cfg_row: AtomDriveConfig, cell: CellConfig, alpha: float,
-              target: float, g0_seed: float) -> float:
-    cap = _saturated_absorption(cfg_row, cell, alpha)
-    if target >= cap:
-        raise CalibrationError(
-            f"absorption {target:.4g} exceeds the saturated model bound "
-            f"{cap:.4g}; no spectrum amplitude can reach it"
-        )
-    hi = g0_seed
-    for _ in range(400):
-        if _modeled_absorption(cfg_row, cell, hi, alpha) > target:
-            break
-        hi *= 2.0
-    else:
-        raise CalibrationError("failed to bracket the calibration root")
-    return brentq(
-        lambda g0: _modeled_absorption(cfg_row, cell, g0, alpha) - target,
-        0.0, hi, xtol=1e-300, rtol=1e-14, error=CalibrationError,
-    )
-
-
 def calibrate_g0(dataset: AbsorptionDataset, cfg_template: AtomDriveConfig,
-                 cell: CellConfig, reference_nu_thz: float | None = None,
-                 min_absorption: float = 1e-6) -> CalibrationResult:
+                 cell: CellConfig,
+                 reference_nu_thz: float | None = None) -> CalibrationResult:
     """Fit the flat hot-spectrum amplitude to measured absorption.
 
     With ``reference_nu_thz`` the single nearest row is matched exactly;
     otherwise all rows with usable absorption enter an equally weighted
     least-squares fit.  The attenuation profile per row is taken from the
-    measured absorption itself.
+    measured absorption itself.  One root, the first row's, starts the fit
+    in ln g0; a single row's fit stays on that root.
     """
     rows = []
     for nu_thz, a in zip(dataset.nu_thz, dataset.absorption):
         delta = cfg_template.omega0 - thz_to_internal(nu_thz)
         # calibration runs through the weak-drive model; rows too close to
         # resonance for it are left out
-        if a < min_absorption or delta == 0.0 or cfg_template.g >= abs(delta):
+        if a < MIN_ABSORPTION or delta == 0.0 or cfg_template.g >= abs(delta):
             continue
         rows.append((nu_thz, a))
     if not rows:
@@ -307,29 +288,37 @@ def calibrate_g0(dataset: AbsorptionDataset, cfg_template: AtomDriveConfig,
         nearest = min(rows, key=lambda r: abs(r[0] - reference_nu_thz))
         rows = [nearest]
 
-    # each row's drive config and attenuation, shared by its root and the fit
+    # each row's drive config and attenuation, shared by the root and the fit
     fits = [(cfg_template.with_laser_frequency(thz_to_internal(nu_thz)),
              dataset.alpha_at(nu_thz, cell.length_mm), a) for nu_thz, a in rows]
-    roots = [_row_root(cfg_row, cell, alpha, a, cfg_template.gamma)
-             for cfg_row, alpha, a in fits]
+    for cfg_row, alpha, a in fits:
+        cap = _saturated_absorption(cfg_row, cell, alpha)
+        if a >= cap:
+            raise CalibrationError(
+                f"absorption {a:.4g} exceeds the saturated model bound "
+                f"{cap:.4g}; no spectrum amplitude can reach it"
+            )
 
-    if len(fits) == 1:
-        (cfg_row, alpha, a), = fits
-        resid = abs(_modeled_absorption(cfg_row, cell, roots[0], alpha) - a)
-        return CalibrationResult(roots[0], resid, tuple(rows))
+    cfg_row, alpha, a = fits[0]
+    hi = cfg_template.gamma
+    for _ in range(400):
+        if _modeled_absorption(cfg_row, cell, hi, alpha) > a:
+            break
+        hi *= 2.0
+    else:
+        raise CalibrationError("failed to bracket the calibration root")
+    g_start = brentq(lambda g0: _modeled_absorption(cfg_row, cell, g0, alpha) - a,
+                     0.0, hi, xtol=1e-300, rtol=1e-14, error=CalibrationError)
+    x_start = math.log(g_start)
 
     def residuals(x):
-        g0 = math.exp(x)
+        g0 = g_start * math.exp(x - x_start)
         return [_modeled_absorption(cfg_row, cell, g0, alpha) - a
                 for cfg_row, alpha, a in fits]
 
-    # each residual rises with g0 and vanishes at its row's root, so the
-    # least-squares g0 lies between the smallest and the largest root
-    logs = [math.log(g0) for g0 in roots]
-    x, fun = gauss_newton(residuals, math.fsum(logs) / len(logs), min(logs),
-                          max(logs), error=CalibrationError)
+    x, fun = gauss_newton(residuals, x_start, error=CalibrationError)
     resid = math.sqrt(math.fsum(r * r for r in fun) / len(fun))
-    return CalibrationResult(math.exp(x), resid, tuple(rows))
+    return CalibrationResult(g_start * math.exp(x - x_start), resid, tuple(rows))
 
 
 def synthesize_absorption(cfg_template: AtomDriveConfig, cell: CellConfig,

@@ -43,6 +43,8 @@ if TYPE_CHECKING:
 
 HOT = "hot"
 COLD = "cold"
+DEGENERACY_TOL = 1e-6    # least second singular value, relative to the norm
+STATIONARITY_TOL = 1e-8  # most drift ||L vec(rho)||, relative to max(||L||, 1)
 
 
 @functools.cache
@@ -277,9 +279,10 @@ class LiouvillianOperator:
 
     def trace_defect(self) -> float:
         """Norm of the adjoint generator applied to the identity; zero for
-        a trace-preserving generator."""
-        np, ops = _oracle_modules()
-        return float(np.linalg.norm(self.matrix.conj().T @ ops.vec(np.eye(2))))
+        a trace-preserving generator.  vec is row-major, so vec(1) picks
+        rows 0 and 3."""
+        np, _ = _oracle_modules()
+        return float(np.linalg.norm(self.matrix[0] + self.matrix[3]))
 
 
 def build_liouvillian(couplings: HarmonicCouplingSet, hot: BathSpectrum,
@@ -299,8 +302,12 @@ def build_liouvillian(couplings: HarmonicCouplingSet, hot: BathSpectrum,
             + (weight * rate_up) * jumps[_ADJOINT[entry.jump]][1]
         components.append(LiouvillianComponent(entry, w_eff, rate_down, rate_up, mat))
         total = total + mat
-    return LiouvillianOperator(total, tuple(components), couplings.drive_frequency,
-                               couplings.rabi)
+    liouv = LiouvillianOperator(total, tuple(components),
+                                couplings.drive_frequency, couplings.rabi)
+    if liouv.trace_defect() > 1e-12 * np.abs(total).max():
+        raise DomainError(f"generator does not preserve the trace: defect "
+                          f"{liouv.trace_defect():.3e}")
+    return liouv
 
 
 @dataclass(frozen=True)
@@ -311,12 +318,11 @@ class SteadyStateReport:
     coherence: complex
 
 
-def steady_state(liouv: LiouvillianOperator,
-                 degeneracy_tol: float = 1e-6) -> SteadyStateReport:
+def steady_state(liouv: LiouvillianOperator) -> SteadyStateReport:
     """Kernel of the 4x4 generator via SVD, hermitized and trace-normalized.
 
     Raises DegenerateSteadyStateError when the second-smallest singular
-    value falls below degeneracy_tol times the generator norm.
+    value falls below DEGENERACY_TOL times the generator norm.
     """
     np, ops = _oracle_modules()
     try:
@@ -327,7 +333,7 @@ def steady_state(liouv: LiouvillianOperator,
     norm = s[0]
     if norm == 0.0:
         raise DegenerateSteadyStateError("zero generator has no unique steady state")
-    if s[-2] <= degeneracy_tol * norm:
+    if s[-2] <= DEGENERACY_TOL * norm:
         raise DegenerateSteadyStateError(
             f"Liouvillian kernel not one-dimensional (singular values "
             f"{s[-2]:.3e}, {s[-1]:.3e} vs norm {norm:.3e})"
@@ -363,8 +369,7 @@ class CurrentReport:
     stationary: bool
 
 
-def heat_currents(liouv: LiouvillianOperator, rho: np.ndarray,
-                  stationarity_tol: float = 1e-8) -> CurrentReport:
+def heat_currents(liouv: LiouvillianOperator, rho: np.ndarray) -> CurrentReport:
     """Per-bath heat currents and absorbed power at (or near) steady state.
 
     Currents are exact at the steady state; a non-stationary rho is flagged
@@ -374,7 +379,7 @@ def heat_currents(liouv: LiouvillianOperator, rho: np.ndarray,
     h_dressed = np.diag([0.5 * liouv.rabi, -0.5 * liouv.rabi]).astype(complex)
     drift = np.linalg.norm(liouv.matrix @ ops.vec(rho))
     norm = np.linalg.norm(liouv.matrix)
-    stationary = bool(drift <= stationarity_tol * max(norm, 1.0))
+    stationary = bool(drift <= STATIONARITY_TOL * max(norm, 1.0))
     if not stationary:
         warnings.warn("heat currents evaluated on a non-stationary state",
                       stacklevel=2)

@@ -233,21 +233,23 @@ def integrate(f, a: float, b: float, epsrel: float) -> tuple[float, float]:
 # x is a logarithm, varying on a scale of one: eps^(1/3) balances the
 # central difference's truncation against its rounding
 _SLOPE_STEP = _EPMACH ** (1.0 / 3.0)
-_NOISE_STEP = math.sqrt(_EPMACH)
+_UNBRACKETED_STEP = math.log(2.0)
 XTOL_FIT = 1e-15
 
 
-def gauss_newton(residuals, x0: float, lo: float, hi: float,
-                 error=DomainError) -> tuple[float, list]:
-    """Least-squares fit of one parameter: the x in [lo, hi] where
-    sum r_i(x)^2 is stationary, by Gauss-Newton steps with a
-    central-difference slope of each residual.  Returns x and the
-    residuals there.
+def gauss_newton(residuals, x0: float, error=DomainError) -> tuple[float, list]:
+    """Least-squares fit of one parameter: the x where sum r_i(x)^2 is
+    stationary, by Gauss-Newton steps with a central-difference slope of
+    each residual.  Returns x and the residuals there.
 
-    The steps shrink until they reach XTOL_FIT or, when the residuals stay
-    large, the floor that rounding in the slopes sets; a step below
-    sqrt(eps) that is no smaller than the one before has reached it."""
-    x, last_move = x0, math.inf
+    Every residual must rise with x, so the sign of a step tells which
+    side of the minimum x is on, and the points visited bracket it.  Until
+    both sides are known a step moves at most ln 2; after that, a step
+    that would leave the bracket goes to its midpoint instead.  The steps
+    shrink until they reach XTOL_FIT or, when the residuals stay large,
+    the floor that rounding in the slopes sets; a step below _SLOPE_STEP
+    that is no smaller than the one before has reached it."""
+    x, lo, hi, last_move = x0, -math.inf, math.inf, math.inf
     for _ in range(MAXITER):
         r = residuals(x)
         up, down = residuals(x + _SLOPE_STEP), residuals(x - _SLOPE_STEP)
@@ -257,9 +259,16 @@ def gauss_newton(residuals, x0: float, lo: float, hi: float,
             raise error("least-squares fit: the residuals do not depend on "
                         "the parameter")
         step = -math.fsum(ri * s for ri, s in zip(r, slope)) / curvature
-        x_new = min(max(x + step, lo), hi)
+        if step > 0.0:
+            lo = x
+        else:
+            hi = x
+        if hi - lo == math.inf:
+            x_new = x + min(max(step, -_UNBRACKETED_STEP), _UNBRACKETED_STEP)
+        else:
+            x_new = x + step if lo < x + step < hi else 0.5 * (lo + hi)
         move = abs(x_new - x)
-        if move <= XTOL_FIT * (XTOL_FIT + abs(x)) or last_move <= move <= _NOISE_STEP:
+        if move <= XTOL_FIT * (XTOL_FIT + abs(x)) or last_move <= move <= _SLOPE_STEP:
             return x, r
         x, last_move = x_new, move
     raise error(f"least-squares fit did not converge in {MAXITER} steps")

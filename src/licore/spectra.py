@@ -17,6 +17,8 @@ from .errors import ConfigError
 from .numerics import interp
 from .units import thz_to_internal
 
+KMS_TOL = 1e-6      # largest relative detailed-balance defect a table may have
+
 
 def boltzmann_weight(omega: float, temperature: float) -> float:
     """exp(-omega/T) with the T = 0 limit taken exactly (no epsilons)."""
@@ -132,7 +134,7 @@ class TabulatedSpectrum(BathSpectrum):
         return interp(omega, self.omegas, self.values)
 
 
-def kms_violation(spectrum: BathSpectrum, omegas, floor: float = 1e-300) -> float:
+def kms_violation(spectrum: BathSpectrum, omegas) -> float:
     """Max relative defect of G(-w) = exp(-w/T) G(w) over a grid of w > 0
     (a single frequency or an iterable of them); NaN if any defect is."""
     omegas = [omegas] if isinstance(omegas, (int, float)) else list(omegas)
@@ -145,17 +147,16 @@ def kms_violation(spectrum: BathSpectrum, omegas, floor: float = 1e-300) -> floa
         gp = spectrum.value(w)
         gm = spectrum.value(-w)
         expected = boltzmann_weight(w, spectrum.temperature) * gp
-        defect = abs(gm - expected) / max(gp, floor)
+        defect = abs(gm - expected) / max(gp, 1e-300)   # no division by a zero G(w)
         if math.isnan(defect):
             return defect
         worst = max(worst, defect)
     return worst
 
 
-def load_tabulated_spectrum(path, temperature: float,
-                            kms_tol: float = 1e-6) -> TabulatedSpectrum:
+def load_tabulated_spectrum(path, temperature: float) -> TabulatedSpectrum:
     """Read a two-column CSV ``omega_thz, g_rate`` (both converted like
-    frequencies) and reject it unless detailed balance holds to kms_tol."""
+    frequencies) and reject it unless detailed balance holds to KMS_TOL."""
     path = Path(path)
     omegas, values = [], []
     with path.open(newline="") as fh:
@@ -177,9 +178,9 @@ def load_tabulated_spectrum(path, temperature: float,
             "detailed-balance check"
         )
     violation = kms_violation(spec, grid)
-    if not violation <= kms_tol:
+    if not violation <= KMS_TOL:
         raise ConfigError(
             f"{path}: tabulated spectrum violates detailed balance "
-            f"(max relative defect {violation:.3e} > {kms_tol:.1e})"
+            f"(max relative defect {violation:.3e} > {KMS_TOL:.1e})"
         )
     return spec

@@ -19,3 +19,8 @@ def point_config() -> dict:
 @pytest.fixture(scope="session")
 def scan_dataset_path() -> Path:
     return FIXTURES / "absorption_synthetic.csv"
+
+
+@pytest.fixture(scope="session")
+def two_rows_path() -> Path:
+    return FIXTURES / "absorption_two_rows.csv"

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -20,10 +21,11 @@ from licore.cell import (
     synthesize_absorption,
     write_scan_csv,
 )
-from licore import floquet
+from licore import cell as cellmod, floquet
 from licore.config import AtomDriveConfig
 from licore.errors import CalibrationError, ConfigError, DomainError
 from licore.floquet import solve_pipeline
+from licore.numerics import brentq
 from licore.rate_model import pumping_rate, weak_flows
 from licore.spectra import CubicColdSpectrum, FlatHotSpectrum, boltzmann_weight
 from licore.units import internal_to_watts, kelvin_to_internal, thz_to_internal
@@ -325,6 +327,55 @@ class TestCalibration:
         x_min = bisect(lambda y: sum_of_squares(y + h) - sum_of_squares(y - h),
                        x - 0.01, x + 0.01, xtol=1e-300, rtol=1e-15)
         assert result.g0 == pytest.approx(math.exp(x_min), rel=1e-10, abs=0)
+
+    def test_flat_two_row_minimum_is_reached(self, two_rows_path):
+        # at this flat minimum, rounding in the slopes keeps the fit's steps
+        # near 5e-8 in ln g0; the fit must still stop, on the minimum
+        ds = load_absorption_csv(two_rows_path)
+        cfg, cell = lab_cfg(), lab_cell(density=1e11)
+        result = calibrate_g0(ds, cfg, cell)
+
+        def sum_of_squares(g0):
+            return math.fsum(
+                (_modeled_absorption(cfg.with_laser_frequency(thz_to_internal(nu)),
+                                     cell, g0, ds.alpha_at(nu, cell.length_mm))
+                 - a) ** 2 for nu, a in result.rows_used)
+
+        assert len(result.rows_used) == 2
+        for shift in (1e-4, -1e-4):
+            assert sum_of_squares(result.g0) <= \
+                sum_of_squares(result.g0 * math.exp(shift))
+
+    def test_two_row_grid_always_converges(self):
+        cfg = lab_cfg()
+        for nus, density, t_hot, a_first, a_second in itertools.product(
+                ((354.0, 382.0), (360.0, 390.0), (365.0, 372.0)),
+                (1e11, 3e11, 5e11), (300.0, 500.0, 700.0, 900.0),
+                (0.03, 0.01, 0.003), (1e-4, 1e-5)):
+            cell = CellConfig(length_mm=10.0, absorption_coeff_per_mm=1.0 / 9.0,
+                              linear_atom_density_per_mm=density,
+                              laser_power_w=2.4, bath_temperature_k=t_hot)
+            ds = AbsorptionDataset(nus, (a_first, a_second))
+            assert calibrate_g0(ds, cfg, cell).g0 > 0.0
+
+    def test_one_root_per_calibration(self, monkeypatch, scan_dataset_path,
+                                      two_rows_path):
+        roots = []
+
+        def counted_brentq(*args, **kwargs):
+            roots.append(args)
+            return brentq(*args, **kwargs)
+
+        monkeypatch.setattr(cellmod, "brentq", counted_brentq)
+        fixture = load_absorption_csv(scan_dataset_path)
+        two_rows = load_absorption_csv(two_rows_path)
+        cases = [(fixture, lab_cell(), None), (fixture, lab_cell(), 372.0),
+                 (two_rows, lab_cell(density=1e11), None),
+                 (two_rows, lab_cell(density=1e11), 382.0)]
+        for ds, cell, reference in cases:
+            roots.clear()
+            calibrate_g0(ds, lab_cfg(), cell, reference_nu_thz=reference)
+            assert len(roots) == 1, (len(ds.nu_thz), reference)
 
     def test_dark_dataset_rejected(self):
         ds = AbsorptionDataset((360.0, 365.0), (0.0, 0.0))

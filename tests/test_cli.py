@@ -28,6 +28,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 POINT = str(FIXTURES / "config_point.json")
 SCAN = str(FIXTURES / "config_scan.json")
 DATASET = str(FIXTURES / "absorption_synthetic.csv")
+TWO_ROWS = str(FIXTURES / "absorption_two_rows.csv")
 
 
 def run(capsys, *argv):
@@ -129,6 +130,17 @@ class TestSubcommands:
         payload = run_json(capsys, "calibrate", "--config", SCAN)
         assert payload["rows_used"] == 1
         assert payload["g0_thz"] == pytest.approx(0.00868636, rel=1e-5)
+
+    def test_flat_two_row_minimum_calibrates_and_scans(self, capsys, tmp_path):
+        sparse = ["--no-metadata", "--set", "cell.linear_atom_density_per_mm=1e11"]
+        code, _, err = run(capsys, "calibrate", "--config",
+                           _scan_config(tmp_path, _without_reference_row),
+                           "--set", f"calibrate.dataset_csv={TWO_ROWS}", *sparse)
+        assert code == 0, err
+        code, _, err = run(capsys, "scan", "--config", SCAN, "--set",
+                           f"scan.dataset_csv={TWO_ROWS}", *sparse,
+                           "--out", str(tmp_path / "scan"))
+        assert code == 0, err
 
     def test_steady_state_with_tabulated_hot_spectrum(self, capsys, tmp_path):
         # a balanced table that is flat at +/-detuning reproduces the flat

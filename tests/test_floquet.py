@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from licore import floquet
 from licore.config import AtomDriveConfig
 from licore.errors import DegenerateSteadyStateError, DomainError
 from licore.floquet import (
@@ -153,6 +154,19 @@ class TestLiouvillian:
             liouv = build_liouvillian(dressed_coupling_set(cfg), hot, cold)
             norm = np.linalg.norm(liouv.matrix)
             assert liouv.trace_defect() <= 1e-12 * norm
+
+    def test_trace_defect_rejected(self, monkeypatch):
+        # sigma- empties the upper dressed state without filling the lower
+        jumps = dict(floquet._jump_operators())
+        op, dissipator_lower = jumps[LOWER]
+        leaky = dissipator_lower.copy()
+        leaky[3, 0] = 0.0
+        jumps[LOWER] = (op, leaky)
+        monkeypatch.setattr(floquet, "_jump_operators", lambda: jumps)
+        cfg, hot = random_weak_cfg(np.random.default_rng(5))
+        cold = CubicColdSpectrum(cfg.gamma, cfg.omega0, 0.0)
+        with pytest.raises(DomainError, match="does not preserve the trace"):
+            build_liouvillian(dressed_coupling_set(cfg), hot, cold)
 
     def test_total_is_sum_of_components(self):
         cfg, hot = random_weak_cfg(np.random.default_rng(4))

@@ -158,13 +158,20 @@ class TestIntegrate:
 class TestGaussNewton:
     def test_zero_residual_fit_is_exact(self):
         x, r = numerics.gauss_newton(
-            lambda x: [math.exp(x) - 3.0, 2.0 * math.exp(x) - 6.0], 0.0, -5.0, 5.0)
+            lambda x: [math.exp(x) - 3.0, 2.0 * math.exp(x) - 6.0], 0.0)
         assert x == pytest.approx(math.log(3.0), rel=1e-15)
         assert max(map(abs, r)) <= 1e-14
 
+    def test_far_start_walks_to_the_bracketed_minimum(self):
+        # at x = -10 the slope is ~8e-9, and a full Gauss-Newton step would
+        # land near 2e8, where the residual no longer depends on x
+        x, r = numerics.gauss_newton(lambda x: [math.tanh(x) - 0.5], -10.0)
+        assert x == pytest.approx(math.atanh(0.5), rel=1e-15)
+        assert abs(r[0]) <= 1e-15
+
     def test_flat_residuals_raise_the_callers_error(self):
         with pytest.raises(CalibrationError, match="do not depend"):
-            numerics.gauss_newton(lambda x: [1.0, 2.0], 0.0, -1.0, 1.0,
+            numerics.gauss_newton(lambda x: [1.0, 2.0], 0.0,
                                   error=CalibrationError)
 
 
