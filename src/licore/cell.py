@@ -145,10 +145,9 @@ def experimental_heat_current(p_l_watt: float, a_nu: float, delta: float,
 
 
 def _local_flows(cfg_local: AtomDriveConfig, hot: FlatHotSpectrum,
-                 t_cold: float) -> tuple[float, float]:
+                 cold: CubicColdSpectrum) -> tuple[float, float]:
     """Exact-solver (J_hot, P_abs) per atom at one depth of the cell, from
     the closed-form five-channel steady state."""
-    cold = CubicColdSpectrum(cfg_local.gamma, cfg_local.omega0, t_cold)
     flows = dressed_flows(cfg_local, hot, cold)
     return flows.j_hot, flows.p_abs
 
@@ -309,6 +308,9 @@ def calibrate_g0(dataset: AbsorptionDataset, cfg_template: AtomDriveConfig,
         raise CalibrationError("failed to bracket the calibration root")
     g_start = brentq(lambda g0: _modeled_absorption(cfg_row, cell, g0, alpha) - a,
                      0.0, hi, xtol=1e-300, rtol=1e-14, error=CalibrationError)
+    if g_start == 0.0:
+        raise CalibrationError(
+            f"the model absorbs more than {a:.4g} at every amplitude g0 > 0")
     x_start = math.log(g_start)
 
     def residuals(x):
@@ -371,6 +373,15 @@ class ScanResult:
     metadata: dict
 
 
+def row_alpha(cell: CellConfig, dataset: AbsorptionDataset | None,
+              nu_thz: float) -> float:
+    """Attenuation coefficient of a scan row at laser frequency nu_thz: the
+    dataset's alpha(nu) when there is a dataset, else the cell's."""
+    if dataset is None:
+        return cell.absorption_coeff_per_mm
+    return dataset.alpha_at(nu_thz, cell.length_mm)
+
+
 def _scan_row(args) -> ScanRow:
     cell, cfg_template, g0, delta_thz, dataset, t_cold = args
     delta = thz_to_internal(delta_thz)
@@ -383,10 +394,7 @@ def _scan_row(args) -> ScanRow:
     t_hot = kelvin_to_internal(cell.bath_temperature_k)
     hot = FlatHotSpectrum(g0, t_hot)
 
-    if dataset is not None:
-        alpha = dataset.alpha_at(nu_thz, cell.length_mm)
-    else:
-        alpha = cell.absorption_coeff_per_mm
+    alpha = row_alpha(cell, dataset, nu_thz)
 
     regime = regime_of(cfg_row)
     if cfg_row.g == 0.0:
@@ -397,9 +405,11 @@ def _scan_row(args) -> ScanRow:
         j_tot, p_abs = _weak_cell_flows(cfg_row, hot, cell, alpha)
     else:
         # the local coupling follows the attenuated beam, g^2(z) = g^2 e^(-alpha z);
-        # both integrals visit the same depths, so each depth is solved once
+        # both integrals visit the same depths, so each depth is solved once;
+        # the cold spectrum does not depend on g, so one serves every depth
+        cold = CubicColdSpectrum(cfg_row.gamma, cfg_row.omega0, t_cold)
         flows = functools.cache(
-            lambda att: _local_flows(cfg_row.attenuated(att), hot, t_cold))
+            lambda att: _local_flows(cfg_row.attenuated(att), hot, cold))
         j_tot = _integrate_over_cell(cell, alpha, lambda att: flows(att)[0])
         p_abs = _integrate_over_cell(cell, alpha, lambda att: flows(att)[1])
     eta = j_tot / cell.laser_power_w
@@ -434,12 +444,13 @@ def detuning_scan(cell: CellConfig, cfg_template: AtomDriveConfig, g0: float,
         raise ValueError("g0 must be positive")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    jobs = min(jobs, os.cpu_count() or 1)
     payloads = [(cell, cfg_template, g0, float(d), dataset, t_cold)
                 for d in deltas_thz]
-    if jobs > 1:
+    # the CPU count is asked only when there is a choice to make
+    workers = min(jobs, os.cpu_count() or 1) if jobs > 1 else 1
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_scan_row, payloads))
     else:
         rows = [_scan_row(p) for p in payloads]

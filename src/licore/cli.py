@@ -485,8 +485,20 @@ def cmd_scan(doc: dict, args):
     deltas = [lo + k * step for k in range(n) if lo + k * step <= hi + step * 1e-9]
     if not deltas:
         raise ConfigError("empty detuning grid")
-    return cellmod.detuning_scan(cell, cfg, g0, deltas, dataset=dataset,
-                                 t_cold=t_cold, jobs=args.jobs)
+    result = cellmod.detuning_scan(cell, cfg, g0, deltas, dataset=dataset,
+                                   t_cold=t_cold, jobs=args.jobs)
+    # photon budget: a row absorbs at most what the beam loses in the cell,
+    # P_L (1 - exp(-alpha L)), with the row's own alpha
+    over = 0
+    for row in result.rows:
+        nu_thz = internal_to_thz(cfg.omega0 - thz_to_internal(row.delta_thz))
+        alpha = cellmod.row_alpha(cell, dataset, nu_thz)
+        budget = cell.laser_power_w * -math.expm1(-alpha * cell.length_mm)
+        over += row.p_abs_watt > budget * (1.0 + 1e-9)
+    if over:
+        warnings.warn(f"{over} of {len(result.rows)} scan rows absorb more "
+                      "than the beam delivers", stacklevel=2)
+    return result
 
 
 def _human(v) -> str:

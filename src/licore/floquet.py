@@ -192,38 +192,59 @@ def dressed_flows(cfg: AtomDriveConfig, hot: BathSpectrum,
     """
     couplings = dressed_coupling_set(cfg)
     nu = couplings.drive_frequency
-    channels = []
-    for entry in couplings.entries:
-        w_eff = entry.effective_frequency(nu)
-        rate_down, rate_up = _rate_pair(hot if entry.bath == HOT else cold,
-                                        w_eff)
-        weight = entry.coefficient * entry.coefficient
-        down, up = weight * rate_down, weight * rate_up
-        # rates that raise and lower the atom; for sigma_z, G(-w) and G(w)
-        raising, lowering = (down, up) if entry.jump == RAISE else (up, down)
-        channels.append((entry, w_eff, raising, lowering))
-    transfers = [(raising, lowering) for entry, _, raising, lowering
-                 in channels if entry.jump != DEPHASE]
-    k_up = sum(raising for raising, _ in transfers)
-    k_down = sum(lowering for _, lowering in transfers)
+    # the table's fixed order: cold sigma+, cold sigma_z, cold sigma-,
+    # hot sigma_z, hot sigma-
+    e0, e1, e2, e3, e4 = couplings.entries
+    w0 = e0.dressed_freq + e0.harmonic * nu
+    w1 = e1.dressed_freq + e1.harmonic * nu
+    w2 = e2.dressed_freq + e2.harmonic * nu
+    w3 = e3.dressed_freq + e3.harmonic * nu
+    w4 = e4.dressed_freq + e4.harmonic * nu
+    # |c|^2-weighted rates that raise (r) and lower (l) the atom: sigma+
+    # raises at G(w_eff) and lowers at G(-w_eff), sigma- and sigma_z the
+    # other way round
+    down, up = _rate_pair(cold, w0)
+    weight = e0.coefficient * e0.coefficient
+    r0, l0 = weight * down, weight * up
+    down, up = _rate_pair(cold, w1)
+    weight = e1.coefficient * e1.coefficient
+    l1, r1 = weight * down, weight * up
+    down, up = _rate_pair(cold, w2)
+    weight = e2.coefficient * e2.coefficient
+    l2, r2 = weight * down, weight * up
+    down, up = _rate_pair(hot, w3)
+    weight = e3.coefficient * e3.coefficient
+    l3, r3 = weight * down, weight * up
+    down, up = _rate_pair(hot, w4)
+    weight = e4.coefficient * e4.coefficient
+    l4, r4 = weight * down, weight * up
+    # every sum runs left to right from 0.0, so the bits do not depend on
+    # the Python version (sum() of floats is compensated from 3.12 on)
+    k_up = 0.0 + r0 + r2 + r4
+    k_down = 0.0 + l0 + l2 + l4
     total = k_up + k_down
     if not (math.isfinite(total) and total > 0.0):
         raise DegenerateSteadyStateError(
             f"dressed rate balance has no unique steady state (k_up = "
             f"{k_up:.3e}, k_down = {k_down:.3e})")
-    flows = {HOT: 0.0, COLD: 0.0}
-    p_direct = 0.0
-    for entry, w_eff, raising, lowering in channels:
-        if entry.jump == DEPHASE:
-            net = lowering - raising    # n_down - n_up; <S+S> = <SS+> = 1
-        else:
-            # lowering p_upper - raising p_lower, with the channel's own
-            # raising * lowering product cancelled exactly
-            flux = sum(lowering * r - raising * l for r, l in transfers) / total
-            net = flux if entry.jump == LOWER else -flux
-        flows[entry.bath] -= w_eff * net
-        p_direct += entry.harmonic * nu * net
-    j_hot, j_cold = flows[HOT], flows[COLD]
+    # net quanta n_down - n_up per channel.  The sigma_z channels only
+    # dephase: <S+S> = <SS+> = 1.  The flux l p_upper - r p_lower of the
+    # sigma-/sigma+ channels is summed pairwise, so the channel's own r l
+    # product cancels exactly
+    net0 = -((0.0 + (l0 * r0 - r0 * l0) + (l0 * r2 - r0 * l2)
+              + (l0 * r4 - r0 * l4)) / total)
+    net1 = l1 - r1
+    net2 = (0.0 + (l2 * r0 - r2 * l0) + (l2 * r2 - r2 * l2)
+            + (l2 * r4 - r2 * l4)) / total
+    net3 = l3 - r3
+    net4 = (0.0 + (l4 * r0 - r4 * l0) + (l4 * r2 - r4 * l2)
+            + (l4 * r4 - r4 * l4)) / total
+    # the bath receives w_eff per net quantum, the drive supplies q nu
+    j_cold = 0.0 - w0 * net0 - w1 * net1 - w2 * net2
+    j_hot = 0.0 - w3 * net3 - w4 * net4
+    p_direct = (0.0 + e0.harmonic * nu * net0 + e1.harmonic * nu * net1
+                + e2.harmonic * nu * net2 + e3.harmonic * nu * net3
+                + e4.harmonic * nu * net4)
     p_abs = -(j_hot + j_cold)
     scale = max(abs(j_hot), abs(j_cold), abs(p_abs))
     defect = abs(p_direct - p_abs)

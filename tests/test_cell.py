@@ -203,6 +203,29 @@ class TestExactRows:
         return (_integrate_over_cell(cell, alpha, lambda att: local(att)[0]),
                 _integrate_over_cell(cell, alpha, lambda att: local(att)[1]))
 
+    def test_one_cold_spectrum_and_one_config_per_depth(self, monkeypatch):
+        # the first 21-point rule is accepted on this row: 21 depths, each
+        # attenuated once and shared by both integrals, and one cold
+        # spectrum, which does not depend on the depth
+        counts = {"cold": 0, "attenuated": 0}
+        real_cold = cellmod.CubicColdSpectrum
+        real_attenuated = AtomDriveConfig.attenuated
+
+        def cold(*args):
+            counts["cold"] += 1
+            return real_cold(*args)
+
+        def attenuated(cfg, fraction):
+            counts["attenuated"] += 1
+            return real_attenuated(cfg, fraction)
+
+        monkeypatch.setattr(cellmod, "CubicColdSpectrum", cold)
+        monkeypatch.setattr(AtomDriveConfig, "attenuated", attenuated)
+        scan = detuning_scan(lab_cell(), lab_cfg(g_thz=0.5),
+                             thz_to_internal(0.002), [0.5])
+        assert scan.rows[0].model == "floquet"
+        assert counts == {"cold": 1, "attenuated": 21}
+
     def test_strong_scan_matches_svd_oracle_without_it(self, monkeypatch):
         cell, cfg, g0 = lab_cell(), lab_cfg(g_thz=0.5), thz_to_internal(0.002)
         oracle = [self.oracle_row(cell, cfg, g0, d) for d in self.GRID]

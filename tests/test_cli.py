@@ -246,6 +246,18 @@ class TestExitCodes:
         assert out == ""
         assert len(err.splitlines()) == 1
 
+    def test_calibration_root_at_zero_amplitude_is_domain_error(
+            self, capsys, tmp_path):
+        # a 1e-300 W beam: any g0 > 0 absorbs more than the data, so the
+        # root underflows to g0 = 0, whose logarithm the fit cannot take
+        code, out, err = run(capsys, "scan", "--config", SCAN,
+                             "--set", "cell.length_mm=1e30",
+                             "--set", "cell.laser_power_w=1e-300",
+                             "--out", str(tmp_path / "scan"))
+        assert (code, out) == (3, "")
+        assert err.startswith("domain error: the model absorbs more than ")
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("command, section", [
         ("currents", "hot_bath"),
         ("currents", "cold_bath"),
@@ -356,6 +368,29 @@ class TestExitCodes:
 
 
 class TestWarnings:
+    def test_rows_over_the_photon_budget_are_counted(self, capsys, tmp_path):
+        # 34 of the fixture scan's 51 rows absorb more than the beam loses
+        # in the cell, P_L (1 - exp(-alpha L)) with the dataset's alpha; the
+        # resonant row absorbs 2.99 W of a 2.4 W beam
+        code, out, err = run(capsys, "scan", "--config", SCAN, "--no-metadata",
+                             "--out", str(tmp_path / "scan"))
+        assert code == 0
+        assert out == (f"wrote {tmp_path / 'scan.csv'} and "
+                       f"{tmp_path / 'scan.json'}\n")
+        assert err.splitlines() == [
+            "warning: 34 of 51 scan rows absorb more than the beam delivers"]
+        rows = json.loads((tmp_path / "scan.json").read_text())["rows"]
+        assert max(r["p_abs_watt"] for r in rows) == pytest.approx(2.99, abs=5e-3)
+
+    def test_low_amplitude_scan_keeps_the_photon_budget(self, capsys, tmp_path):
+        # off resonance at a weak hot coupling every row absorbs well under
+        # its budget (the resonant row scatters at gamma/2 at any g0)
+        code, _, err = run(capsys, "scan", "--config", SCAN, "--no-metadata",
+                           "--set", "hot_bath.g0_thz=1e-7",
+                           "--set", "scan.delta_step_thz=2.0",
+                           "--out", str(tmp_path / "scan"))
+        assert (code, err) == (0, "")
+
     def test_library_warning_is_one_stderr_line(self, capsys):
         # g/detuning = 0.2 lies outside the asymptotic formula's advisory range
         code, out, err = run(capsys, "tmin", "--config", POINT,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -69,6 +70,26 @@ def test_invalid_configs_rejected(bad):
 def test_attenuated_scales_coupling_with_sqrt_power():
     cfg = AtomDriveConfig(omega0=10.0, gamma=1.0, g=2.0, nu=9.0)
     assert cfg.attenuated(0.25).g == pytest.approx(1.0)
+
+
+def test_derived_configs_equal_replaced_fields():
+    cfg = AtomDriveConfig(omega0=10.0, gamma=1.0, g=2.0, nu=9.0,
+                          laser_power=2.4)
+    assert cfg.attenuated(0.3) == dataclasses.replace(
+        cfg, g=2.0 * math.sqrt(0.3))
+    assert cfg.with_laser_frequency(9.5) == dataclasses.replace(cfg, nu=9.5)
+
+
+@pytest.mark.parametrize("derive, message", [
+    (lambda cfg: cfg.attenuated(-1.0), "power_fraction must be non-negative"),
+    (lambda cfg: cfg.attenuated(math.nan), "g must be finite"),
+    (lambda cfg: cfg.with_laser_frequency(0.0), "nu must be positive"),
+    (lambda cfg: cfg.with_laser_frequency(math.nan), "nu must be finite"),
+], ids=["attenuated-negative", "attenuated-nan", "nu-zero", "nu-nan"])
+def test_derived_configs_keep_the_checks(derive, message):
+    cfg = AtomDriveConfig(omega0=10.0, gamma=1.0, g=2.0, nu=9.0)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        derive(cfg)
 
 
 complex_entry = st.complex_numbers(max_magnitude=10, allow_nan=False,

@@ -11,9 +11,11 @@ from licore.config import AtomDriveConfig
 from licore.errors import DegenerateSteadyStateError, DomainError
 from licore.floquet import (
     COLD,
+    DEPHASE,
     HOT,
     LOWER,
     RAISE,
+    DressedFlows,
     bare_from_dressed,
     bare_populations,
     build_liouvillian,
@@ -136,6 +138,17 @@ class TestCouplingSet:
                               nu=10.0)
         with pytest.warns(UserWarning, match="degenerate"):
             dressed_coupling_set(cfg)
+
+    def test_entry_order_is_fixed(self):
+        # dressed_flows reads the five entries by position
+        cfg = make_cfg(delta=-1.0, g=0.2)
+        cs = dressed_coupling_set(cfg)
+        rabi = cfg.rabi
+        assert [(e.bath, e.harmonic, e.dressed_freq, e.jump)
+                for e in cs.entries] == [
+            (COLD, 1, -rabi, RAISE), (COLD, 1, 0.0, DEPHASE),
+            (COLD, 1, rabi, LOWER), (HOT, 0, 0.0, DEPHASE),
+            (HOT, 0, rabi, LOWER)]
 
 
 class TestLiouvillian:
@@ -470,8 +483,89 @@ def _hot_current_50_digits(cfg, hot, cold):
     return float(j_hot)
 
 
+def _looped_dressed_flows(cfg, hot, cold):
+    """dressed_flows as a loop over the entries of dressed_coupling_set,
+    every sum taken left to right with explicit +; without its checks."""
+    couplings = dressed_coupling_set(cfg)
+    nu = couplings.drive_frequency
+    channels = []
+    for entry in couplings.entries:
+        w_eff = entry.effective_frequency(nu)
+        spectrum = hot if entry.bath == HOT else cold
+        weight = entry.coefficient * entry.coefficient
+        down = weight * spectrum.value(w_eff)
+        up = weight * spectrum.value(-w_eff)
+        raising, lowering = (down, up) if entry.jump == RAISE else (up, down)
+        channels.append((entry, w_eff, raising, lowering))
+    transfers = [(raising, lowering) for entry, _, raising, lowering
+                 in channels if entry.jump != DEPHASE]
+    k_up = k_down = 0.0
+    for raising, lowering in transfers:
+        k_up = k_up + raising
+        k_down = k_down + lowering
+    total = k_up + k_down
+    flows = {HOT: 0.0, COLD: 0.0}
+    p_direct = 0.0
+    for entry, w_eff, raising, lowering in channels:
+        if entry.jump == DEPHASE:
+            net = lowering - raising
+        else:
+            flux = 0.0
+            for r, l in transfers:
+                flux = flux + (lowering * r - raising * l)
+            flux = flux / total
+            net = flux if entry.jump == LOWER else -flux
+        flows[entry.bath] = flows[entry.bath] - w_eff * net
+        p_direct = p_direct + entry.harmonic * nu * net
+    j_hot, j_cold = flows[HOT], flows[COLD]
+    p_abs = -(j_hot + j_cold)
+    scale = max(abs(j_hot), abs(j_cold), abs(p_abs))
+    upper, lower = k_up / total, k_down / total
+    return DressedFlows((upper, lower), j_hot, j_cold, p_abs,
+                        abs(k_up * lower - k_down * upper) / total,
+                        abs(p_direct - p_abs) / scale if scale else 0.0)
+
+
+def seeded_drive_points(n, seed=2718):
+    """n points with g/|delta| log-uniform from 1e-4 to 2.5 on both signs
+    of delta, a vacuum or a 1-3000 K cold bath, every third point with a
+    tabulated hot spectrum."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for i in range(n):
+        delta_thz = (1.0 if i % 2 else -1.0) * rng.uniform(0.2, 20.0)
+        ratio = 10.0 ** rng.uniform(-4.0, math.log10(2.5))
+        cfg = AtomDriveConfig.from_thz(377.0, 6e-6, ratio * abs(delta_thz),
+                                       377.0 - delta_thz)
+        g0 = thz_to_internal(10.0 ** rng.uniform(-4.0, -1.0))
+        t_hot = kelvin_to_internal(rng.uniform(300.0, 700.0))
+        hot = _tabulated_hot(g0, t_hot) if i % 3 == 2 \
+            else FlatHotSpectrum(g0, t_hot)
+        t_cold = 0.0 if i % 4 < 2 else kelvin_to_internal(rng.uniform(1.0, 3000.0))
+        points.append((cfg, hot, CubicColdSpectrum(cfg.gamma, cfg.omega0, t_cold)))
+    return points
+
+
+def _bits(flows):
+    return [x.hex() for x in (*flows.populations, *flows[1:])]
+
+
 class TestDressedFlows:
     """The closed-form rate balance against the SVD oracle."""
+
+    def test_same_bits_as_the_looped_form(self):
+        # the straight-line arithmetic repeats the loop's operations in its
+        # order, so every field matches to the last bit, signed zeros too:
+        # at g = 0 the empty hot channels leave J_hot = +0.0
+        undriven = make_cfg(delta=1.0, g=0.0)
+        points = strong_drive_grid() + seeded_drive_points(1200) + [
+            (undriven, FlatHotSpectrum(1e-3, 0.2),
+             CubicColdSpectrum(undriven.gamma, undriven.omega0, 0.0))]
+        for cfg, hot, cold in points:
+            flows = dressed_flows(cfg, hot, cold)
+            reference = _looped_dressed_flows(cfg, hot, cold)
+            assert flows == reference
+            assert _bits(flows) == _bits(reference)
 
     def test_matches_svd_oracle(self):
         for cfg, hot, cold in strong_drive_grid():

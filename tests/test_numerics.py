@@ -18,7 +18,7 @@ from licore.cell import _local_flows, _modeled_absorption, load_absorption_csv
 from licore.config import AtomDriveConfig
 from licore.errors import CalibrationError, DomainError, NoSolutionError
 from licore.floquet import heat_current_exact
-from licore.spectra import FlatHotSpectrum
+from licore.spectra import CubicColdSpectrum, FlatHotSpectrum
 from licore.units import kelvin_to_internal, thz_to_internal
 
 from test_cell import lab_cell, lab_cfg
@@ -107,8 +107,10 @@ def exact_row_integrands(alpha_ls, n, seed):
         hot = FlatHotSpectrum(thz_to_internal(rng.uniform(0.001, 0.003)),
                               kelvin_to_internal(500.0))
         alpha = rng.choice(alpha_ls) / 10.0
+        cold = CubicColdSpectrum(cfg.gamma, cfg.omega0, 0.0)
         flows = functools.cache(
-            lambda att, cfg=cfg, hot=hot: _local_flows(cfg.attenuated(att), hot, 0.0))
+            lambda att, cfg=cfg, hot=hot, cold=cold:
+            _local_flows(cfg.attenuated(att), hot, cold))
         for k in (0, 1):
             yield alpha, (lambda z, alpha=alpha, flows=flows, k=k:
                           math.exp(-alpha * z) * flows(math.exp(-alpha * z))[k])
