@@ -44,8 +44,7 @@ CELL = CellConfig(
 def synthetic_profile() -> AbsorptionDataset:
     nus = [352.0 + k for k in range(51)]
     a = [0.95 * math.exp(-(nu - 377.0) ** 2 / (2 * 6.0 ** 2)) for nu in nus]
-    return AbsorptionDataset(tuple(nus), tuple(a),
-                             ("synthetic symmetric profile, 500 K",))
+    return AbsorptionDataset(tuple(nus), tuple(a))
 
 
 def main() -> None:

@@ -17,7 +17,7 @@ from .errors import DomainError, NoSolutionError
 from .floquet import heat_current_exact, sideband_weights
 from .numerics import bisect
 from .spectra import boltzmann_weight
-from .units import C_LIGHT, HBAR
+from .units import C_LIGHT, HBAR, internal_to_thz
 
 
 def _balance_rhs(cfg: AtomDriveConfig, t_cold: float) -> float:
@@ -175,6 +175,12 @@ def method_comparison(gamma: float, rabi: float, detuning: float, g: float,
                       ("g", g), ("nu", nu), ("omega0", omega0), ("mass", mass_kg)):
         if val <= 0:
             raise ValueError(f"{name} must be positive")
+    if rabi >= omega0:
+        # the sideband laser sits at omega0 - rabi, which must be positive
+        raise DomainError(
+            f"sideband bound needs rabi < omega0: rabi "
+            f"{internal_to_thz(rabi):.6g} THz, omega0 "
+            f"{internal_to_thz(omega0):.6g} THz")
     licore_val = licore_temperature_limit(detuning, g)
     limits = (
         MethodLimit(DOPPLER, UNRESOLVED, doppler_temperature_limit(), "gamma"),

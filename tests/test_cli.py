@@ -246,6 +246,23 @@ class TestExitCodes:
         assert out == ""
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("sets, rabi", [
+        (["atom.nu_thz=100", "atom.g_thz=200"], "486.548"),
+        (["compare.rabi_thz=400"], "400"),
+        (["compare.rabi_thz=377"], "377"),     # omega0 - rabi is exactly 0
+    ])
+    def test_sideband_laser_below_zero_is_domain_error(self, capsys, sets,
+                                                       rabi):
+        # the sideband bound rabi/nu puts its laser at nu = omega0 - rabi
+        argv = ["compare", "--config", POINT]
+        for item in sets:
+            argv += ["--set", item]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == ("domain error: sideband bound needs rabi < omega0: "
+                       f"rabi {rabi} THz, omega0 377 THz\n")
+        assert "division by zero" not in err
+
     def test_calibration_root_at_zero_amplitude_is_domain_error(
             self, capsys, tmp_path):
         # a 1e-300 W beam: any g0 > 0 absorbs more than the data, so the
@@ -381,6 +398,20 @@ class TestWarnings:
             "warning: 34 of 51 scan rows absorb more than the beam delivers"]
         rows = json.loads((tmp_path / "scan.json").read_text())["rows"]
         assert max(r["p_abs_watt"] for r in rows) == pytest.approx(2.99, abs=5e-3)
+
+    def test_jobs_two_reports_the_same_count_and_files(self, capsys, tmp_path):
+        # the rows are counted in the parent process, after the pool
+        for jobs in ("1", "2"):
+            out = tmp_path / jobs / "scan"
+            out.parent.mkdir()
+            code, _, err = run(capsys, "scan", "--config", SCAN, "--no-metadata",
+                               "--jobs", jobs, "--out", str(out))
+            assert code == 0
+            assert err == ("warning: 34 of 51 scan rows absorb more than the "
+                           "beam delivers\n")
+        for name in ("scan.csv", "scan.json"):
+            assert ((tmp_path / "1" / name).read_bytes()
+                    == (tmp_path / "2" / name).read_bytes())
 
     def test_low_amplitude_scan_keeps_the_photon_budget(self, capsys, tmp_path):
         # off resonance at a weak hot coupling every row absorbs well under

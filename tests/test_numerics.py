@@ -14,10 +14,10 @@ from scipy import optimize as sp_optimize
 
 from licore import numerics
 from licore.analysis import min_temp_exact
-from licore.cell import _local_flows, _modeled_absorption, load_absorption_csv
+from licore.cell import _modeled_absorption, load_absorption_csv
 from licore.config import AtomDriveConfig
 from licore.errors import CalibrationError, DomainError, NoSolutionError
-from licore.floquet import heat_current_exact
+from licore.floquet import dressed_flows, heat_current_exact
 from licore.spectra import CubicColdSpectrum, FlatHotSpectrum
 from licore.units import kelvin_to_internal, thz_to_internal
 
@@ -110,10 +110,11 @@ def exact_row_integrands(alpha_ls, n, seed):
         cold = CubicColdSpectrum(cfg.gamma, cfg.omega0, 0.0)
         flows = functools.cache(
             lambda att, cfg=cfg, hot=hot, cold=cold:
-            _local_flows(cfg.attenuated(att), hot, cold))
-        for k in (0, 1):
-            yield alpha, (lambda z, alpha=alpha, flows=flows, k=k:
-                          math.exp(-alpha * z) * flows(math.exp(-alpha * z))[k])
+            dressed_flows(cfg.attenuated(att), hot, cold))
+        for name in ("j_hot", "p_abs"):
+            yield alpha, (lambda z, alpha=alpha, flows=flows, name=name:
+                          math.exp(-alpha * z)
+                          * getattr(flows(math.exp(-alpha * z)), name))
 
 
 def quad(f, a, b, epsrel):
