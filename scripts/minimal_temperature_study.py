@@ -3,7 +3,7 @@
 
 Sweeps the drive ratio detuning/g at fixed detuning, comparing the exact
 balance-condition root against its weak-drive asymptotic form and the
-independent bisection of the closed-form current, then prints the
+independent numerical root of the closed-form current, then prints the
 cross-method comparison table for resolved and unresolved operation.
 
 Usage: python scripts/minimal_temperature_study.py
@@ -18,7 +18,7 @@ from licore.units import amu_to_kg, internal_to_kelvin
 def floor_sweep() -> None:
     print("cooling floor vs drive ratio (detuning 10.4 THz, vacuum cold bath)")
     print(f"{'detuning/g':>12s} {'exact [K]':>12s} {'asymptotic [K]':>15s} "
-          f"{'bisection [K]':>14s} {'gap':>8s}")
+          f"{'brentq [K]':>14s} {'gap':>8s}")
     for ratio in (50.0, 200.0, 1000.0, 5000.0):
         g_thz = 10.4 / ratio
         cfg = AtomDriveConfig.from_thz(377.0, 6e-6, g_thz, 366.6)

@@ -2,8 +2,8 @@
 
 Cooling stops when the exact hot-bath current vanishes; the balance
 condition e^(-rabi/T_hot) = (d+ e^(-nu+/Tc) + d-) / (d+ + d- e^(-nu-/Tc))
-solves for T_hot in closed form.  A bisection on the exact current provides
-an independent cross-check of the same root.
+solves for T_hot in closed form.  A numerical root of the exact current
+(Brent's method) provides an independent cross-check of the same root.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .config import AtomDriveConfig
 from .errors import DomainError, NoSolutionError
 from .floquet import heat_current_exact, sideband_weights
-from .numerics import bisect
+from .numerics import brentq
 from .spectra import boltzmann_weight
 from .units import C_LIGHT, HBAR, internal_to_thz
 
@@ -74,9 +74,10 @@ def min_temp_asymptotic(cfg: AtomDriveConfig) -> float:
 
 
 def min_temp_bisect(cfg: AtomDriveConfig, t_cold: float) -> float:
-    """Independent root of the exact heat current in T_hot, bracketing the
-    closed-form value by a factor of ten each way.  The current's sign, and
-    so its root, does not depend on the pumping rate, taken as 1."""
+    """Independent root of the exact heat current in T_hot by Brent's
+    method, bracketing the closed-form value by a factor of ten each way.
+    The current's sign, and so its root, does not depend on the pumping
+    rate, taken as 1."""
     t_root = min_temp_exact(cfg, t_cold)
     if t_root == 0.0:
         return 0.0
@@ -88,7 +89,7 @@ def min_temp_bisect(cfg: AtomDriveConfig, t_cold: float) -> float:
     if not current(lo) < 0.0 < current(hi):
         raise NoSolutionError("exact current does not change sign across the "
                               "expected bracket")
-    return bisect(current, lo, hi, xtol=1e-300, rtol=1e-12,
+    return brentq(current, lo, hi, xtol=1e-300, rtol=1e-12,
                   error=NoSolutionError)
 
 

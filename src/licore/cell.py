@@ -22,7 +22,6 @@ consumes are in internal units as everywhere else.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 import os
@@ -35,7 +34,12 @@ from .errors import CalibrationError, ConfigError, DomainError
 from .floquet import dressed_flows
 from .numerics import brentq, gauss_newton, integrate, interp
 from .rate_model import pumping_rate, regime_of, weak_flows
-from .spectra import CubicColdSpectrum, FlatHotSpectrum, boltzmann_weight
+from .spectra import (
+    CubicColdSpectrum,
+    FlatHotSpectrum,
+    boltzmann_weight,
+    read_two_columns,
+)
 from .units import (
     internal_to_thz,
     internal_to_watts,
@@ -106,22 +110,8 @@ class AbsorptionDataset:
 
 
 def load_absorption_csv(path) -> AbsorptionDataset:
-    """Read ``nu_thz,absorption`` rows; '#'-prefixed lines are comments."""
-    path = Path(path)
-    nus, absorptions = [], []
-    with path.open(newline="") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            row = next(csv.reader([line]))
-            if row[0].strip().lower() == "nu_thz":
-                continue
-            try:
-                nus.append(float(row[0]))
-                absorptions.append(float(row[1]))
-            except (ValueError, IndexError) as exc:
-                raise ConfigError(f"bad dataset row {line!r} in {path}") from exc
+    """Read ``nu_thz,absorption`` rows (see spectra.read_two_columns)."""
+    nus, absorptions = read_two_columns(path, "nu_thz")
     return AbsorptionDataset(tuple(nus), tuple(absorptions))
 
 

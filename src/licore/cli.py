@@ -391,7 +391,7 @@ def cmd_tmin(doc: dict, args):
     if "bracket_check" in payload:
         bc = payload["bracket_check"]
         lines.append(f"  current sign below/above root: {bc['j_sign_below']}"
-                     f"/{bc['j_sign_above']}; bisection agrees to "
+                     f"/{bc['j_sign_above']}; root finder agrees to "
                      f"{bc['bisect_rel_difference']:.3g}")
     return payload, lines
 
@@ -461,13 +461,10 @@ def cmd_scan(doc: dict, args):
     sc = doc["scan"]
     t_cold = _temperature("cold_bath", doc) if "cold_bath" in doc else 0.0
 
-    if args.dataset is not None:
-        path = args.dataset
-    elif "dataset_csv" in sc:
-        path = _resolve_path(sc["dataset_csv"], args.config)
-    else:
-        path = None
-    dataset = cellmod.load_absorption_csv(path) if path else None
+    dataset = None
+    if "dataset_csv" in sc:
+        dataset = cellmod.load_absorption_csv(
+            _resolve_path(sc["dataset_csv"], args.config))
 
     if "g0_thz" in doc["hot_bath"]:
         g0 = thz_to_internal(doc["hot_bath"]["g0_thz"])
@@ -602,8 +599,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--jobs", type=int, default=1,
                            help="worker processes for the rows (at least 1; "
                                 "capped at the CPU count)")
-            p.add_argument("--dataset", default=None,
-                           help="absorption CSV (overrides config)")
             p.add_argument("--emit-plot-data", action="store_true",
                            help="also write a gnuplot-friendly .dat file")
         else:

@@ -1,13 +1,13 @@
-"""Scalar root finders, adaptive quadrature, a one-parameter fit and
+"""A scalar root finder, adaptive quadrature, a one-parameter fit and
 linear interpolation.
 
 Stdlib only, so that no licore command pays for importing SciPy or numpy.
 ``interp`` repeats numpy's ``interp`` operation for operation;
-``bisect`` and ``brentq`` follow SciPy's C routines update for update and
-return the same roots; ``integrate`` is QUADPACK's 21-point Gauss-Kronrod
-rule, which it accepts by qagse's test and otherwise refines by global
+``brentq`` follows SciPy's C routine update for update and returns the
+same roots; ``integrate`` is QUADPACK's 21-point Gauss-Kronrod rule,
+which it accepts by qagse's test and otherwise refines by global
 bisection of the worst interval; ``gauss_newton`` fits one parameter by
-least squares.  The root finders and the fit raise the ``error`` class
+least squares.  The root finder and the fit raise the ``error`` class
 their caller names when they cannot return an answer; ``integrate``
 returns its error estimate for the caller to check.
 """
@@ -70,29 +70,6 @@ def interp(x: float, xp, fp) -> float:
         if math.isnan(y) and fp[j] == fp[j + 1]:
             y = fp[j]
     return y
-
-
-def bisect(f, a: float, b: float, xtol: float, rtol: float,
-           error=DomainError) -> float:
-    """Root of f in [a, b], where f(a) and f(b) differ in sign."""
-    f = _nan_checked(f, error)
-    fa, fb = f(a), f(b)
-    if fa == 0:
-        return a
-    if fb == 0:
-        return b
-    if _signbit(fa) == _signbit(fb):
-        raise error(f"no sign change on [{a!r}, {b!r}]")
-    dm = b - a
-    for _ in range(MAXITER):
-        dm *= 0.5
-        xm = a + dm
-        fm = f(xm)
-        if _signbit(fm) == _signbit(fa):
-            a = xm
-        if fm == 0 or abs(dm) < xtol + rtol * abs(xm):
-            return xm
-    raise error(f"bisection did not converge in {MAXITER} iterations")
 
 
 def brentq(f, a: float, b: float, xtol: float, rtol: float,

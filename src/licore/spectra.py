@@ -154,22 +154,35 @@ def kms_violation(spectrum: BathSpectrum, omegas) -> float:
     return worst
 
 
+def read_two_columns(path, header: str) -> tuple[list, list]:
+    """The two number columns of a CSV table.  Blank and whitespace-only
+    lines, '#' lines and the header row (first cell ``header``) are
+    skipped; any other row that does not start with two numbers is a
+    ConfigError naming the file and the row."""
+    xs, ys = [], []
+    with Path(path).open(newline="") as fh:
+        for raw in fh:
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            row = next(csv.reader([line]))
+            if row[0].strip().lower() == header:
+                continue
+            try:
+                xs.append(float(row[0]))
+                ys.append(float(row[1]))
+            except (ValueError, IndexError) as exc:
+                raise ConfigError(f"{path}: row {line!r} is not two "
+                                  "numbers") from exc
+    return xs, ys
+
+
 def load_tabulated_spectrum(path, temperature: float) -> TabulatedSpectrum:
     """Read a two-column CSV ``omega_thz, g_rate`` (both converted like
     frequencies) and reject it unless detailed balance holds to KMS_TOL."""
-    path = Path(path)
-    omegas, values = [], []
-    with path.open(newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if row[0].strip().lower() == "omega_thz":
-                continue
-            try:
-                omegas.append(thz_to_internal(float(row[0])))
-                values.append(thz_to_internal(float(row[1])))
-            except (ValueError, IndexError) as exc:
-                raise ConfigError(f"bad spectrum row {row!r} in {path}") from exc
+    omegas, values = read_two_columns(path, "omega_thz")
+    omegas = [thz_to_internal(w) for w in omegas]
+    values = [thz_to_internal(v) for v in values]
     spec = TabulatedSpectrum(tuple(omegas), tuple(values), temperature)
     grid = [w for w in omegas if w > 0 and -w >= omegas[0]]
     if not grid:

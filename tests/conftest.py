@@ -2,6 +2,12 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+# the same examples on every run (derandomize also turns off the example
+# database), so a failure found once is found every time
+settings.register_profile("licore", derandomize=True)
+settings.load_profile("licore")
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

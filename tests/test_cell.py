@@ -28,7 +28,12 @@ from licore.errors import CalibrationError, ConfigError, DomainError
 from licore.floquet import solve_pipeline
 from licore.numerics import brentq
 from licore.rate_model import pumping_rate, weak_flows
-from licore.spectra import CubicColdSpectrum, FlatHotSpectrum, boltzmann_weight
+from licore.spectra import (
+    CubicColdSpectrum,
+    FlatHotSpectrum,
+    boltzmann_weight,
+    load_tabulated_spectrum,
+)
 from licore.units import internal_to_watts, kelvin_to_internal, thz_to_internal
 
 
@@ -295,6 +300,16 @@ class TestDataset:
         with pytest.raises(ConfigError):
             load_absorption_csv(path)
 
+    def test_both_loaders_skip_whitespace_only_lines(self, tmp_path):
+        # datasets and spectrum tables are read by one reader
+        data = tmp_path / "a.csv"
+        data.write_text("nu_thz,absorption\n   \n360.0,0.1\n\t\n\n370.0,0.5\n")
+        assert load_absorption_csv(data).nu_thz == (360.0, 370.0)
+        table = tmp_path / "spec.csv"
+        table.write_text("omega_thz,g_rate\n   \n-1.0,0.0\n\t\n\n1.0,4.0\n")
+        assert load_tabulated_spectrum(table, 0.0).omegas == (
+            thz_to_internal(-1.0), thz_to_internal(1.0))
+
 
 class TestCalibration:
     def test_round_trip_on_synthetic_data(self):
@@ -328,6 +343,13 @@ class TestCalibration:
                                     min(ds.absorption[1] + 0.05, 1.0)))
         result = calibrate_g0(bumped, cfg, cell)
         assert result.residual_rms > 1e-3
+
+    # on resonance, and 0.03 THz to either side, where g = 0.05 THz > |detuning|
+    @pytest.mark.parametrize("nu_thz", [377.0, 376.97, 377.03])
+    def test_synthesis_rejects_rows_at_or_near_resonance(self, nu_thz):
+        with pytest.raises(ValueError, match="weak-drive regime"):
+            synthesize_absorption(lab_cfg(), lab_cell(), 1.2e10,
+                                  (365.0, nu_thz))
 
     def test_all_row_fit_lands_on_the_least_squares_minimum(self,
                                                             scan_dataset_path):

@@ -219,6 +219,20 @@ class TestExitCodes:
                            "--set", "calibrate.dataset_csv=/nonexistent.csv")
         assert code == 4
 
+    @pytest.mark.parametrize("command, config, key, header", [
+        ("calibrate", SCAN, "calibrate.dataset_csv", "nu_thz,absorption"),
+        ("steady-state", POINT, "hot_bath.spectrum_csv", "omega_thz,g_rate"),
+    ], ids=["dataset", "spectrum"])
+    def test_non_numeric_table_row_is_config_error(self, capsys, tmp_path,
+                                                   command, config, key, header):
+        table = tmp_path / "table.csv"
+        table.write_text(f"{header}\n-1.0,0.5\n1.0,abc\n")
+        code, out, err = run(capsys, command, "--config", config,
+                             "--set", f"{key}={table}")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            f"config error: {table}: row '1.0,abc' is not two numbers"]
+
     def test_malformed_json_is_config_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -430,7 +444,7 @@ class TestWarnings:
         assert code == 0
         assert json.loads(out) == {
             "bracket_check": {
-                "bisect_rel_difference": 2.55846291443e-13,
+                "bisect_rel_difference": 8.34151858454e-16,
                 "bisect_root_k": 7.82448663478,
                 "j_sign_above": 1,
                 "j_sign_below": -1,
@@ -561,7 +575,7 @@ class TestFlags:
         flags = {name: {opt for action in sub._actions
                         for opt in action.option_strings} - {"-h", "--help"}
                  for name, sub in commands.items()}
-        assert sum(len(f) for f in flags.values()) == 32
+        assert sum(len(f) for f in flags.values()) == 31
         for name, f in flags.items():
             assert ("--jobs" in f) == (name == "scan")
             assert ("--format" in f) == (name != "scan")

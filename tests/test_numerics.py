@@ -51,11 +51,11 @@ def generic_root_problems(n, seed):
 
 def licore_root_problems():
     """The calls licore makes: the exact current in T_hot around the
-    cooling floor (bisect) and the calibration gap in g0 (brentq)."""
+    cooling floor and the calibration gap in g0."""
     for nu_thz, g_thz in ((372.0, 0.05), (376.0, 0.05), (367.0, 0.5), (360.0, 2.0)):
         cfg = lab_cfg(nu_thz=nu_thz, g_thz=g_thz)
         t_root = min_temp_exact(cfg, 0.0)
-        yield ("bisect", functools.partial(
+        yield (functools.partial(
             lambda cfg, t: heat_current_exact(cfg, 1.0, t, 0.0), cfg),
             t_root / 10.0, t_root * 10.0, 1e-300, 1e-12)
     ds = load_absorption_csv(FIXTURES / "absorption_synthetic.csv")
@@ -63,13 +63,13 @@ def licore_root_problems():
     for nu_thz, a in zip(ds.nu_thz[::7], ds.absorption[::7]):
         cfg = lab_cfg(nu_thz=nu_thz)
         alpha = ds.alpha_at(nu_thz, cell.length_mm)
-        yield ("brentq", functools.partial(
+        yield (functools.partial(
             lambda cfg, alpha, a, g0: _modeled_absorption(cfg, cell, g0, alpha) - a,
             cfg, alpha, a), 0.0, 1e13, 1e-300, 1e-14)
 
 
 class TestRootFinders:
-    @pytest.mark.parametrize("name", ["bisect", "brentq"])
+    @pytest.mark.parametrize("name", ["brentq"])
     def test_generic_roots_match_scipy_bit_for_bit(self, name):
         for f, a, b, xtol, rtol in generic_root_problems(1000, seed=11):
             ref = getattr(sp_optimize, name)(f, a, b, xtol=xtol, rtol=rtol)
@@ -77,12 +77,12 @@ class TestRootFinders:
             assert got.hex() == ref.hex(), (a, b, xtol, rtol)
 
     def test_licore_roots_match_scipy_bit_for_bit(self):
-        for name, f, a, b, xtol, rtol in licore_root_problems():
-            ref = getattr(sp_optimize, name)(f, a, b, xtol=xtol, rtol=rtol)
-            got = getattr(numerics, name)(f, a, b, xtol, rtol)
-            assert got.hex() == ref.hex(), name
+        for f, a, b, xtol, rtol in licore_root_problems():
+            ref = sp_optimize.brentq(f, a, b, xtol=xtol, rtol=rtol)
+            got = numerics.brentq(f, a, b, xtol, rtol)
+            assert got.hex() == ref.hex(), (a, b)
 
-    @pytest.mark.parametrize("name", ["bisect", "brentq"])
+    @pytest.mark.parametrize("name", ["brentq"])
     def test_failures_raise_the_callers_error(self, name):
         solver = getattr(numerics, name)
         with pytest.raises(CalibrationError, match="no sign change"):
