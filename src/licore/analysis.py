@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import AtomDriveConfig
 from .errors import DomainError, NoSolutionError
@@ -138,8 +138,7 @@ def doppler_efficiency_bound(nu: float, mass_kg: float) -> float:
     return HBAR * nu / (2.0 * C_LIGHT ** 2 * mass_kg)
 
 
-@dataclass(frozen=True)
-class MethodLimit:
+class MethodLimit(NamedTuple):
     method: str
     regime: str
     t_min_scaled: float
@@ -147,15 +146,13 @@ class MethodLimit:
     approximate: bool = True
 
 
-@dataclass(frozen=True)
-class EfficiencyBound:
+class EfficiencyBound(NamedTuple):
     method: str
     value: float
     note: str
 
 
-@dataclass(frozen=True)
-class MethodComparison:
+class MethodComparison(NamedTuple):
     limits: tuple
     efficiencies: tuple
     operating_regime: str   # resolved/unresolved from the actual rabi vs gamma

@@ -28,6 +28,7 @@ import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .config import AtomDriveConfig
 from .errors import CalibrationError, ConfigError, DomainError
@@ -233,8 +234,7 @@ def _saturated_absorption(cfg: AtomDriveConfig, cell: CellConfig,
         / cell.laser_power_w
 
 
-@dataclass(frozen=True)
-class CalibrationResult:
+class CalibrationResult(NamedTuple):
     g0: float               # internal rate units
     residual_rms: float     # rms absorption misfit over the rows used
     rows_used: tuple        # (nu_thz, measured absorption) pairs
@@ -334,8 +334,7 @@ def synthesize_absorption(cfg_template: AtomDriveConfig, cell: CellConfig,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     delta_thz: float
     j_hot_watt: float
     j_hot_exp_watt: float | None
@@ -345,8 +344,7 @@ class ScanRow:
     model: str
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     rows: tuple
     metadata: dict
 

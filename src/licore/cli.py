@@ -13,8 +13,10 @@ Exit codes: 0 success, 2 config/schema error, 3 numerical-domain error,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 import warnings
 from datetime import datetime, timezone
@@ -78,7 +80,6 @@ CONFIG_SCHEMA = {
             "properties": {
                 "length_mm": _POS,
                 "absorption_length_mm": _POS,
-                "absorption_coeff_per_mm": _NONNEG,
                 "linear_atom_density_per_mm": _NONNEG,
                 "laser_power_w": _POS,
             },
@@ -247,12 +248,8 @@ def _hot(doc: dict, config_path: str | None = None):
 
 def _cell(doc: dict) -> cellmod.CellConfig:
     c = doc["cell"]
-    if "absorption_coeff_per_mm" in c:
-        coeff = c["absorption_coeff_per_mm"]
-    elif "absorption_length_mm" in c:
-        coeff = 1.0 / c["absorption_length_mm"]
-    else:
-        coeff = 0.0
+    length = c.get("absorption_length_mm")
+    coeff = 0.0 if length is None else 1.0 / length
     _temperature("hot_bath", doc)   # the cell keeps it in kelvin; check it converts
     return _construct(
         "cell", cellmod.CellConfig,
@@ -374,12 +371,12 @@ def cmd_tmin(doc: dict, args):
         payload["relative_gap"] = round12(abs(exact - asymptotic)
                                           / max(exact, 1e-300))
     if exact > 0:
-        below = floquet.heat_current_exact(cfg, 1.0, exact / 10.0, t_cold)
-        above = floquet.heat_current_exact(cfg, 1.0, exact * 10.0, t_cold)
         root = analysis.min_temp_bisect(cfg, t_cold)
+        # min_temp_bisect raises unless the current is negative at exact/10
+        # and positive at 10 exact, so the signs are known once it returns
         payload["bracket_check"] = {
-            "j_sign_below": -1 if below < 0 else (0 if below == 0 else 1),
-            "j_sign_above": -1 if above < 0 else (0 if above == 0 else 1),
+            "j_sign_below": -1,
+            "j_sign_above": 1,
             "bisect_root_k": round12(internal_to_kelvin(root)),
             "bisect_rel_difference": round12(abs(root - exact) / exact),
         }
@@ -543,8 +540,11 @@ def _flatten(payload: dict, prefix: str = ""):
 def _emit_scan(result: cellmod.ScanResult, args) -> None:
     doc = {"rows": cellmod.scan_records(result)}
     _require_finite(doc["rows"])
-    out = args.out or "scan_result"
-    base = Path(out)
+    base = Path(args.out or "scan_result")
+    if base.is_dir():
+        # fail before writing anything, as a point command's --out does
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                str(base))
     if base.suffix:
         base = base.with_suffix("")
     cellmod.write_scan_csv(result, base.with_suffix(".csv"))

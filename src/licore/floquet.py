@@ -31,7 +31,6 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .config import AtomDriveConfig
@@ -282,8 +281,7 @@ def bare_from_dressed(cfg: AtomDriveConfig,
             0.5 * (upper * w_lower + lower * w_upper))
 
 
-@dataclass(frozen=True)
-class LiouvillianComponent:
+class LiouvillianComponent(NamedTuple):
     coupling: HarmonicCoupling
     omega_eff: float
     rate_down: float        # G(omega_eff), multiplies D[S]
@@ -291,8 +289,7 @@ class LiouvillianComponent:
     matrix: np.ndarray      # 4x4 sub-generator
 
 
-@dataclass(frozen=True)
-class LiouvillianOperator:
+class LiouvillianOperator(NamedTuple):
     matrix: np.ndarray
     components: tuple
     drive_frequency: float
@@ -331,8 +328,7 @@ def build_liouvillian(couplings: HarmonicCouplingSet, hot: BathSpectrum,
     return liouv
 
 
-@dataclass(frozen=True)
-class SteadyStateReport:
+class SteadyStateReport(NamedTuple):
     rho: np.ndarray             # dressed basis
     residual: float             # ||L vec(rho)||
     populations: tuple          # (upper, lower)
@@ -381,8 +377,7 @@ def bare_populations(cfg: AtomDriveConfig, rho_dressed: np.ndarray) -> tuple[flo
     return rho_bare[0, 0].real, rho_bare[1, 1].real
 
 
-@dataclass(frozen=True)
-class CurrentReport:
+class CurrentReport(NamedTuple):
     j_hot: float
     j_cold: float
     p_abs: float                  # -(j_hot + j_cold), the defining identity

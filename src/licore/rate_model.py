@@ -11,7 +11,7 @@ formulas are checked against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import AtomDriveConfig
 from .errors import DomainError
@@ -44,11 +44,9 @@ def pumping_rate(cfg: AtomDriveConfig, hot: BathSpectrum) -> float:
     return (2.0 * cfg.g / cfg.detuning) ** 2 * hot.value(abs(cfg.detuning))
 
 
-@dataclass(frozen=True)
-class RatePoint:
+class RatePoint(NamedTuple):
     """Stationary point of the two-level rate equations."""
 
-    gamma_p: float
     boltzmann_factor: float     # rho_ee / rho_gg
     t_tla: float                # effective atom temperature; inf if inverted
     rho_ee: float
@@ -88,7 +86,7 @@ def steady_state(cfg: AtomDriveConfig, gamma_p: float, t_hot: float) -> RatePoin
         t_tla = math.inf if ratio >= 1.0 else -delta / (-math.log(ratio))
     rho_ee = ratio / (1.0 + ratio)
     rho_gg = 1.0 / (1.0 + ratio)
-    return RatePoint(gamma_p, ratio, t_tla, rho_ee, rho_gg)
+    return RatePoint(ratio, t_tla, rho_ee, rho_gg)
 
 
 def weak_flows(cfg: AtomDriveConfig, gamma_p: float,
@@ -140,8 +138,7 @@ def regime_of(cfg: AtomDriveConfig) -> str:
     return "cooling" if cfg.detuning > 0 else "heating"
 
 
-@dataclass(frozen=True)
-class EnergyFlowReport:
+class EnergyFlowReport(NamedTuple):
     """Heat currents, absorbed power and efficiency at one parameter point."""
 
     j_hot: float

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import jsonschema
@@ -183,6 +184,61 @@ class TestSubcommands:
         assert "metadata" not in doc
         assert doc["rows"][0]["delta_thz"] == -3.0
         assert (tmp_path / "scan.dat").read_text().startswith("# delta_thz")
+
+
+TMIN_CSV = (
+    "bracket_check.bisect_rel_difference,bracket_check.bisect_root_k,"
+    "bracket_check.j_sign_above,bracket_check.j_sign_below,command,"
+    "relative_gap,t_min_asymptotic_k,t_min_exact_k\n"
+    "5.6280427822e-15,23.1938893161,1,-1,tmin,0.00797927688609,"
+    "23.3789597811,23.1938893161\n")
+COMPARE_TABLE = """\
+method comparison (operating regime: resolved)
+  method     regime        kT_min/(hbar ref) ref
+  doppler    unresolved                 0.25 gamma
+  doppler    resolved                   0.25 gamma
+  sideband   unresolved              0.06348 rabi
+  sideband   resolved                0.03174 rabi
+  licore     unresolved              0.04684 rabi
+  licore     resolved                0.04684 rabi
+  efficiency bounds:
+    doppler     9.364e-12  (recoil-limited, much below one)
+    sideband      0.02837  (rabi/nu; requires resolved bands to stay near one)
+    licore        0.02837  (detuning/nu; bands need not be resolved)
+"""
+STEADY_STATE_CSV = (
+    "command,floquet.rate_balance_residual,floquet.rel_difference_rho_ee,"
+    "floquet.rho_ee,floquet.rho_gg,floquet.t_tla_k,"
+    "rate_model.boltzmann_factor,rate_model.gamma_p_thz,rate_model.rho_ee,"
+    "rate_model.rho_gg,rate_model.t_tla_k\n"
+    "steady-state,0.0,0.00197705607918,0.010919411741,0.989080588259,"
+    "110.762404109,0.011017894521,1.84911242604e-07,0.0108978234517,"
+    "0.989102176548,110.713245668\n")
+
+
+class TestFormats:
+    @pytest.mark.parametrize("command, fmt, expected", [
+        ("tmin", "csv", TMIN_CSV),
+        ("compare", "table", COMPARE_TABLE),
+        ("steady-state", "csv", STEADY_STATE_CSV),
+    ])
+    def test_point_command_output_is_golden(self, capsys, command, fmt,
+                                            expected):
+        assert run(capsys, command, "--config", POINT, "--format", fmt,
+                   "--no-metadata") == (0, expected, "")
+
+    @pytest.mark.parametrize("command", ["steady-state", "currents", "tmin",
+                                         "compare"])
+    def test_metadata_names_the_config_and_the_time(self, capsys, command):
+        code, out, err = run(capsys, command, "--config", POINT)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        metadata = payload.pop("metadata")
+        assert payload == run_json(capsys, command, "--config", POINT)
+        assert sorted(metadata) == ["config", "generated_at"]
+        assert metadata["config"] == POINT
+        stamp = datetime.fromisoformat(metadata["generated_at"])
+        assert stamp.utcoffset() == timedelta(0)
 
 
 class TestExitCodes:
@@ -396,6 +452,40 @@ class TestExitCodes:
         assert code == 2
         assert "--jobs" in err
         assert not (tmp_path / "scan.csv").exists()
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["scan", "--set", "scan.delta_max_thz=400",
+          "--set", "hot_bath.g0_thz=0.002"], 2,
+         "config error: detuning 377.0 THz puts the laser frequency at or "
+         "below zero"),
+        # no amplitude makes an undriven atom absorb
+        (["calibrate", "--set", "atom.g_thz=0"], 3,
+         "domain error: failed to bracket the calibration root"),
+        # absorption_length_mm is the one attenuation field
+        (["calibrate", "--set", "cell.absorption_coeff_per_mm=0.1"], 2,
+         "config error: config schema violation: Additional properties are "
+         "not allowed ('absorption_coeff_per_mm' was unexpected) (at cell)"),
+    ], ids=["laser-below-zero", "calibration-unbracketed",
+            "absorption-coefficient"])
+    def test_scan_fixture_failure_is_one_stderr_line(self, capsys, tmp_path,
+                                                     argv, code, message):
+        got = run(capsys, argv[0], "--config", SCAN, *argv[1:],
+                  "--out", str(tmp_path / "out"))
+        assert got == (code, "", message + "\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("slash", ["", "/"], ids=["bare", "trailing-slash"])
+    def test_scan_out_directory_is_io_error(self, capsys, tmp_path, slash):
+        target = tmp_path / "dir"
+        target.mkdir()
+        code, out, err = run(capsys, "scan", "--config", SCAN, "--no-metadata",
+                             "--out", f"{target}{slash}")
+        assert (code, out) == (4, "")
+        # the scan's photon-budget warning comes first
+        assert err.splitlines()[-1] == (
+            f"i/o error: [Errno 21] Is a directory: '{target}'")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"]
+        assert list(target.iterdir()) == []
 
 
 class TestWarnings:
@@ -617,7 +707,7 @@ def test_fuzzed_overrides_end_in_an_exit_code(command, overrides):
 
 SCAN_FUZZ_FIELDS = ("scan.delta_min_thz", "scan.delta_max_thz",
                     "scan.delta_step_thz", "cell.length_mm",
-                    "cell.absorption_length_mm", "cell.absorption_coeff_per_mm",
+                    "cell.absorption_length_mm",
                     "cell.linear_atom_density_per_mm", "cell.laser_power_w")
 # no pair of these makes a grid of more than about 800 rows but fewer than
 # MAX_SCAN_ROWS, so every example stays quick
@@ -661,7 +751,6 @@ FULL_CONFIG = {
                  "spectrum_csv": "hot.csv"},
     "compare": {"mass_amu": 86.909, "rabi_thz": 10.4},
 }
-FULL_CONFIG["cell"]["absorption_coeff_per_mm"] = 0.1
 JSON_VALUES = st.one_of(
     st.sampled_from((0, 0.0, -0.0, 1, -1, 1e-300, -1e-300, 377.0, True, False,
                      None, "x", "", [], [1.0], {})),

@@ -1,4 +1,3 @@
-import dataclasses
 import decimal
 import math
 import warnings
@@ -287,7 +286,7 @@ class TestSteadyState:
         liouv = build_liouvillian(dressed_coupling_set(cfg),
                                   FlatHotSpectrum(5.0, 2.0),
                                   CubicColdSpectrum(cfg.gamma, cfg.omega0, 0.0))
-        broken = dataclasses.replace(liouv, matrix=np.full((4, 4), np.nan))
+        broken = liouv._replace(matrix=np.full((4, 4), np.nan))
         with pytest.raises(DegenerateSteadyStateError, match="no usable kernel"):
             steady_state(broken)
 
