@@ -52,6 +52,7 @@ from .units import (
 WEAK_DRIVE_SWITCH = 0.1     # rate model below g/|detuning| <= 0.1, exact solver above
 QUAD_EPSREL = 1e-8          # relative tolerance of the exact-solver cell integral
 MIN_ABSORPTION = 1e-6       # calibration leaves out rows that absorb less
+BEAM_CUTOFF = 1022 * math.log(2.0)   # alpha z past which exp(-alpha z) is subnormal
 
 
 @dataclass(frozen=True)
@@ -144,14 +145,19 @@ def _integrate_over_cell(cell: CellConfig, alpha_per_mm: float, local_fn) -> flo
     """(N_a/L) integral of exp(-alpha z) local_fn(attenuation(z)) dz, where
     local_fn returns an internal per-atom power; result in watts.
 
+    Past the depth BEAM_CUTOFF / alpha the beam is subnormal, then zero, as
+    is the coupling; an optically thick cell is integrated to there only.
+
     Raises DomainError when the error estimate misses QUAD_EPSREL."""
-    length = cell.length_mm
+    depth = cell.length_mm
+    if alpha_per_mm * depth > BEAM_CUTOFF:
+        depth = BEAM_CUTOFF / alpha_per_mm
 
     def integrand(z: float) -> float:
         att = math.exp(-alpha_per_mm * z)
         return att * local_fn(att)
 
-    value, err = integrate(integrand, 0.0, length, QUAD_EPSREL)
+    value, err = integrate(integrand, 0.0, depth, QUAD_EPSREL)
     if not err <= QUAD_EPSREL * abs(value):
         raise DomainError(f"cell integral did not converge: error estimate "
                           f"{err:.3g} against value {value:.6g}")

@@ -199,12 +199,9 @@ def load_config(path: str, overrides) -> dict:
     return doc
 
 
-def _resolve_path(path_str: str, config_path: str | None) -> str:
+def _resolve_path(path_str: str, config_path: str) -> str:
     """Dataset paths in a config are relative to the config file."""
-    p = Path(path_str)
-    if p.is_absolute() or config_path is None:
-        return str(p)
-    return str(Path(config_path).parent / p)
+    return str(Path(config_path).parent / path_str)   # an absolute one stays
 
 
 def _construct(section: str, factory, *args, **kwargs):
@@ -224,16 +221,20 @@ def _atom(doc: dict) -> AtomDriveConfig:
     )
 
 
+def _internal(doc: dict, section: str, key: str, convert) -> float:
+    """A lab value converted to internal units; one that overflows them is
+    a config error, not an infinitely hot bath or strong coupling."""
+    value = convert(doc[section][key])
+    if not math.isfinite(value):
+        raise ConfigError(f"{section}: {key} overflows internal units")
+    return value
+
+
 def _temperature(section: str, doc: dict) -> float:
-    """A bath temperature in internal units; one that overflows them is a
-    config error, not an infinitely hot bath."""
-    temperature = kelvin_to_internal(doc[section]["temperature_k"])
-    if not math.isfinite(temperature):
-        raise ConfigError(f"{section}: temperature_k overflows internal units")
-    return temperature
+    return _internal(doc, section, "temperature_k", kelvin_to_internal)
 
 
-def _hot(doc: dict, config_path: str | None = None):
+def _hot(doc: dict, config_path: str):
     h = doc["hot_bath"]
     temperature = _temperature("hot_bath", doc)
     if "spectrum_csv" in h:
@@ -243,13 +244,17 @@ def _hot(doc: dict, config_path: str | None = None):
         raise ConfigError("hot_bath needs g0_thz or spectrum_csv (run "
                           "`calibrate` first or set one explicitly)")
     return _construct("hot_bath", FlatHotSpectrum,
-                      thz_to_internal(h["g0_thz"]), temperature)
+                      _internal(doc, "hot_bath", "g0_thz", thz_to_internal),
+                      temperature)
 
 
 def _cell(doc: dict) -> cellmod.CellConfig:
+    if "spectrum_csv" in doc["hot_bath"]:
+        raise ConfigError("hot_bath.spectrum_csv is not supported by scan and "
+                          "calibrate, which model a flat spectrum (g0_thz)")
     c = doc["cell"]
-    length = c.get("absorption_length_mm")
-    coeff = 0.0 if length is None else 1.0 / length
+    coeff = (_internal(doc, "cell", "absorption_length_mm", lambda x: 1.0 / x)
+             if "absorption_length_mm" in c else 0.0)
     _temperature("hot_bath", doc)   # the cell keeps it in kelvin; check it converts
     return _construct(
         "cell", cellmod.CellConfig,
@@ -325,10 +330,10 @@ def cmd_currents(doc: dict, args):
     t_cold = _temperature("cold_bath", doc)
     cold = CubicColdSpectrum(cfg.gamma, cfg.omega0, t_cold)
 
+    power = (_internal(doc, "atom", "laser_power_w", watts_to_internal)
+             if cfg.laser_power else None)
     try:
-        flow = rate_model.energy_flow(
-            cfg, hot,
-            watts_to_internal(cfg.laser_power) if cfg.laser_power else None)
+        flow = rate_model.energy_flow(cfg, hot, power)
         rate_part = {
             "j_hot_w": round12(internal_to_watts(flow.j_hot)),
             "j_cold_w": round12(internal_to_watts(flow.j_cold)),
@@ -396,7 +401,8 @@ def cmd_tmin(doc: dict, args):
 def cmd_compare(doc: dict, args):
     cfg = _atom(doc)
     comp = doc["compare"]
-    rabi = thz_to_internal(comp["rabi_thz"]) if "rabi_thz" in comp else cfg.rabi
+    rabi = (_internal(doc, "compare", "rabi_thz", thz_to_internal)
+            if "rabi_thz" in comp else cfg.rabi)
     mass_kg = amu_to_kg(comp["mass_amu"])
     if mass_kg == 0.0:
         raise ConfigError("compare: mass_amu underflows to zero kilograms")
@@ -451,8 +457,6 @@ def cmd_calibrate(doc: dict, args):
 
 
 def cmd_scan(doc: dict, args):
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = _atom(doc)
     cell = _cell(doc)
     sc = doc["scan"]
@@ -464,7 +468,7 @@ def cmd_scan(doc: dict, args):
             _resolve_path(sc["dataset_csv"], args.config))
 
     if "g0_thz" in doc["hot_bath"]:
-        g0 = thz_to_internal(doc["hot_bath"]["g0_thz"])
+        g0 = _internal(doc, "hot_bath", "g0_thz", thz_to_internal)
     elif dataset is not None:
         g0 = cellmod.calibrate_g0(dataset, cfg, cell).g0
     else:
@@ -478,7 +482,7 @@ def cmd_scan(doc: dict, args):
     n = int(math.floor(max(span, -1.0) + 0.5)) + 1   # none if hi < lo
     deltas = [lo + k * step for k in range(n) if lo + k * step <= hi + step * 1e-9]
     return cellmod.detuning_scan(cell, cfg, g0, deltas, dataset=dataset,
-                                 t_cold=t_cold, jobs=args.jobs)
+                                 t_cold=t_cold)
 
 
 def _human(v) -> str:
@@ -538,31 +542,21 @@ def _flatten(payload: dict, prefix: str = ""):
 
 
 def _emit_scan(result: cellmod.ScanResult, args) -> None:
+    """Write ``--out`` as PATH.csv and PATH.json; a ``.csv`` or ``.json``
+    suffix of PATH is dropped first, any other suffix is kept."""
     doc = {"rows": cellmod.scan_records(result)}
-    _require_finite(doc["rows"])
-    base = Path(args.out or "scan_result")
-    if base.is_dir():
-        # fail before writing anything, as a point command's --out does
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
-                                str(base))
-    if base.suffix:
-        base = base.with_suffix("")
-    cellmod.write_scan_csv(result, base.with_suffix(".csv"))
     if not args.no_metadata:
         meta = dict(result.metadata)
         meta["generated_at"] = datetime.now(timezone.utc).isoformat()
         doc["metadata"] = meta
-    base.with_suffix(".json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    if args.emit_plot_data:
-        lines = ["# delta_thz j_hot_watt j_hot_exp_watt p_abs_watt eta"]
-        for r in result.rows:
-            exp = "nan" if r.j_hot_exp_watt is None else f"{r.j_hot_exp_watt:.12g}"
-            lines.append(f"{r.delta_thz:.12g} {r.j_hot_watt:.12g} {exp} "
-                         f"{r.p_abs_watt:.12g} {r.eta:.12g}")
-        base.with_suffix(".dat").write_text("\n".join(lines) + "\n")
-    sys.stdout.write(f"wrote {base.with_suffix('.csv')} and "
-                     f"{base.with_suffix('.json')}\n")
+    _require_finite(doc)
+    base = Path(args.out or "scan_result")   # an empty --out is no --out
+    if base.suffix in (".csv", ".json"):
+        base = base.with_suffix("")
+    csv_path, json_path = (Path(f"{base}{ext}") for ext in (".csv", ".json"))
+    cellmod.write_scan_csv(result, csv_path)
+    json_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(f"wrote {csv_path} and {json_path}\n")
 
 
 def _commands() -> dict:
@@ -592,16 +586,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--set", action="append", default=[], metavar="K=V",
                        help="override config fields, dotted keys")
-        p.add_argument("--out", default=None, help="output path")
+        p.add_argument("--out", default="scan_result" if name == "scan"
+                       else None, help="output path")
         p.add_argument("--no-metadata", action="store_true",
                        help="omit timestamps/metadata for byte-stable output")
-        if name == "scan":
-            p.add_argument("--jobs", type=int, default=1,
-                           help="worker processes for the rows (at least 1; "
-                                "capped at the CPU count)")
-            p.add_argument("--emit-plot-data", action="store_true",
-                           help="also write a gnuplot-friendly .dat file")
-        else:
+        if name != "scan":
             p.add_argument("--format", choices=("csv", "json", "table"),
                            default="json")
     return parser
@@ -620,6 +609,10 @@ def main(argv=None) -> int:
             if missing:
                 raise ConfigError(f"{args.command} needs config sections: "
                                   f"{', '.join(missing)}")
+            if args.out and Path(args.out).is_dir():
+                # fail before any work, with the message opening it would give
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                        str(Path(args.out)))
             emit(handler(doc, args), args)
         except ConfigError as exc:
             message, code = f"config error: {exc}", 2

@@ -253,6 +253,27 @@ class TestExactRows:
                 largest = max(abs(row.j_hot_watt), abs(row.p_abs_watt))
                 assert abs(row.j_hot_watt - j_hot) <= 1e-10 * largest
 
+    @pytest.mark.parametrize("alpha_l", [1e3, 1e6])
+    def test_optically_thick_rows_scale_as_absorption_length(self, alpha_l):
+        # past alpha z ~ 745 the beam underflows to 0, and the resonant row
+        # was a degenerate g = detuning = 0 config; the cell is integrated
+        # to the depth where the beam is still a normal double, so every
+        # row is (1/alpha) times the same integral as at alpha L = 500, and
+        # keeps the photon budget
+        cfg, g0 = lab_cfg(), thz_to_internal(0.002)
+
+        def scaled_rows(alpha_l):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                scan = detuning_scan(lab_cell(alpha=alpha_l / 10.0), cfg, g0,
+                                     [0.0, 0.2])
+            assert [r.model for r in scan.rows] == ["floquet", "floquet"]
+            return [v * alpha_l for r in scan.rows
+                    for v in (r.j_hot_watt, r.p_abs_watt)]
+
+        assert scaled_rows(alpha_l) == pytest.approx(scaled_rows(500.0),
+                                                     rel=1e-12, abs=0)
+
 
 class TestExperimentalCurrent:
     def test_no_absorption_no_current(self):

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from licore import cli
 from licore.cli import (
     CONFIG_SCHEMA,
     MAX_SCAN_ROWS,
@@ -175,15 +176,57 @@ class TestSubcommands:
                            "--set", "scan.delta_min_thz=-3.0",
                            "--set", "scan.delta_max_thz=3.0",
                            "--set", "scan.delta_step_thz=1.0",
-                           "--out", str(out), "--no-metadata",
-                           "--emit-plot-data")
+                           "--out", str(out), "--no-metadata")
         assert code == 0, err
         csv_lines = (tmp_path / "scan.csv").read_text().splitlines()
         assert len(csv_lines) == 8  # header + 7 rows
         doc = json.loads((tmp_path / "scan.json").read_text())
         assert "metadata" not in doc
         assert doc["rows"][0]["delta_thz"] == -3.0
-        assert (tmp_path / "scan.dat").read_text().startswith("# delta_thz")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.csv",
+                                                               "scan.json"]
+
+    @pytest.mark.parametrize("out, stem", [
+        ("run_T0.5", "run_T0.5"),   # a suffix other than .csv/.json stays
+        ("run.csv", "run"),
+        ("run.json", "run"),
+    ])
+    def test_scan_out_keeps_all_but_a_csv_or_json_suffix(self, capsys,
+                                                         tmp_path, out, stem):
+        code, stdout, err = run(capsys, "scan", "--config", SCAN,
+                                "--no-metadata", "--set", "hot_bath.g0_thz=1e-7",
+                                "--set", "scan.delta_step_thz=5.0",
+                                "--out", str(tmp_path / out))
+        assert code == 0, err
+        assert stdout == (f"wrote {tmp_path / stem}.csv and "
+                          f"{tmp_path / stem}.json\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f"{stem}.csv",
+                                                               f"{stem}.json"]
+
+    @pytest.mark.parametrize("sets", [
+        [],
+        # alpha = 1/length overflows, and the metadata read Infinity
+        ["cell.absorption_length_mm=1e-320"],
+    ], ids=["fixture", "alpha-overflows"])
+    def test_scan_document_with_metadata_is_strict_json(self, capsys, tmp_path,
+                                                        sets):
+        argv = ["scan", "--config", SCAN, "--set", "scan.delta_step_thz=5.0",
+                "--out", str(tmp_path / "scan")]
+        for item in sets:
+            argv += ["--set", item]
+        code, _, err = run(capsys, *argv)
+        if code != 0:   # refused instead: one line, and nothing written
+            assert len(err.splitlines()) == 1
+            assert list(tmp_path.iterdir()) == []
+            return
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        doc = json.loads((tmp_path / "scan.json").read_text(),
+                         parse_constant=refuse)
+        assert sorted(doc) == ["metadata", "rows"]
+        assert doc["metadata"]["cell"]["length_mm"] == 10.0
 
 
 TMIN_CSV = (
@@ -296,9 +339,9 @@ class TestExitCodes:
         assert code == 2
 
     @pytest.mark.parametrize("argv, expected", [
-        # the hot plateau overflows to inf: non-finite generator rates
-        (["steady-state", "--set", "hot_bath.g0_thz=1e300"], 3),
-        (["currents", "--set", "hot_bath.g0_thz=1e300"], 3),
+        # the hot plateau overflows internal units
+        (["steady-state", "--set", "hot_bath.g0_thz=1e300"], 2),
+        (["currents", "--set", "hot_bath.g0_thz=1e300"], 2),
         # an atom frequency overflows to inf in internal units
         (["tmin", "--set", "atom.g_thz=1e308"], 2),
         (["compare", "--set", "atom.gamma_thz=1e308"], 2),
@@ -309,6 +352,9 @@ class TestExitCodes:
         # the relative gap of a vanishing floor is infinite
         (["tmin", "--set", "atom.g_thz=1e-300",
           "--set", "hot_bath.temperature_k=1e30"], 3),
+        # these overflow internal units too; currents printed eta = 0.0
+        (["currents", "--set", "atom.laser_power_w=1e300"], 2),
+        (["compare", "--set", "compare.rabi_thz=1e300"], 2),
     ])
     def test_extreme_values_end_in_an_exit_code(self, capsys, argv, expected):
         code, out, err = run(capsys, argv[0], "--config", POINT, *argv[1:])
@@ -446,13 +492,6 @@ class TestExitCodes:
                        f"{MAX_SCAN_ROWS} rows\n")
         assert not (tmp_path / "scan.csv").exists()
 
-    def test_jobs_below_one_is_config_error(self, capsys, tmp_path):
-        code, _, err = run(capsys, "scan", "--config", SCAN, "--jobs", "0",
-                           "--out", str(tmp_path / "scan"))
-        assert code == 2
-        assert "--jobs" in err
-        assert not (tmp_path / "scan.csv").exists()
-
     @pytest.mark.parametrize("argv, code, message", [
         (["scan", "--set", "scan.delta_max_thz=400",
           "--set", "hot_bath.g0_thz=0.002"], 2,
@@ -465,8 +504,24 @@ class TestExitCodes:
         (["calibrate", "--set", "cell.absorption_coeff_per_mm=0.1"], 2,
          "config error: config schema violation: Additional properties are "
          "not allowed ('absorption_coeff_per_mm' was unexpected) (at cell)"),
+        (["scan", "--set", "hot_bath.g0_thz=1e300"], 2,
+         "config error: hot_bath: g0_thz overflows internal units"),
+        # alpha = 1/length overflows, where the scan metadata read Infinity
+        (["scan", "--set", "cell.absorption_length_mm=1e-320"], 2,
+         "config error: cell: absorption_length_mm overflows internal units"),
+        (["calibrate", "--set", "cell.absorption_length_mm=1e-320"], 2,
+         "config error: cell: absorption_length_mm overflows internal units"),
+        # refused before the file is read: it need not exist
+        (["scan", "--set", "hot_bath.spectrum_csv=missing.csv"], 2,
+         "config error: hot_bath.spectrum_csv is not supported by scan and "
+         "calibrate, which model a flat spectrum (g0_thz)"),
+        (["calibrate", "--set", "hot_bath.spectrum_csv=missing.csv"], 2,
+         "config error: hot_bath.spectrum_csv is not supported by scan and "
+         "calibrate, which model a flat spectrum (g0_thz)"),
     ], ids=["laser-below-zero", "calibration-unbracketed",
-            "absorption-coefficient"])
+            "absorption-coefficient", "g0-overflows", "alpha-overflows",
+            "calibrate-alpha-overflows", "scan-tabulated-spectrum",
+            "calibrate-tabulated-spectrum"])
     def test_scan_fixture_failure_is_one_stderr_line(self, capsys, tmp_path,
                                                      argv, code, message):
         got = run(capsys, argv[0], "--config", SCAN, *argv[1:],
@@ -475,15 +530,18 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("slash", ["", "/"], ids=["bare", "trailing-slash"])
-    def test_scan_out_directory_is_io_error(self, capsys, tmp_path, slash):
+    def test_scan_out_directory_is_io_error(self, capsys, tmp_path, slash,
+                                            monkeypatch):
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(cli.cellmod, "detuning_scan", no_rows)
         target = tmp_path / "dir"
         target.mkdir()
         code, out, err = run(capsys, "scan", "--config", SCAN, "--no-metadata",
                              "--out", f"{target}{slash}")
         assert (code, out) == (4, "")
-        # the scan's photon-budget warning comes first
-        assert err.splitlines()[-1] == (
-            f"i/o error: [Errno 21] Is a directory: '{target}'")
+        assert err == f"i/o error: [Errno 21] Is a directory: '{target}'\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"]
         assert list(target.iterdir()) == []
 
@@ -502,20 +560,6 @@ class TestWarnings:
             "warning: 34 of 51 scan rows absorb more than the beam delivers"]
         rows = json.loads((tmp_path / "scan.json").read_text())["rows"]
         assert max(r["p_abs_watt"] for r in rows) == pytest.approx(2.99, abs=5e-3)
-
-    def test_jobs_two_reports_the_same_count_and_files(self, capsys, tmp_path):
-        # the rows are counted in the parent process, after the pool
-        for jobs in ("1", "2"):
-            out = tmp_path / jobs / "scan"
-            out.parent.mkdir()
-            code, _, err = run(capsys, "scan", "--config", SCAN, "--no-metadata",
-                               "--jobs", jobs, "--out", str(out))
-            assert code == 0
-            assert err == ("warning: 34 of 51 scan rows absorb more than the "
-                           "beam delivers\n")
-        for name in ("scan.csv", "scan.json"):
-            assert ((tmp_path / "1" / name).read_bytes()
-                    == (tmp_path / "2" / name).read_bytes())
 
     def test_low_amplitude_scan_keeps_the_photon_budget(self, capsys, tmp_path):
         # off resonance at a weak hot coupling every row absorbs well under
@@ -665,12 +709,9 @@ class TestFlags:
         flags = {name: {opt for action in sub._actions
                         for opt in action.option_strings} - {"-h", "--help"}
                  for name, sub in commands.items()}
-        assert sum(len(f) for f in flags.values()) == 31
+        assert sum(len(f) for f in flags.values()) == 29
         for name, f in flags.items():
-            assert ("--jobs" in f) == (name == "scan")
             assert ("--format" in f) == (name != "scan")
-        help_text = " ".join(commands["scan"].format_help().split())
-        assert "capped at the CPU count" in help_text
 
 
 FUZZ_FIELDS = ("atom.omega0_thz", "atom.gamma_thz", "atom.g_thz", "atom.nu_thz",
