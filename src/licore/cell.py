@@ -26,11 +26,10 @@ import functools
 import math
 import os
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from .config import AtomDriveConfig
+from .config import AtomDriveConfig, Record, _set
 from .errors import CalibrationError, ConfigError, DomainError
 from .floquet import dressed_flows
 from .numerics import brentq, gauss_newton, integrate, interp
@@ -55,39 +54,41 @@ MIN_ABSORPTION = 1e-6       # calibration leaves out rows that absorb less
 BEAM_CUTOFF = 1022 * math.log(2.0)   # alpha z past which exp(-alpha z) is subnormal
 
 
-@dataclass(frozen=True)
-class CellConfig:
+class CellConfig(Record):
     """Cell geometry and operating point, in lab units."""
 
-    length_mm: float
-    absorption_coeff_per_mm: float
-    linear_atom_density_per_mm: float
-    laser_power_w: float
-    bath_temperature_k: float
+    __slots__ = ("length_mm", "absorption_coeff_per_mm",
+                 "linear_atom_density_per_mm", "laser_power_w",
+                 "bath_temperature_k")
 
-    def __post_init__(self):
-        if self.length_mm <= 0:
+    def __init__(self, length_mm: float, absorption_coeff_per_mm: float,
+                 linear_atom_density_per_mm: float, laser_power_w: float,
+                 bath_temperature_k: float):
+        if length_mm <= 0:
             raise ValueError("length_mm must be positive")
-        if self.absorption_coeff_per_mm < 0:
+        if absorption_coeff_per_mm < 0:
             raise ValueError("absorption coefficient must be non-negative")
-        if self.linear_atom_density_per_mm < 0:
+        if linear_atom_density_per_mm < 0:
             raise ValueError("atom density must be non-negative")
-        if self.laser_power_w <= 0:
+        if laser_power_w <= 0:
             raise ValueError("laser power must be positive")
-        if self.bath_temperature_k <= 0:
+        if bath_temperature_k <= 0:
             raise ValueError("bath temperature must be positive")
+        _set(self, "length_mm", length_mm)
+        _set(self, "absorption_coeff_per_mm", absorption_coeff_per_mm)
+        _set(self, "linear_atom_density_per_mm", linear_atom_density_per_mm)
+        _set(self, "laser_power_w", laser_power_w)
+        _set(self, "bath_temperature_k", bath_temperature_k)
 
 
-@dataclass(frozen=True)
-class AbsorptionDataset:
+class AbsorptionDataset(Record):
     """Measured photon absorption probability a(nu) on an increasing
     frequency grid (THz)."""
 
-    nu_thz: tuple
-    absorption: tuple
+    __slots__ = ("nu_thz", "absorption")
 
-    def __post_init__(self):
-        nu, a = self.nu_thz, self.absorption
+    def __init__(self, nu_thz: tuple, absorption: tuple):
+        nu, a = nu_thz, absorption
         if len(nu) == 0 or len(nu) != len(a):
             raise ConfigError("dataset needs matching nu/absorption columns")
         if not all(math.isfinite(x) for x in nu):
@@ -97,6 +98,8 @@ class AbsorptionDataset:
         # written so that a NaN fails it too
         if not all(0.0 <= x <= 1.0 for x in a):
             raise ConfigError("absorption probabilities must lie in [0, 1]")
+        _set(self, "nu_thz", nu_thz)
+        _set(self, "absorption", absorption)
 
     def covers(self, nu_thz: float) -> bool:
         return self.nu_thz[0] <= nu_thz <= self.nu_thz[-1]

@@ -4,7 +4,8 @@ Subcommands: steady-state, currents, scan, tmin, compare, calibrate.
 Configuration is a JSON document in lab units (THz, K, W, mm) validated
 against a fixed schema; ``--set section.key=value`` overrides fields for
 sweeps.  Machine output carries 12 significant digits, human tables 4.
-The module and every command it runs import the standard library only.
+The module and every command it runs import the standard library only, and
+each command imports the licore modules it runs when it runs.
 
 Exit codes: 0 success, 2 config/schema error, 3 numerical-domain error,
 4 I/O error.
@@ -22,7 +23,6 @@ import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import analysis, cell as cellmod, floquet, rate_model
 from .config import AtomDriveConfig
 from .errors import ConfigError, DomainError
 from .spectra import CubicColdSpectrum, FlatHotSpectrum, load_tabulated_spectrum
@@ -248,7 +248,8 @@ def _hot(doc: dict, config_path: str):
                       temperature)
 
 
-def _cell(doc: dict) -> cellmod.CellConfig:
+def _cell(doc: dict):
+    from . import cell as cellmod
     if "spectrum_csv" in doc["hot_bath"]:
         raise ConfigError("hot_bath.spectrum_csv is not supported by scan and "
                           "calibrate, which model a flat spectrum (g0_thz)")
@@ -273,6 +274,7 @@ def _cell(doc: dict) -> cellmod.CellConfig:
 
 
 def cmd_steady_state(doc: dict, args):
+    from . import floquet, rate_model
     cfg = _atom(doc)
     hot = _hot(doc, args.config)
     t_cold = _temperature("cold_bath", doc)
@@ -325,6 +327,7 @@ def cmd_steady_state(doc: dict, args):
 
 
 def cmd_currents(doc: dict, args):
+    from . import floquet, rate_model
     cfg = _atom(doc)
     hot = _hot(doc, args.config)
     t_cold = _temperature("cold_bath", doc)
@@ -365,6 +368,7 @@ def cmd_currents(doc: dict, args):
 
 
 def cmd_tmin(doc: dict, args):
+    from . import analysis
     cfg = _atom(doc)
     t_cold = _temperature("cold_bath", doc)
     exact = analysis.min_temp_exact(cfg, t_cold)
@@ -399,6 +403,7 @@ def cmd_tmin(doc: dict, args):
 
 
 def cmd_compare(doc: dict, args):
+    from . import analysis
     cfg = _atom(doc)
     comp = doc["compare"]
     rabi = (_internal(doc, "compare", "rabi_thz", thz_to_internal)
@@ -436,6 +441,7 @@ def cmd_compare(doc: dict, args):
 
 
 def cmd_calibrate(doc: dict, args):
+    from . import cell as cellmod
     cfg = _atom(doc)
     cal = doc["calibrate"]
     dataset = cellmod.load_absorption_csv(
@@ -457,6 +463,7 @@ def cmd_calibrate(doc: dict, args):
 
 
 def cmd_scan(doc: dict, args):
+    from . import cell as cellmod
     cfg = _atom(doc)
     cell = _cell(doc)
     sc = doc["scan"]
@@ -541,19 +548,25 @@ def _flatten(payload: dict, prefix: str = ""):
     return keys, vals
 
 
-def _emit_scan(result: cellmod.ScanResult, args) -> None:
-    """Write ``--out`` as PATH.csv and PATH.json; a ``.csv`` or ``.json``
+def _scan_paths(out: str) -> tuple[Path, Path]:
+    """PATH.csv and PATH.json for ``--out PATH``; a ``.csv`` or ``.json``
     suffix of PATH is dropped first, any other suffix is kept."""
+    base = Path(out or "scan_result")   # an empty --out is no --out
+    if base.suffix in (".csv", ".json"):
+        base = base.with_suffix("")
+    return Path(f"{base}.csv"), Path(f"{base}.json")
+
+
+def _emit_scan(result, args) -> None:
+    """Write the scan's rows to the two files of _scan_paths."""
+    from . import cell as cellmod
     doc = {"rows": cellmod.scan_records(result)}
     if not args.no_metadata:
         meta = dict(result.metadata)
         meta["generated_at"] = datetime.now(timezone.utc).isoformat()
         doc["metadata"] = meta
     _require_finite(doc)
-    base = Path(args.out or "scan_result")   # an empty --out is no --out
-    if base.suffix in (".csv", ".json"):
-        base = base.with_suffix("")
-    csv_path, json_path = (Path(f"{base}{ext}") for ext in (".csv", ".json"))
+    csv_path, json_path = _scan_paths(args.out)
     cellmod.write_scan_csv(result, csv_path)
     json_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     sys.stdout.write(f"wrote {csv_path} and {json_path}\n")
@@ -596,6 +609,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(args) -> None:
+    """Raise, before any work, the error that writing ``--out`` would
+    raise: the path is a directory, or the first file written has no
+    directory to go in."""
+    out = Path(args.out)
+    if out.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out))
+    first = _scan_paths(args.out)[0] if args.command == "scan" else out
+    if not first.parent.is_dir():
+        try:
+            os.stat(first.parent)
+            code = errno.ENOTDIR    # the parent is a file
+        except OSError as exc:
+            code = exc.errno        # the parent is missing, or under a file
+        raise OSError(code, os.strerror(code), str(first))
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler, emit, sections = _commands()[args.command]
@@ -609,10 +639,8 @@ def main(argv=None) -> int:
             if missing:
                 raise ConfigError(f"{args.command} needs config sections: "
                                   f"{', '.join(missing)}")
-            if args.out and Path(args.out).is_dir():
-                # fail before any work, with the message opening it would give
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
-                                        str(Path(args.out)))
+            if args.out:
+                _check_out(args)
             emit(handler(doc, args), args)
         except ConfigError as exc:
             message, code = f"config error: {exc}", 2

@@ -1,4 +1,5 @@
-"""Parameter container for the driven two-level atom.
+"""Parameter container for the driven two-level atom, and Record, the
+immutable slotted base of licore's input types.
 
 All frequencies and rates are internal angular frequencies (hbar = k_B = 1);
 only ``laser_power`` stays in watts, carried through for cell-level output.
@@ -7,36 +8,76 @@ only ``laser_power`` stays in watts, carried through for cell-level output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .units import thz_to_internal
 
+_set = object.__setattr__   # how a record's __init__ writes its fields
 
-@dataclass(frozen=True)
-class AtomDriveConfig:
+
+class Record:
+    """Fields are the subclass's ``__slots__``, in constructor order; equal
+    fields give equal records and hashes within one type, never across
+    types.  __init__ checks its arguments, then writes each field with
+    ``_set``: writing through ``__dict__`` would slow every field read."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pickle would restore the slots through __setattr__; the
+        # constructor restores them and checks them again
+        return self.__class__, self._values()
+
+
+class AtomDriveConfig(Record):
     """Two-level atom plus drive: resonance omega0, spontaneous rate gamma,
     laser-atom coupling g and laser frequency nu."""
 
-    omega0: float
-    gamma: float
-    g: float
-    nu: float
-    laser_power: float = 0.0
+    __slots__ = ("omega0", "gamma", "g", "nu", "laser_power")
 
-    def __post_init__(self):
-        for name in ("omega0", "gamma", "g", "nu", "laser_power"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.omega0 <= 0:
+    def __init__(self, omega0: float, gamma: float, g: float, nu: float,
+                 laser_power: float = 0.0):
+        values = (omega0, gamma, g, nu, laser_power)
+        if not all(map(math.isfinite, values)):
+            for name, value in zip(self.__slots__, values):
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite")
+        if omega0 <= 0:
             raise ValueError("omega0 must be positive")
-        if self.nu <= 0:
+        if nu <= 0:
             raise ValueError("nu must be positive")
-        if self.gamma <= 0:
+        if gamma <= 0:
             raise ValueError("gamma must be positive")
-        if self.g < 0:
+        if g < 0:
             raise ValueError("g must be non-negative")
-        if self.laser_power < 0:
+        if laser_power < 0:
             raise ValueError("laser_power must be non-negative")
+        _set(self, "omega0", omega0)
+        _set(self, "gamma", gamma)
+        _set(self, "g", g)
+        _set(self, "nu", nu)
+        _set(self, "laser_power", laser_power)
 
     @property
     def detuning(self) -> float:
@@ -48,8 +89,7 @@ class AtomDriveConfig:
         """Dressed-state splitting sqrt(4 g^2 + detuning^2)."""
         return math.hypot(2.0 * self.g, self.detuning)
 
-    # the two derived configs call the constructor, which runs
-    # __post_init__'s checks as dataclasses.replace does, at half its cost
+    # the two derived configs call the constructor, which checks the fields
     def with_laser_frequency(self, nu: float) -> "AtomDriveConfig":
         return AtomDriveConfig(self.omega0, self.gamma, self.g, nu,
                                self.laser_power)

@@ -10,9 +10,9 @@ from __future__ import annotations
 import abc
 import csv
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
+from .config import Record, _set
 from .errors import ConfigError
 from .numerics import interp
 from .units import thz_to_internal
@@ -42,6 +42,7 @@ def boltzmann_weight(omega: float, temperature: float) -> float:
 class BathSpectrum(abc.ABC):
     """Coupling spectrum G(omega) >= 0 at a fixed bath temperature."""
 
+    __slots__ = ()
     temperature: float
 
     @abc.abstractmethod
@@ -49,22 +50,22 @@ class BathSpectrum(abc.ABC):
         ...
 
 
-@dataclass(frozen=True)
-class FlatHotSpectrum(BathSpectrum):
+class FlatHotSpectrum(Record, BathSpectrum):
     """Constant plateau for omega >= 0, thermally suppressed below zero.
 
     The flat positive side means collisional coupling is treated as
     detuning-independent within the relevant band.
     """
 
-    plateau: float
-    temperature: float
+    __slots__ = ("plateau", "temperature")
 
-    def __post_init__(self):
-        if self.plateau <= 0:
+    def __init__(self, plateau: float, temperature: float):
+        if plateau <= 0:
             raise ValueError("plateau must be positive")
-        if self.temperature <= 0:
+        if temperature <= 0:
             raise ValueError("hot-bath temperature must be positive")
+        _set(self, "plateau", plateau)
+        _set(self, "temperature", temperature)
 
     def value(self, omega: float) -> float:
         if omega >= 0:
@@ -72,22 +73,22 @@ class FlatHotSpectrum(BathSpectrum):
         return self.plateau * boltzmann_weight(-omega, self.temperature)
 
 
-@dataclass(frozen=True)
-class CubicColdSpectrum(BathSpectrum):
+class CubicColdSpectrum(Record, BathSpectrum):
     """Radiative bath: G(w) = gamma (w/omega0)^3 for w > 0, so that
     G(omega0) = gamma exactly.  temperature = 0 models the vacuum."""
 
-    gamma: float
-    omega0: float
-    temperature: float = 0.0
+    __slots__ = ("gamma", "omega0", "temperature")
 
-    def __post_init__(self):
-        if self.gamma <= 0:
+    def __init__(self, gamma: float, omega0: float, temperature: float = 0.0):
+        if gamma <= 0:
             raise ValueError("gamma must be positive")
-        if self.omega0 <= 0:
+        if omega0 <= 0:
             raise ValueError("omega0 must be positive")
-        if self.temperature < 0:
+        if temperature < 0:
             raise ValueError("temperature must be non-negative")
+        _set(self, "gamma", gamma)
+        _set(self, "omega0", omega0)
+        _set(self, "temperature", temperature)
 
     def value(self, omega: float) -> float:
         if omega == 0:
@@ -98,27 +99,26 @@ class CubicColdSpectrum(BathSpectrum):
         return mag * boltzmann_weight(-omega, self.temperature)
 
 
-@dataclass(frozen=True)
-class ZeroSpectrum(BathSpectrum):
+class ZeroSpectrum(Record, BathSpectrum):
     """Uncoupled bath; useful for single-bath limits."""
 
-    temperature: float = 0.0
+    __slots__ = ("temperature",)
+
+    def __init__(self, temperature: float = 0.0):
+        _set(self, "temperature", temperature)
 
     def value(self, omega: float) -> float:
         return 0.0
 
 
-@dataclass(frozen=True)
-class TabulatedSpectrum(BathSpectrum):
+class TabulatedSpectrum(Record, BathSpectrum):
     """Piecewise-linear user spectrum; queries outside the table clamp to
     the endpoint values."""
 
-    omegas: tuple
-    values: tuple
-    temperature: float
+    __slots__ = ("omegas", "values", "temperature")
 
-    def __post_init__(self):
-        om, va = self.omegas, self.values
+    def __init__(self, omegas: tuple, values: tuple, temperature: float):
+        om, va = omegas, values
         if len(om) < 2 or len(om) != len(va):
             raise ConfigError("tabulated spectrum needs >= 2 (omega, value) rows")
         if not all(math.isfinite(w) for w in (*om, *va)):
@@ -127,8 +127,11 @@ class TabulatedSpectrum(BathSpectrum):
             raise ConfigError("tabulated frequencies must be strictly increasing")
         if any(v < 0 for v in va):
             raise ConfigError("tabulated spectrum values must be non-negative")
-        if self.temperature < 0:
+        if temperature < 0:
             raise ConfigError("temperature must be non-negative")
+        _set(self, "omegas", omegas)
+        _set(self, "values", values)
+        _set(self, "temperature", temperature)
 
     def value(self, omega: float) -> float:
         return interp(omega, self.omegas, self.values)

@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import math
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from licore import cli
+from licore import cell as cellmod
 from licore.cli import (
     CONFIG_SCHEMA,
     MAX_SCAN_ROWS,
@@ -535,7 +536,7 @@ class TestExitCodes:
         def no_rows(*args, **kwargs):
             raise AssertionError("a row was computed")
 
-        monkeypatch.setattr(cli.cellmod, "detuning_scan", no_rows)
+        monkeypatch.setattr(cellmod, "detuning_scan", no_rows)
         target = tmp_path / "dir"
         target.mkdir()
         code, out, err = run(capsys, "scan", "--config", SCAN, "--no-metadata",
@@ -544,6 +545,39 @@ class TestExitCodes:
         assert err == f"i/o error: [Errno 21] Is a directory: '{target}'\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"]
         assert list(target.iterdir()) == []
+
+
+    @pytest.mark.parametrize("command, layer, function, out, written", [
+        ("scan", "cell", "detuning_scan", "x", "x.csv"),
+        ("scan", "cell", "detuning_scan", "x.json", "x.csv"),
+        ("scan", "cell", "detuning_scan", "run_T0.5", "run_T0.5.csv"),
+        ("tmin", "analysis", "min_temp_exact", "x", "x"),
+    ], ids=["scan", "scan-json-suffix", "scan-dotted", "tmin"])
+    def test_out_in_a_missing_directory_is_io_error(
+            self, capsys, tmp_path, monkeypatch, command, layer, function, out,
+            written):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr(importlib.import_module(f"licore.{layer}"),
+                            function, no_work)
+        code, stdout, err = run(capsys, command, "--config",
+                                SCAN if command == "scan" else POINT,
+                                "--no-metadata",
+                                "--out", str(tmp_path / "nodir" / out))
+        assert (code, stdout) == (4, "")
+        assert err == ("i/o error: [Errno 2] No such file or directory: "
+                       f"'{tmp_path / 'nodir' / written}'\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("under", ["afile", "afile/sub"])
+    def test_out_under_a_file_is_io_error(self, capsys, tmp_path, under):
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / under / "x"
+        code, stdout, err = run(capsys, "tmin", "--config", POINT,
+                                "--out", str(out))
+        assert (code, stdout) == (4, "")
+        assert err == f"i/o error: [Errno 20] Not a directory: '{out}'\n"
 
 
 class TestWarnings:
@@ -655,18 +689,35 @@ def cold_start(tmp_path_factory):
     jsonschema cannot be imported, two at a time: name -> (exit code,
     third-party modules loaded when it returned, its directory)."""
     dirs = {name: tmp_path_factory.mktemp(name) for name in COLD_START_RUNS}
-    probe = ("import contextlib, io, sys\n"
+    probe = ("import sys\n"
+             "bare = set(sys.modules)\n"
+             "import contextlib, io\n"
              + BLOCK +
              "from licore.cli import main\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              "    code = main(sys.argv[1:])\n"
+             "print(*sorted(m for m in sys.modules if m not in bare))\n"
              f"print(code, {LOADED})\n")
     with ThreadPoolExecutor(max_workers=2) as pool:
         outs = list(pool.map(
             lambda name: _python(probe, *COLD_START_RUNS[name](dirs[name])),
             COLD_START_RUNS))
-    return {name: (*out.split(" ", 1), dirs[name])
-            for name, out in zip(COLD_START_RUNS, outs)}
+    runs = {}
+    for name, out in zip(COLD_START_RUNS, outs):
+        added, last = out.split("\n", 1)
+        runs[name] = (*last.split(" ", 1), dirs[name], set(added.split()))
+    return runs
+
+
+# licore modules each command must not import; command names prefix the runs
+NOT_IMPORTED = {
+    "steady-state": {"licore.cell"},
+    "currents": {"licore.cell"},
+    "tmin": {"licore.cell", "licore.rate_model"},
+    "compare": {"licore.cell", "licore.rate_model"},
+    "calibrate": {"licore.analysis"},
+    "scan": {"licore.analysis"},
+}
 
 
 class TestColdStart:
@@ -695,12 +746,20 @@ class TestColdStart:
 
     @pytest.mark.parametrize("name", COLD_START_RUNS)
     def test_command_leaves_scipy_unloaded(self, name, cold_start):
-        code, modules, tmp = cold_start[name]
+        code, modules, tmp, _ = cold_start[name]
         assert (code, modules) == ("0", "[]\n")
         if name.startswith("scan"):
             models = {line.rsplit(",", 1)[1] for line in
                       (tmp / "scan.csv").read_text().splitlines()[1:]}
             assert "floquet" in models
+
+    @pytest.mark.parametrize("name", COLD_START_RUNS)
+    def test_command_imports_only_its_own_modules(self, name, cold_start):
+        code, _, _, added = cold_start[name]
+        command = next(c for c in NOT_IMPORTED if name.startswith(c))
+        assert code == "0" and "licore.cli" in added
+        assert not added & {"dataclasses", "inspect"}
+        assert not added & NOT_IMPORTED[command]
 
 
 class TestFlags:
