@@ -19,11 +19,15 @@ scattering rate to the elastic cold channel.
 Every dressed jump operator is sigma+, sigma- or sigma_z, so the steady
 state is a two-level rate balance and dressed_flows gives populations and
 flows in closed form, with its own residuals, and bare_from_dressed the
-bare populations; the CLI and the cell model use them.  The generator
-route (build_liouvillian, steady_state via SVD, heat_currents, bundled as
-solve_pipeline, with dressing_rotation and bare_populations) is the
-numerical oracle that checks both.  Only that route needs numpy, and it
-imports numpy on first use, so no command loads it.
+bare populations; the CLI and the cell model use them.  One helper,
+_dressed_channels, computes the five channels' frequencies and
+coefficients and checks the configuration: dressed_flows reads its plain
+numbers, dressed_coupling_set labels them as a table.  The generator
+route (build_liouvillian on that table, steady_state via SVD,
+heat_currents, bundled as solve_pipeline, with dressing_rotation and
+bare_populations) is the numerical oracle that checks both.  Only that
+route needs numpy, and it imports numpy on first use, so no command
+loads it.
 """
 
 from __future__ import annotations
@@ -115,8 +119,10 @@ class HarmonicCouplingSet(NamedTuple):
     entries: tuple
 
 
-def dressed_coupling_set(cfg: AtomDriveConfig) -> HarmonicCouplingSet:
-    """The five coupling harmonics of the driven atom.
+def _dressed_channels(cfg: AtomDriveConfig) -> tuple:
+    """(nu, five dressed frequencies, five coefficients) of the coupling
+    harmonics, as one flat tuple.  The channels' fixed order is cold
+    sigma+, cold sigma_z, cold sigma-, hot sigma_z, hot sigma-.
 
     Cold entries sit at effective frequencies nu - rabi, nu, nu + rabi;
     hot entries at 0 and rabi.  Configurations with rabi >= nu (lower
@@ -132,16 +138,25 @@ def dressed_coupling_set(cfg: AtomDriveConfig) -> HarmonicCouplingSet:
             "ultra-strong drive is outside this model"
         )
     if cfg.nu - rabi < 1e-3 * rabi:
+        # stacklevel 3 names the caller of dressed_flows or
+        # dressed_coupling_set
         warnings.warn("nu - rabi nearly vanishes; Floquet channels are "
-                      "almost degenerate", stacklevel=2)
-    entries = (
-        HarmonicCoupling(COLD, 1, -rabi, RAISE, (delta - rabi) / (2 * rabi)),
-        HarmonicCoupling(COLD, 1, 0.0, DEPHASE, cfg.g / rabi),
-        HarmonicCoupling(COLD, 1, +rabi, LOWER, (delta + rabi) / (2 * rabi)),
-        HarmonicCoupling(HOT, 0, 0.0, DEPHASE, delta / rabi),
-        HarmonicCoupling(HOT, 0, +rabi, LOWER, -(2 * cfg.g / rabi)),
-    )
-    return HarmonicCouplingSet(cfg.nu, rabi, entries)
+                      "almost degenerate", stacklevel=3)
+    return (cfg.nu, -rabi, 0.0, rabi, 0.0, rabi,
+            (delta - rabi) / (2 * rabi), cfg.g / rabi,
+            (delta + rabi) / (2 * rabi), delta / rabi, -(2 * cfg.g / rabi))
+
+
+def dressed_coupling_set(cfg: AtomDriveConfig) -> HarmonicCouplingSet:
+    """The five coupling harmonics of the driven atom: _dressed_channels
+    labelled with bath, harmonic q and jump, as the SVD oracle reads them."""
+    nu, f0, f1, f2, f3, f4, c0, c1, c2, c3, c4 = _dressed_channels(cfg)
+    entries = (HarmonicCoupling(COLD, 1, f0, RAISE, c0),
+               HarmonicCoupling(COLD, 1, f1, DEPHASE, c1),
+               HarmonicCoupling(COLD, 1, f2, LOWER, c2),
+               HarmonicCoupling(HOT, 0, f3, DEPHASE, c3),
+               HarmonicCoupling(HOT, 0, f4, LOWER, c4))
+    return HarmonicCouplingSet(nu, cfg.rabi, entries)
 
 
 def _rate_pair(spectrum: BathSpectrum, w_eff: float) -> tuple[float, float]:
@@ -182,40 +197,38 @@ def dressed_flows(cfg: AtomDriveConfig, hot: BathSpectrum,
     channel's net flux is summed pairwise over the other channels, so the
     products of its own rates cancel exactly: J_hot keeps its digits where
     strong hot rates nearly balance, which the SVD state does not (~1e-12
-    relative there).  solve_pipeline is the numerical oracle for this
-    function.
+    relative there).  The channels come from _dressed_channels as plain
+    numbers, the same ones dressed_coupling_set labels for
+    solve_pipeline, the numerical oracle for this function.
 
     Raises DegenerateSteadyStateError when k_up + k_down is zero or not
-    finite, and DomainError when the drive power summed over the channels
-    misses -(J_hot + J_cold) by more than 1e-10 of the largest flow.
+    finite, and DomainError when the flows overflow the float range or
+    the drive power summed over the channels misses -(J_hot + J_cold) by
+    more than 1e-10 of the largest flow.
     """
-    couplings = dressed_coupling_set(cfg)
-    nu = couplings.drive_frequency
-    # the table's fixed order: cold sigma+, cold sigma_z, cold sigma-,
-    # hot sigma_z, hot sigma-
-    e0, e1, e2, e3, e4 = couplings.entries
-    w0 = e0.dressed_freq + e0.harmonic * nu
-    w1 = e1.dressed_freq + e1.harmonic * nu
-    w2 = e2.dressed_freq + e2.harmonic * nu
-    w3 = e3.dressed_freq + e3.harmonic * nu
-    w4 = e4.dressed_freq + e4.harmonic * nu
+    nu, f0, f1, f2, w3, w4, c0, c1, c2, c3, c4 = _dressed_channels(cfg)
+    # w_eff = wbar + q nu: q = 1 on the cold channels; q = 0 on the hot
+    # ones, whose w_eff is their wbar
+    w0 = f0 + nu
+    w1 = f1 + nu
+    w2 = f2 + nu
     # |c|^2-weighted rates that raise (r) and lower (l) the atom: sigma+
     # raises at G(w_eff) and lowers at G(-w_eff), sigma- and sigma_z the
     # other way round
     down, up = _rate_pair(cold, w0)
-    weight = e0.coefficient * e0.coefficient
+    weight = c0 * c0
     r0, l0 = weight * down, weight * up
     down, up = _rate_pair(cold, w1)
-    weight = e1.coefficient * e1.coefficient
+    weight = c1 * c1
     l1, r1 = weight * down, weight * up
     down, up = _rate_pair(cold, w2)
-    weight = e2.coefficient * e2.coefficient
+    weight = c2 * c2
     l2, r2 = weight * down, weight * up
     down, up = _rate_pair(hot, w3)
-    weight = e3.coefficient * e3.coefficient
+    weight = c3 * c3
     l3, r3 = weight * down, weight * up
     down, up = _rate_pair(hot, w4)
-    weight = e4.coefficient * e4.coefficient
+    weight = c4 * c4
     l4, r4 = weight * down, weight * up
     # every sum runs left to right from 0.0, so the bits do not depend on
     # the Python version (sum() of floats is compensated from 3.12 on)
@@ -239,12 +252,14 @@ def dressed_flows(cfg: AtomDriveConfig, hot: BathSpectrum,
     net4 = (0.0 + (l4 * r0 - r4 * l0) + (l4 * r2 - r4 * l2)
             + (l4 * r4 - r4 * l4)) / total
     # the bath receives w_eff per net quantum, the drive supplies q nu
+    # (nothing on the hot channels)
     j_cold = 0.0 - w0 * net0 - w1 * net1 - w2 * net2
     j_hot = 0.0 - w3 * net3 - w4 * net4
-    p_direct = (0.0 + e0.harmonic * nu * net0 + e1.harmonic * nu * net1
-                + e2.harmonic * nu * net2 + e3.harmonic * nu * net3
-                + e4.harmonic * nu * net4)
+    p_direct = 0.0 + nu * net0 + nu * net1 + nu * net2
     p_abs = -(j_hot + j_cold)
+    if not (math.isfinite(p_abs) and math.isfinite(p_direct)):
+        raise DomainError("heat flows overflow: products of the channel "
+                          "rates exceed the float range")
     scale = max(abs(j_hot), abs(j_cold), abs(p_abs))
     defect = abs(p_direct - p_abs)
     if not defect <= 1e-10 * scale:

@@ -32,6 +32,10 @@ POINT = str(FIXTURES / "config_point.json")
 SCAN = str(FIXTURES / "config_scan.json")
 DATASET = str(FIXTURES / "absorption_synthetic.csv")
 TWO_ROWS = str(FIXTURES / "absorption_two_rows.csv")
+# five exact-solver scan rows of config_scan.json
+FLOQUET_ROWS = ["--set", "hot_bath.g0_thz=0.002", "--set", "atom.g_thz=0.5",
+                "--set", "scan.delta_min_thz=-1.0", "--set", "scan.delta_max_thz=1.0",
+                "--set", "scan.delta_step_thz=0.5"]
 
 
 def run(capsys, *argv):
@@ -363,6 +367,15 @@ class TestExitCodes:
         assert out == ""
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["steady-state", "currents"])
+    def test_overflowing_flows_are_domain_error(self, capsys, command):
+        # finite hot rates whose products in the exact solver overflow
+        code, out, err = run(capsys, command, "--config", POINT,
+                             "--set", "hot_bath.g0_thz=1e150")
+        assert (code, out) == (3, "")
+        assert err == ("domain error: heat flows overflow: products of the "
+                       "channel rates exceed the float range\n")
+
     @pytest.mark.parametrize("sets, rabi", [
         (["atom.nu_thz=100", "atom.g_thz=200"], "486.548"),
         (["compare.rabi_thz=400"], "400"),
@@ -507,6 +520,10 @@ class TestExitCodes:
          "not allowed ('absorption_coeff_per_mm' was unexpected) (at cell)"),
         (["scan", "--set", "hot_bath.g0_thz=1e300"], 2,
          "config error: hot_bath: g0_thz overflows internal units"),
+        # FLOQUET_ROWS with finite hot rates whose products overflow
+        (["scan", *FLOQUET_ROWS, "--set", "hot_bath.g0_thz=1e150"], 3,
+         "domain error: heat flows overflow: products of the channel rates "
+         "exceed the float range"),
         # alpha = 1/length overflows, where the scan metadata read Infinity
         (["scan", "--set", "cell.absorption_length_mm=1e-320"], 2,
          "config error: cell: absorption_length_mm overflows internal units"),
@@ -520,9 +537,9 @@ class TestExitCodes:
          "config error: hot_bath.spectrum_csv is not supported by scan and "
          "calibrate, which model a flat spectrum (g0_thz)"),
     ], ids=["laser-below-zero", "calibration-unbracketed",
-            "absorption-coefficient", "g0-overflows", "alpha-overflows",
-            "calibrate-alpha-overflows", "scan-tabulated-spectrum",
-            "calibrate-tabulated-spectrum"])
+            "absorption-coefficient", "g0-overflows", "flows-overflow",
+            "alpha-overflows", "calibrate-alpha-overflows",
+            "scan-tabulated-spectrum", "calibrate-tabulated-spectrum"])
     def test_scan_fixture_failure_is_one_stderr_line(self, capsys, tmp_path,
                                                      argv, code, message):
         got = run(capsys, argv[0], "--config", SCAN, *argv[1:],
@@ -648,9 +665,6 @@ def _optically_thick(doc):
     doc["cell"]["absorption_length_mm"] = 0.2
 
 
-FLOQUET_ROWS = ["--set", "hot_bath.g0_thz=0.002", "--set", "atom.g_thz=0.5",
-                "--set", "scan.delta_min_thz=-1.0", "--set", "scan.delta_max_thz=1.0",
-                "--set", "scan.delta_step_thz=0.5"]
 COLD_START_RUNS = {
     "steady-state": lambda tmp: ["steady-state", "--config", POINT],
     "currents": lambda tmp: ["currents", "--config", POINT],
@@ -920,6 +934,21 @@ def test_load_config_words_a_violation_with_its_path():
 
 
 class TestDeterminism:
+    @pytest.mark.parametrize("edit, fixture", [
+        (None, "scan_floquet_rows.csv"),
+        (_optically_thick, "scan_floquet_thick.csv"),
+    ], ids=["fixture", "optically-thick"])
+    def test_exact_rows_match_their_fixture(self, capsys, tmp_path, edit,
+                                            fixture):
+        # the exact solver sums left to right, so its rows keep these
+        # bytes on every supported Python version
+        config = SCAN if edit is None else _scan_config(tmp_path, edit)
+        code, _, err = run(capsys, "scan", "--config", config, *FLOQUET_ROWS,
+                           "--no-metadata", "--out", str(tmp_path / "scan"))
+        assert code == 0, err
+        assert (tmp_path / "scan.csv").read_bytes() == \
+            (FIXTURES / fixture).read_bytes()
+
     def test_point_commands_byte_stable(self, capsys, tmp_path):
         for command in ("steady-state", "currents", "tmin", "compare"):
             a = tmp_path / "a.json"

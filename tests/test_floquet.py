@@ -135,11 +135,12 @@ class TestCouplingSet:
     def test_near_degenerate_sideband_warns(self):
         cfg = AtomDriveConfig(omega0=10.0 + 9.9999999, gamma=1.0, g=0.0,
                               nu=10.0)
-        with pytest.warns(UserWarning, match="degenerate"):
+        with pytest.warns(UserWarning, match="degenerate") as record:
             dressed_coupling_set(cfg)
+        assert record[0].filename == __file__
 
     def test_entry_order_is_fixed(self):
-        # dressed_flows reads the five entries by position
+        # the labels follow the fixed order of floquet._dressed_channels
         cfg = make_cfg(delta=-1.0, g=0.2)
         cs = dressed_coupling_set(cfg)
         rabi = cfg.rabi
@@ -651,23 +652,42 @@ class TestDressedFlows:
             dressed_flows(AtomDriveConfig(omega0=30.0, gamma=1.0, g=10.0, nu=10.0),
                           FlatHotSpectrum(1.0, 1.0), ZeroSpectrum(0.0))
         cfg = AtomDriveConfig(omega0=10.0 + 9.9999999, gamma=1.0, g=0.0, nu=10.0)
-        with pytest.warns(UserWarning, match="degenerate"):
+        with pytest.warns(UserWarning, match="degenerate") as record:
             dressed_flows(cfg, FlatHotSpectrum(1.0, 1.0),
                           CubicColdSpectrum(cfg.gamma, cfg.omega0, 0.0))
+        # the warning names the caller of dressed_flows
+        assert record[0].filename == __file__
+
+    def test_degenerate_config_rejected(self):
+        cfg = AtomDriveConfig(omega0=5.0, gamma=1.0, g=0.0, nu=5.0)
+        with pytest.raises(DomainError, match="degenerate"):
+            dressed_flows(cfg, FlatHotSpectrum(1.0, 1.0),
+                          CubicColdSpectrum(cfg.gamma, cfg.omega0, 0.0))
+
+    def test_overflowing_flows_rejected(self):
+        # hot rates of 1e200 are finite, but their pairwise products in the
+        # net fluxes overflow: the flows are not finite
+        cfg = make_cfg(delta=1.0, g=0.3)
+        cold = CubicColdSpectrum(cfg.gamma, cfg.omega0, 0.0)
+        with pytest.raises(DomainError) as info:
+            dressed_flows(cfg, FlatHotSpectrum(1e200, 1.0), cold)
+        assert str(info.value) == ("heat flows overflow: products of the "
+                                   "channel rates exceed the float range")
 
     def test_broken_energy_balance_rejected(self, monkeypatch):
         # a hot channel whose Bohr frequency does not match its jump breaks
         # J_hot + J_cold + P_abs = 0; the closed form must refuse it
-        real = dressed_coupling_set
+        real = floquet._dressed_channels
 
         def miswired(cfg):
-            couplings = real(cfg)
-            entries = list(couplings.entries)
-            entries[4] = entries[4]._replace(dressed_freq=0.5 * couplings.rabi)
-            return couplings._replace(entries=tuple(entries))
+            # (nu, five dressed frequencies, five coefficients): channel
+            # 4, hot sigma-, sits at 0.5 rabi
+            channels = list(real(cfg))
+            channels[5] = 0.5 * cfg.rabi
+            return tuple(channels)
 
         cfg, hot, cold = strong_drive_grid()[0]
         dressed_flows(cfg, hot, cold)
-        monkeypatch.setattr("licore.floquet.dressed_coupling_set", miswired)
+        monkeypatch.setattr("licore.floquet._dressed_channels", miswired)
         with pytest.raises(DomainError, match="energy balance"):
             dressed_flows(cfg, hot, cold)
