@@ -33,13 +33,8 @@ from .config import AtomDriveConfig, Record, _set
 from .errors import CalibrationError, ConfigError, DomainError
 from .floquet import dressed_flows
 from .numerics import brentq, gauss_newton, integrate, interp
-from .rate_model import pumping_rate, regime_of, weak_flows
-from .spectra import (
-    CubicColdSpectrum,
-    FlatHotSpectrum,
-    boltzmann_weight,
-    read_two_columns,
-)
+from .rate_model import _flows, pumping_rate, regime_of, weak_balance
+from .spectra import CubicColdSpectrum, FlatHotSpectrum, read_two_columns
 from .units import (
     internal_to_thz,
     internal_to_watts,
@@ -183,7 +178,7 @@ def _weak_cell_flows(cfg_row: AtomDriveConfig, hot: FlatHotSpectrum,
 
     The pumping rate follows the beam, gamma_p(u) = u gamma_p(1) at the
     attenuation u = exp(-alpha z), so weak_flows gives
-    P(u) = P(1) u (B + C) / (B + C u), with B = gamma and
+    P(u) = P(1) u (B + C) / (B + C u), with weak_balance's B = gamma and
     C = (1 + b) gamma_p(1), and J(u) / P(u) = detuning / nu.  The cell
     integral of u P(u) dz is then elementary,
 
@@ -192,17 +187,16 @@ def _weak_cell_flows(cfg_row: AtomDriveConfig, hot: FlatHotSpectrum,
     with D = -expm1(-alpha L), u_L = 1 - D, E = B + C u_L, x = C D / E and
     h(x) = (x - log1p x) / x^2; both bracketed terms are positive.  It is
     L P(1) without attenuation and reaches _saturated_absorption's cap as
-    C -> infinity.  The weak-drive check runs at full beam, the strictest
-    depth (g sqrt(u) <= g).
+    C -> infinity.  pumping_rate's weak-drive check runs at full beam, the
+    strictest depth (g sqrt(u) <= g).
     """
     gamma_p = pumping_rate(cfg_row, hot)
-    j_1, p_1 = weak_flows(cfg_row, gamma_p, hot.temperature)
+    w, big_b, big_c = weak_balance(cfg_row, gamma_p, hot.temperature)
+    j_1, p_1 = _flows(cfg_row, gamma_p, w, big_b, big_c)
     d = -math.expm1(-alpha_per_mm * cell.length_mm)
     if d == 0.0:
         weight = cell.length_mm
     else:
-        b = boltzmann_weight(abs(cfg_row.detuning), hot.temperature)
-        big_b, big_c = cfg_row.gamma, (1.0 + b) * gamma_p
         u_l = 1.0 - d
         e = big_b + big_c * u_l
         weight = ((big_b + big_c) * d / (alpha_per_mm * e)
@@ -233,9 +227,10 @@ def _modeled_absorption(cfg: AtomDriveConfig, cell: CellConfig, g0: float,
 def _saturated_absorption(cfg: AtomDriveConfig, cell: CellConfig,
                           alpha_per_mm: float) -> float:
     """Fraction reached as g0 -> infinity (pumping saturates everywhere)."""
-    t_hot = kelvin_to_internal(cell.bath_temperature_k)
-    bw = boltzmann_weight(abs(cfg.detuning), t_hot)
-    cap = cfg.nu * cfg.gamma * (bw if cfg.detuning > 0 else 1.0) / (1.0 + bw)
+    # per unit pumping, C = 1 + b
+    w, big_b, big_c = weak_balance(
+        cfg, 1.0, kelvin_to_internal(cell.bath_temperature_k))
+    cap = cfg.nu * big_b * w / big_c
     # integral of exp(-alpha z) over the cell
     weight = (-math.expm1(-alpha_per_mm * cell.length_mm) / alpha_per_mm
               if alpha_per_mm > 0 else cell.length_mm)

@@ -463,7 +463,7 @@ def sideband_weights(cfg: AtomDriveConfig) -> tuple[float, float]:
 
 
 def heat_current_exact(cfg: AtomDriveConfig, gamma_p: float, t_hot: float,
-                       t_cold: float, n_atoms: float = 1.0) -> float:
+                       t_cold: float) -> float:
     """Closed-form hot-bath current of the five-channel model.
 
     gamma_p is the hot-channel pumping rate; pass hot_channel_rate(...) for
@@ -483,7 +483,7 @@ def heat_current_exact(cfg: AtomDriveConfig, gamma_p: float, t_hot: float,
     bw_m = boltzmann_weight(cfg.nu - rabi, t_cold)
     num = bw_hot * (d_plus + d_minus * bw_m) - (d_plus * bw_p + d_minus)
     den = d_minus * (1.0 + bw_m) + d_plus * (1.0 + bw_p) + (1.0 + bw_hot) * gamma_p
-    return n_atoms * rabi * gamma_p * num / den
+    return rabi * gamma_p * num / den
 
 
 def solve_pipeline(cfg: AtomDriveConfig, hot: BathSpectrum, cold: BathSpectrum):

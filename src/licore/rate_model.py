@@ -1,11 +1,12 @@
 """Closed-form weak-drive model for the collisionally pumped two-level atom.
 
-Valid for |detuning| >> g.  The cooling branch (detuning > 0) carries a
-thermal suppression factor exp(-detuning/T_hot) that the heating branch
-(detuning < 0) lacks; that asymmetry is what makes heating easier than
-cooling.  Everything here is a pure function of scalar inputs in internal
-units; the exact Floquet solver (licore.floquet) is the oracle these
-formulas are checked against.
+Valid for |detuning| >> g.  One rate balance, weak_balance, holds it: the
+hot bath's Boltzmann factor exp(-|detuning|/T_hot) weights the excitation
+on the cooling branch (detuning > 0) and the return to the ground state on
+the heating branch (detuning < 0); that asymmetry is what makes heating
+easier than cooling.  Everything here is a pure function of scalar inputs
+in internal units; the exact Floquet solver (licore.floquet) is the oracle
+these formulas are checked against.
 """
 
 from __future__ import annotations
@@ -44,6 +45,25 @@ def pumping_rate(cfg: AtomDriveConfig, hot: BathSpectrum) -> float:
     return (2.0 * cfg.g / cfg.detuning) ** 2 * hot.value(abs(cfg.detuning))
 
 
+def weak_balance(cfg: AtomDriveConfig, gamma_p: float,
+                 t_hot: float) -> tuple[float, float, float]:
+    """The weak-drive two-level rate balance, as (w, B, C).
+
+    Collisions lift the atom at gamma_p w; decay and collisions bring it
+    down at B + C - gamma_p w, with B = gamma, C = (1 + b) gamma_p and
+    b = exp(-|detuning|/T_hot).  b weights the step that draws |detuning|
+    from the hot bath: the lift on the cooling branch (w = b), the return
+    on the heating branch (w = 1).  So rho_ee = gamma_p w / (B + C).  The
+    config is the caller's to check (check_weak_drive).
+    """
+    if gamma_p < 0:
+        raise ValueError("gamma_p must be non-negative")
+    if t_hot <= 0:
+        raise ValueError("t_hot must be positive")
+    b = boltzmann_weight(abs(cfg.detuning), t_hot)
+    return (b if cfg.detuning > 0 else 1.0), cfg.gamma, (1.0 + b) * gamma_p
+
+
 class RatePoint(NamedTuple):
     """Stationary point of the two-level rate equations."""
 
@@ -54,66 +74,46 @@ class RatePoint(NamedTuple):
 
 
 def steady_state(cfg: AtomDriveConfig, gamma_p: float, t_hot: float) -> RatePoint:
-    """Stationary populations and effective temperature.
+    """Stationary populations and effective temperature, from weak_balance.
 
-    Cooling branch: rho_ee/rho_gg = gamma_p e^(-detuning/T) / (gamma_p + gamma),
-    always below the bath Boltzmann factor.  Heating branch: the spontaneous
-    channel feeds the ratio (gamma_p e^(-|detuning|/T) + gamma) / gamma_p,
-    which may exceed one (population inversion; t_tla reported as inf).
+    rho_ee/rho_gg is gamma_p b / (gamma + gamma_p) on the cooling branch,
+    below the bath factor b, and gamma_p / (gamma + gamma_p b), always the
+    larger, on the heating branch.  The heating ratio exceeds one, a
+    population inversion with t_tla reported as inf, when pumping outruns
+    decay, (1 - b) gamma_p > gamma.  t_tla = |detuning| / ln(rho_gg/rho_ee);
+    without pumping the atom sits in its ground state at t_tla = 0.
     """
-    if gamma_p < 0:
-        raise ValueError("gamma_p must be non-negative")
-    if t_hot <= 0:
-        raise ValueError("t_hot must be positive")
     check_weak_drive(cfg)
-    delta = cfg.detuning
-    bw = boltzmann_weight(abs(delta), t_hot)
-    if delta > 0:
-        if gamma_p == 0.0:
-            ratio = 0.0
-            t_tla = 0.0
-        else:
-            ratio = gamma_p * bw / (gamma_p + cfg.gamma)
-            # log1p form keeps t_tla stable for detuning/T << 1
-            t_tla = delta / (delta / t_hot + math.log1p(cfg.gamma / gamma_p))
-    else:
-        if gamma_p == 0.0:
-            raise DomainError(
-                "population inversion undefined: no pumping on the heating "
-                "branch leaves rho_ee/rho_gg divergent"
-            )
-        ratio = (gamma_p * bw + cfg.gamma) / gamma_p
-        t_tla = math.inf if ratio >= 1.0 else -delta / (-math.log(ratio))
-    rho_ee = ratio / (1.0 + ratio)
-    rho_gg = 1.0 / (1.0 + ratio)
-    return RatePoint(ratio, t_tla, rho_ee, rho_gg)
+    w, big_b, big_c = weak_balance(cfg, gamma_p, t_hot)
+    up, total = gamma_p * w, big_b + big_c
+    down = total - up
+    ratio = up / down
+    t_tla = (0.0 if up == 0.0 else math.inf if ratio >= 1.0
+             else abs(cfg.detuning) / math.log(down / up))
+    return RatePoint(ratio, t_tla, up / total, down / total)
 
 
 def weak_flows(cfg: AtomDriveConfig, gamma_p: float,
                t_hot: float) -> tuple[float, float]:
-    """Weak-drive (J_hot, P_abs) per atom, on either branch.
-
-    Both are one scattering rate gamma_p gamma w / (gamma + (1 + b) gamma_p),
-    b = exp(-|detuning|/T_hot), times the energy each scattering event
-    exchanges: detuning with the hot bath, nu with the laser.  The Boltzmann
-    suppression w = b acts on the cooling branch only (w = 1 on the heating
-    branch), and J_hot / P_abs = detuning / nu exactly.
+    """Weak-drive (J_hot, P_abs) per atom, on either branch; zero at zero
+    detuning.  Both are one scattering rate gamma rho_ee (weak_balance)
+    times the energy each scattering event exchanges: detuning with the
+    hot bath, nu with the laser.  So J_hot / P_abs = detuning / nu exactly.
     """
-    if gamma_p < 0:
-        raise ValueError("gamma_p must be non-negative")
-    if t_hot <= 0:
-        raise ValueError("t_hot must be positive")
-    delta = cfg.detuning
-    if delta == 0.0 or gamma_p == 0.0:
+    if cfg.detuning == 0.0:
         return 0.0, 0.0
     check_weak_drive(cfg)
-    bw = boltzmann_weight(abs(delta), t_hot)
-    w = bw if delta > 0 else 1.0
-    den = cfg.gamma + (1.0 + bw) * gamma_p
+    return _flows(cfg, gamma_p, *weak_balance(cfg, gamma_p, t_hot))
+
+
+def _flows(cfg: AtomDriveConfig, gamma_p: float, w: float, big_b: float,
+           big_c: float) -> tuple[float, float]:
+    """weak_flows from the balance (w, B, C)."""
+    den = big_b + big_c
     # each product starts from the energy: the all-row calibration fit
     # moves with the last bit of P_abs
-    return (delta * gamma_p * cfg.gamma * w / den,
-            cfg.nu * gamma_p * cfg.gamma * w / den)
+    return (cfg.detuning * gamma_p * big_b * w / den,
+            cfg.nu * gamma_p * big_b * w / den)
 
 
 def asymmetry_ratio(cfg: AtomDriveConfig, gamma_p: float, t_hot: float) -> float:

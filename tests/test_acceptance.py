@@ -146,7 +146,7 @@ def test_criterion_04_exact_current_agreement():
             cold = CubicColdSpectrum(cfg.gamma, cfg.omega0, t_cold)
             _, _, currents = solve_pipeline(cfg, hot, cold)
             j_closed = heat_current_exact(cfg, hot_channel_rate(cfg, hot),
-                                          hot.temperature, t_cold, n_atoms=1.0)
+                                          hot.temperature, t_cold)
             assert currents.j_hot == pytest.approx(j_closed, rel=1e-8)
 
 

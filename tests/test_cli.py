@@ -67,9 +67,9 @@ class TestSubcommands:
     def test_steady_state_heating_regime(self, capsys):
         payload = run_json(capsys, "steady-state", "--config", POINT,
                            "--set", "atom.nu_thz=387.0")
-        # hotter than the bath: the stationary ratio exceeds the bath factor
-        assert payload["rate_model"]["boltzmann_factor"] > \
-            math.exp(-1.0)  # |detuning|/T ~ 10/10.4 < 1
+        # the blue side runs on the same balance as the red one, so the
+        # two routes agree there too
+        assert payload["floquet"]["rel_difference_rho_ee"] <= 1e-3
 
     def test_currents_conservation_field(self, capsys):
         payload = run_json(capsys, "currents", "--config", POINT)

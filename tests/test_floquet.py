@@ -239,15 +239,20 @@ class TestSteadyState:
         assert gg == pytest.approx(1.0, abs=1e-13)
 
     def test_weak_drive_matches_rate_model(self):
+        # both branches: each red draw also runs mirrored to blue detuning
         rng = np.random.default_rng(5)
         for _ in range(30):
-            cfg, hot = random_weak_cfg(rng, g_over_delta=1e-3)
-            cold = CubicColdSpectrum(cfg.gamma, cfg.omega0, 0.0)
-            _, report, _ = solve_pipeline(cfg, hot, cold)
-            ee, gg = bare_populations(cfg, report.rho)
-            pt = rate_steady_state(cfg, pumping_rate(cfg, hot), hot.temperature)
-            assert ee == pytest.approx(pt.rho_ee, rel=1e-3)
-            assert gg == pytest.approx(pt.rho_gg, rel=1e-3)
+            red, hot = random_weak_cfg(rng, g_over_delta=1e-3)
+            blue = AtomDriveConfig(omega0=red.nu, gamma=red.gamma, g=red.g,
+                                   nu=red.omega0)
+            for cfg in (red, blue):
+                cold = CubicColdSpectrum(cfg.gamma, cfg.omega0, 0.0)
+                _, report, _ = solve_pipeline(cfg, hot, cold)
+                ee, gg = bare_populations(cfg, report.rho)
+                pt = rate_steady_state(cfg, pumping_rate(cfg, hot),
+                                       hot.temperature)
+                assert ee == pytest.approx(pt.rho_ee, rel=1e-3)
+                assert gg == pytest.approx(pt.rho_gg, rel=1e-3)
 
     def test_single_bath_reaches_dressed_gibbs(self):
         cfg = make_cfg(delta=1.0, g=0.3, gamma=0.05)
@@ -371,13 +376,6 @@ class TestHeatCurrents:
 
 
 class TestExactCurrent:
-    def test_linear_in_atom_number(self):
-        cfg = make_cfg(delta=1.0, g=0.05)
-        assert heat_current_exact(cfg, 0.5, 0.7, 0.1, n_atoms=0.0) == 0.0
-        j1 = heat_current_exact(cfg, 0.5, 0.7, 0.1, n_atoms=1.0)
-        j3 = heat_current_exact(cfg, 0.5, 0.7, 0.1, n_atoms=3.0)
-        assert j3 == pytest.approx(3.0 * j1, rel=1e-14)
-
     def test_vanishes_at_balance_point(self):
         # zero of the numerator at T_cold = 0: e^(-rabi/T) = d_minus/d_plus
         cfg = make_cfg(delta=1.0, g=0.05)

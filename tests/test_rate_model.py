@@ -16,7 +16,8 @@ from licore.rate_model import (
     steady_state,
     weak_flows,
 )
-from licore.spectra import FlatHotSpectrum
+from licore.floquet import bare_from_dressed, dressed_flows
+from licore.spectra import CubicColdSpectrum, FlatHotSpectrum
 
 
 def cfg_with(delta, g=1e-3, gamma=1.0, omega0=1e4):
@@ -70,24 +71,67 @@ class TestSteadyState:
             assert pt.t_tla <= t_hot * (1 + 1e-12)
 
     def test_heating_branch_hotter_than_bath(self):
+        # blue side: collisions lift at gamma_p and lower at gamma_p b, so
+        # rho_ee/rho_gg = gamma_p / (gamma + gamma_p b).  It always exceeds
+        # the mirrored cooling point's ratio, and the bath factor b exactly
+        # when gamma_p (1 - b^2) > b gamma; strong decay keeps it below b.
         rng = np.random.default_rng(8)
         for _ in range(200):
             delta = -rng.uniform(0.1, 5.0)
             t_hot = rng.uniform(0.5, 10.0)
             gamma = 10.0 ** rng.uniform(-3, 3)
             gamma_p = 10.0 ** rng.uniform(-3, 3)
+            b = math.exp(delta / t_hot)
             pt = steady_state(cfg_with(delta, gamma=gamma), gamma_p, t_hot)
-            assert pt.boltzmann_factor >= math.exp(delta / t_hot) * (1 - 1e-12)
+            mirrored = steady_state(cfg_with(-delta, gamma=gamma), gamma_p, t_hot)
+            assert pt.boltzmann_factor == pytest.approx(
+                gamma_p / (gamma + gamma_p * b), rel=1e-12)
+            assert pt.boltzmann_factor > mirrored.boltzmann_factor
+            margin = gamma_p * (1.0 - b * b) / (b * gamma)
+            if abs(margin - 1.0) > 1e-9:
+                assert (pt.boltzmann_factor > b) == (margin > 1.0)
+                assert (pt.t_tla > t_hot) == (margin > 1.0)
             assert pt.rho_ee + pt.rho_gg == pytest.approx(1.0, abs=1e-14)
 
     def test_population_inversion_marker(self):
-        pt = steady_state(cfg_with(-2.0, gamma=5.0), gamma_p=1.0, t_hot=1.0)
-        assert pt.boltzmann_factor > 1.0
+        # (1 - b) gamma_p > gamma: pumping outruns decay, rho_ee > rho_gg
+        cfg = cfg_with(-2.0, gamma=0.5)
+        hot = FlatHotSpectrum(1e6, 1.0)     # gamma_p = (2g/delta)^2 1e6 = 1
+        gamma_p = pumping_rate(cfg, hot)
+        assert (1.0 - math.exp(-2.0)) * gamma_p > cfg.gamma
+        pt = steady_state(cfg, gamma_p, hot.temperature)
+        assert pt.boltzmann_factor == pytest.approx(
+            1.0 / (0.5 + math.exp(-2.0)), rel=1e-14)
+        assert pt.rho_ee > pt.rho_gg
         assert math.isinf(pt.t_tla)
+        cold = CubicColdSpectrum(cfg.gamma, cfg.omega0, 0.0)
+        ee, gg = bare_from_dressed(cfg, dressed_flows(cfg, hot, cold).populations)
+        assert ee > gg
+        assert ee == pytest.approx(pt.rho_ee, rel=1e-5)
 
-    def test_heating_without_pumping_rejected(self):
-        with pytest.raises(DomainError, match="inversion"):
-            steady_state(cfg_with(-2.0), gamma_p=0.0, t_hot=1.0)
+    def test_no_pumping_leaves_ground_state(self):
+        # gamma_p = 0: only decay acts, on either branch
+        for delta in (2.0, -2.0):
+            pt = steady_state(cfg_with(delta), gamma_p=0.0, t_hot=1.0)
+            assert pt == (0.0, 0.0, 0.0, 1.0)
+
+    @given(
+        delta=st.floats(min_value=1e-3, max_value=1e3),
+        blue=st.booleans(),
+        ratio=st.floats(min_value=1e-3, max_value=5e2),
+        gamma=st.floats(min_value=1e-3, max_value=1e3),
+        gamma_p=st.floats(min_value=1e-3, max_value=1e3),
+    )
+    @settings(max_examples=300)
+    def test_populations_carry_the_heat_current(self, delta, blue, ratio,
+                                                gamma, gamma_p):
+        # one balance: gamma rho_ee delta is weak_flows' J_hot on both branches
+        t_hot = delta / ratio
+        cfg = cfg_with(-delta if blue else delta, gamma=gamma)
+        pt = steady_state(cfg, gamma_p, t_hot)
+        j_hot = weak_flows(cfg, gamma_p, t_hot)[0]
+        assert gamma * pt.rho_ee * cfg.detuning == pytest.approx(j_hot,
+                                                                 rel=1e-14)
 
 
 class TestHeatCurrent:
