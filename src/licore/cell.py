@@ -5,10 +5,11 @@ scales as g^2(z) = g^2 exp(-alpha z), and the cell's cooling power and
 absorbed power are attenuation-weighted integrals of the local per-atom
 (J_hot, P_abs) times the linear atom density.  On the weak-drive branch
 that integral is elementary and taken in closed form; exact-solver rows
-integrate the closed-form dressed steady state (floquet.dressed_flows) by
-adaptive quadrature.  The flat hot-spectrum
-amplitude is calibrated so the modeled absorbed-power fraction reproduces
-measured absorption data.
+integrate the closed-form dressed steady state by adaptive quadrature,
+through one floquet.beam_flows kernel per row that solves each depth
+from the local coupling alone.  The flat hot-spectrum amplitude is
+calibrated so the modeled absorbed-power fraction reproduces measured
+absorption data.
 
 Photon budget: a row can absorb at most what the beam loses in the cell,
 P_L (1 - exp(-alpha L)) with the row's own alpha.  The measured attenuation
@@ -31,9 +32,9 @@ from typing import NamedTuple
 
 from .config import AtomDriveConfig, Record, _set
 from .errors import CalibrationError, ConfigError, DomainError
-from .floquet import dressed_flows
+from .floquet import beam_flows
 from .numerics import brentq, gauss_newton, integrate, interp
-from .rate_model import _flows, pumping_rate, regime_of, weak_balance
+from .rate_model import _flows, pumping_rate, regime_of, weak_balance, weak_drive_defect
 from .spectra import CubicColdSpectrum, FlatHotSpectrum, read_two_columns
 from .units import (
     internal_to_thz,
@@ -260,7 +261,7 @@ def calibrate_g0(dataset: AbsorptionDataset, cfg_template: AtomDriveConfig,
         delta = cfg_template.omega0 - thz_to_internal(nu_thz)
         # calibration runs through the weak-drive model; rows too close to
         # resonance for it are left out
-        if a < MIN_ABSORPTION or delta == 0.0 or cfg_template.g >= abs(delta):
+        if a < MIN_ABSORPTION or weak_drive_defect(cfg_template.g, delta) is not None:
             continue
         rows.append((nu_thz, a))
     if not rows:
@@ -317,7 +318,7 @@ def synthesize_absorption(cfg_template: AtomDriveConfig, cell: CellConfig,
     for nu_thz in nus_thz:
         nu = thz_to_internal(nu_thz)
         delta = cfg_template.omega0 - nu
-        if delta == 0.0 or cfg_template.g >= abs(delta):
+        if weak_drive_defect(cfg_template.g, delta) is not None:
             raise ValueError("synthesis rows must stay in the weak-drive "
                              "regime (g < |detuning|)")
         cfg_row = cfg_template.with_laser_frequency(nu)
@@ -382,12 +383,11 @@ def _scan_row(cell: CellConfig, cfg_template: AtomDriveConfig,
     if solver == "rate":
         j_tot, p_abs = _weak_cell_flows(cfg_row, hot, cell, alpha)
     else:
-        # the local coupling follows the attenuated beam, g^2(z) = g^2 e^(-alpha z);
-        # both integrals visit the same depths, so each depth is solved once;
-        # the cold spectrum does not depend on g, so one serves every depth
+        # the local coupling follows the attenuated beam, g^2(z) = g^2 e^(-alpha z):
+        # one kernel per row, with one cold spectrum and the rates that do not
+        # depend on g; both integrals visit the same depths, so each is solved once
         cold = CubicColdSpectrum(cfg_row.gamma, cfg_row.omega0, t_cold)
-        flows = functools.cache(
-            lambda att: dressed_flows(cfg_row.attenuated(att), hot, cold))
+        flows = functools.cache(beam_flows(cfg_row, hot, cold))
         j_tot = _integrate_over_cell(cell, alpha, lambda att: flows(att).j_hot)
         p_abs = _integrate_over_cell(cell, alpha, lambda att: flows(att).p_abs)
     eta = j_tot / cell.laser_power_w

@@ -19,11 +19,12 @@ scattering rate to the elastic cold channel.
 Every dressed jump operator is sigma+, sigma- or sigma_z, so the steady
 state is a two-level rate balance and dressed_flows gives populations and
 flows in closed form, with its own residuals, and bare_from_dressed the
-bare populations; the CLI and the cell model use them.  One helper,
-_dressed_channels, computes the five channels' frequencies and
-coefficients and checks the configuration: dressed_flows reads its plain
-numbers, dressed_coupling_set labels them as a table.  The generator
-route (build_liouvillian on that table, steady_state via SVD,
+bare populations.  It is the full-beam value of beam_flows, the cell
+integrand's depth kernel, which takes the rates g does not move once.
+One helper, _dressed_channels, computes the five channels' frequencies
+and coefficients from plain (nu, detuning, g) and checks them: the
+kernel reads them, dressed_coupling_set labels them as a table.  The
+generator route (build_liouvillian on that table, steady_state via SVD,
 heat_currents, bundled as solve_pipeline, with dressing_rotation and
 bare_populations) is the numerical oracle that checks both.  Only that
 route needs numpy, and it imports numpy on first use, so no command
@@ -119,44 +120,46 @@ class HarmonicCouplingSet(NamedTuple):
     entries: tuple
 
 
-def _dressed_channels(cfg: AtomDriveConfig) -> tuple:
-    """(nu, five dressed frequencies, five coefficients) of the coupling
-    harmonics, as one flat tuple.  The channels' fixed order is cold
-    sigma+, cold sigma_z, cold sigma-, hot sigma_z, hot sigma-.
+def _dressed_channels(nu: float, delta: float, g: float,
+                      stacklevel: int = 3) -> tuple:
+    """(five dressed frequencies, five coefficients) of the coupling
+    harmonics at drive nu, detuning delta and coupling g, as a flat tuple,
+    in the order cold sigma+, sigma_z, sigma-, hot sigma_z, sigma-.
 
     Cold entries sit at effective frequencies nu - rabi, nu, nu + rabi;
     hot entries at 0 and rabi.  Configurations with rabi >= nu (lower
     sideband at negative frequency) are outside the model and rejected.
+    The near-degenerate warning names the caller of dressed_coupling_set
+    (stacklevel 3) or, from beam_flows' kernel, of dressed_flows (4).
     """
-    delta, rabi = cfg.detuning, cfg.rabi
+    rabi = math.hypot(2.0 * g, delta)
     if rabi == 0.0:
         raise DomainError("degenerate config: g = detuning = 0 leaves the "
                           "coupling prefactors undefined")
-    if cfg.nu <= rabi:
+    if nu <= rabi:
         raise DomainError(
-            f"lower sideband frequency nu - rabi = {cfg.nu - rabi:.6g} <= 0; "
+            f"lower sideband frequency nu - rabi = {nu - rabi:.6g} <= 0; "
             "ultra-strong drive is outside this model"
         )
-    if cfg.nu - rabi < 1e-3 * rabi:
-        # stacklevel 3 names the caller of dressed_flows or
-        # dressed_coupling_set
+    if nu - rabi < 1e-3 * rabi:
         warnings.warn("nu - rabi nearly vanishes; Floquet channels are "
-                      "almost degenerate", stacklevel=3)
-    return (cfg.nu, -rabi, 0.0, rabi, 0.0, rabi,
-            (delta - rabi) / (2 * rabi), cfg.g / rabi,
-            (delta + rabi) / (2 * rabi), delta / rabi, -(2 * cfg.g / rabi))
+                      "almost degenerate", stacklevel=stacklevel)
+    return (-rabi, 0.0, rabi, 0.0, rabi,
+            (delta - rabi) / (2 * rabi), g / rabi,
+            (delta + rabi) / (2 * rabi), delta / rabi, -(2 * g / rabi))
 
 
 def dressed_coupling_set(cfg: AtomDriveConfig) -> HarmonicCouplingSet:
     """The five coupling harmonics of the driven atom: _dressed_channels
     labelled with bath, harmonic q and jump, as the SVD oracle reads them."""
-    nu, f0, f1, f2, f3, f4, c0, c1, c2, c3, c4 = _dressed_channels(cfg)
+    f0, f1, f2, f3, f4, c0, c1, c2, c3, c4 = _dressed_channels(
+        cfg.nu, cfg.detuning, cfg.g)
     entries = (HarmonicCoupling(COLD, 1, f0, RAISE, c0),
                HarmonicCoupling(COLD, 1, f1, DEPHASE, c1),
                HarmonicCoupling(COLD, 1, f2, LOWER, c2),
                HarmonicCoupling(HOT, 0, f3, DEPHASE, c3),
                HarmonicCoupling(HOT, 0, f4, LOWER, c4))
-    return HarmonicCouplingSet(nu, cfg.rabi, entries)
+    return HarmonicCouplingSet(cfg.nu, cfg.rabi, entries)
 
 
 def _rate_pair(spectrum: BathSpectrum, w_eff: float) -> tuple[float, float]:
@@ -184,7 +187,8 @@ class DressedFlows(NamedTuple):
 
 def dressed_flows(cfg: AtomDriveConfig, hot: BathSpectrum,
                   cold: BathSpectrum) -> DressedFlows:
-    """Closed-form steady state and heat flows of the five-channel model.
+    """Closed-form steady state and heat flows of the five-channel model:
+    beam_flows' kernel at the full beam, u = 1, where g sqrt(u) is g.
 
     Every dressed jump is sigma+, sigma- or sigma_z and the generator has
     no Hamiltonian part, so the populations decouple from the coherence
@@ -197,79 +201,93 @@ def dressed_flows(cfg: AtomDriveConfig, hot: BathSpectrum,
     channel's net flux is summed pairwise over the other channels, so the
     products of its own rates cancel exactly: J_hot keeps its digits where
     strong hot rates nearly balance, which the SVD state does not (~1e-12
-    relative there).  The channels come from _dressed_channels as plain
-    numbers, the same ones dressed_coupling_set labels for
-    solve_pipeline, the numerical oracle for this function.
+    relative there).  solve_pipeline is the numerical oracle.
 
     Raises DegenerateSteadyStateError when k_up + k_down is zero or not
     finite, and DomainError when the flows overflow the float range or
     the drive power summed over the channels misses -(J_hot + J_cold) by
     more than 1e-10 of the largest flow.
     """
-    nu, f0, f1, f2, w3, w4, c0, c1, c2, c3, c4 = _dressed_channels(cfg)
-    # w_eff = wbar + q nu: q = 1 on the cold channels; q = 0 on the hot
-    # ones, whose w_eff is their wbar
-    w0 = f0 + nu
-    w1 = f1 + nu
-    w2 = f2 + nu
-    # |c|^2-weighted rates that raise (r) and lower (l) the atom: sigma+
-    # raises at G(w_eff) and lowers at G(-w_eff), sigma- and sigma_z the
-    # other way round
-    down, up = _rate_pair(cold, w0)
-    weight = c0 * c0
-    r0, l0 = weight * down, weight * up
-    down, up = _rate_pair(cold, w1)
-    weight = c1 * c1
-    l1, r1 = weight * down, weight * up
-    down, up = _rate_pair(cold, w2)
-    weight = c2 * c2
-    l2, r2 = weight * down, weight * up
-    down, up = _rate_pair(hot, w3)
-    weight = c3 * c3
-    l3, r3 = weight * down, weight * up
-    down, up = _rate_pair(hot, w4)
-    weight = c4 * c4
-    l4, r4 = weight * down, weight * up
-    # every sum runs left to right from 0.0, so the bits do not depend on
-    # the Python version (sum() of floats is compensated from 3.12 on)
-    k_up = 0.0 + r0 + r2 + r4
-    k_down = 0.0 + l0 + l2 + l4
-    total = k_up + k_down
-    if not (math.isfinite(total) and total > 0.0):
-        raise DegenerateSteadyStateError(
-            f"dressed rate balance has no unique steady state (k_up = "
-            f"{k_up:.3e}, k_down = {k_down:.3e})")
-    # net quanta n_down - n_up per channel.  The sigma_z channels only
-    # dephase: <S+S> = <SS+> = 1.  The flux l p_upper - r p_lower of the
-    # sigma-/sigma+ channels is summed pairwise, so the channel's own r l
-    # product cancels exactly
-    net0 = -((0.0 + (l0 * r0 - r0 * l0) + (l0 * r2 - r0 * l2)
-              + (l0 * r4 - r0 * l4)) / total)
-    net1 = l1 - r1
-    net2 = (0.0 + (l2 * r0 - r2 * l0) + (l2 * r2 - r2 * l2)
-            + (l2 * r4 - r2 * l4)) / total
-    net3 = l3 - r3
-    net4 = (0.0 + (l4 * r0 - r4 * l0) + (l4 * r2 - r4 * l2)
-            + (l4 * r4 - r4 * l4)) / total
-    # the bath receives w_eff per net quantum, the drive supplies q nu
-    # (nothing on the hot channels)
-    j_cold = 0.0 - w0 * net0 - w1 * net1 - w2 * net2
-    j_hot = 0.0 - w3 * net3 - w4 * net4
-    p_direct = 0.0 + nu * net0 + nu * net1 + nu * net2
-    p_abs = -(j_hot + j_cold)
-    if not (math.isfinite(p_abs) and math.isfinite(p_direct)):
-        raise DomainError("heat flows overflow: products of the channel "
-                          "rates exceed the float range")
-    scale = max(abs(j_hot), abs(j_cold), abs(p_abs))
-    defect = abs(p_direct - p_abs)
-    if not defect <= 1e-10 * scale:
-        raise DomainError(
-            f"energy balance broken: drive power {p_direct:.6g} against "
-            f"-(J_hot + J_cold) = {p_abs:.6g}")
-    upper, lower = k_up / total, k_down / total
-    return DressedFlows((upper, lower), j_hot, j_cold, p_abs,
-                        abs(k_up * lower - k_down * upper) / total,
-                        defect / scale if scale else 0.0)
+    return beam_flows(cfg, hot, cold)(1.0)
+
+
+def beam_flows(cfg: AtomDriveConfig, hot: BathSpectrum, cold: BathSpectrum):
+    """The cell integrand's kernel u -> dressed_flows at the coupling
+    g sqrt(u), where the attenuated beam keeps the power fraction u: the
+    bits of dressed_flows(cfg.attenuated(u), hot, cold), and a ValueError
+    for a negative, NaN or infinite u.  The sigma_z channels, cold at nu
+    and hot at 0, keep their effective frequency at any coupling, so their
+    rate pairs are taken once; a depth takes the other three.
+    """
+    nu, delta, g = cfg.nu, cfg.detuning, cfg.g
+    # w_eff = wbar + q nu, q = 1 cold and 0 hot; sigma_z has wbar = 0
+    w1, w3 = 0.0 + nu, 0.0
+    (down1, up1), (down3, up3) = _rate_pair(cold, w1), _rate_pair(hot, w3)
+
+    def flows_at(u: float) -> DressedFlows:
+        if not 0.0 <= u < math.inf:
+            raise ValueError(f"power fraction {u!r} must be finite and >= 0")
+        f0, _, f2, _, w4, c0, c1, c2, c3, c4 = _dressed_channels(
+            nu, delta, g * math.sqrt(u), 4)
+        w0, w2 = f0 + nu, f2 + nu
+        # |c|^2-weighted rates that raise (r) and lower (l) the atom:
+        # sigma+ raises at G(w_eff) and lowers at G(-w_eff), sigma- and
+        # sigma_z the other way round
+        down, up = _rate_pair(cold, w0)
+        weight = c0 * c0
+        r0, l0 = weight * down, weight * up
+        weight = c1 * c1
+        l1, r1 = weight * down1, weight * up1
+        down, up = _rate_pair(cold, w2)
+        weight = c2 * c2
+        l2, r2 = weight * down, weight * up
+        weight = c3 * c3
+        l3, r3 = weight * down3, weight * up3
+        down, up = _rate_pair(hot, w4)
+        weight = c4 * c4
+        l4, r4 = weight * down, weight * up
+        # every sum runs left to right from 0.0, so the bits do not depend
+        # on the Python version (sum() of floats is compensated from 3.12)
+        k_up = 0.0 + r0 + r2 + r4
+        k_down = 0.0 + l0 + l2 + l4
+        total = k_up + k_down
+        if not (math.isfinite(total) and total > 0.0):
+            raise DegenerateSteadyStateError(
+                f"dressed rate balance has no unique steady state (k_up = "
+                f"{k_up:.3e}, k_down = {k_down:.3e})")
+        # net quanta n_down - n_up per channel.  The sigma_z channels only
+        # dephase: <S+S> = <SS+> = 1.  The flux l p_upper - r p_lower of
+        # the sigma-/sigma+ channels is summed pairwise, so the channel's
+        # own r l product cancels exactly
+        net0 = -((0.0 + (l0 * r0 - r0 * l0) + (l0 * r2 - r0 * l2)
+                  + (l0 * r4 - r0 * l4)) / total)
+        net1 = l1 - r1
+        net2 = (0.0 + (l2 * r0 - r2 * l0) + (l2 * r2 - r2 * l2)
+                + (l2 * r4 - r2 * l4)) / total
+        net3 = l3 - r3
+        net4 = (0.0 + (l4 * r0 - r4 * l0) + (l4 * r2 - r4 * l2)
+                + (l4 * r4 - r4 * l4)) / total
+        # the bath receives w_eff per net quantum, the drive supplies q nu
+        # (nothing on the hot channels)
+        j_cold = 0.0 - w0 * net0 - w1 * net1 - w2 * net2
+        j_hot = 0.0 - w3 * net3 - w4 * net4
+        p_direct = 0.0 + nu * net0 + nu * net1 + nu * net2
+        p_abs = -(j_hot + j_cold)
+        if not (math.isfinite(p_abs) and math.isfinite(p_direct)):
+            raise DomainError("heat flows overflow: products of the channel "
+                              "rates exceed the float range")
+        scale = max(abs(j_hot), abs(j_cold), abs(p_abs))
+        defect = abs(p_direct - p_abs)
+        if not defect <= 1e-10 * scale:
+            raise DomainError(
+                f"energy balance broken: drive power {p_direct:.6g} against "
+                f"-(J_hot + J_cold) = {p_abs:.6g}")
+        upper, lower = k_up / total, k_down / total
+        return DressedFlows((upper, lower), j_hot, j_cold, p_abs,
+                            abs(k_up * lower - k_down * upper) / total,
+                            defect / scale if scale else 0.0)
+
+    return flows_at
 
 
 def bare_from_dressed(cfg: AtomDriveConfig,

@@ -19,30 +19,33 @@ from .errors import DomainError
 from .spectra import BathSpectrum, boltzmann_weight
 
 
-def check_weak_drive(cfg: AtomDriveConfig) -> None:
-    """Reject inputs grossly outside the |detuning| >> g expansion.
-
-    g/|detuning| up to ~0.1 is treated as advisory (validated against the
-    exact solver); g >= |detuning| is rejected outright.
-    """
-    delta = cfg.detuning
+def weak_drive_defect(g: float, delta: float) -> str | None:
+    """Why the |detuning| >> g expansion fails at coupling g and detuning
+    delta, or None: zero detuning and g >= |detuning| are out, g/|detuning|
+    up to ~0.1 is advisory (validated against the exact solver)."""
     if delta == 0.0:
-        raise DomainError(
-            "weak-drive formulas are singular at zero detuning; "
-            "use licore.floquet at resonance"
-        )
-    if cfg.g >= abs(delta):
-        raise DomainError(
-            f"coupling g = {cfg.g:.4g} is not small against the detuning "
-            f"{delta:.4g}; the weak-drive expansion does not apply, "
-            "use licore.floquet"
-        )
+        return ("weak-drive formulas are singular at zero detuning; "
+                "use licore.floquet at resonance")
+    if g >= abs(delta):
+        return (f"coupling g = {g:.4g} is not small against the detuning "
+                f"{delta:.4g}; the weak-drive expansion does not apply, "
+                "use licore.floquet")
+    return None
+
+
+def check_weak_drive(cfg: AtomDriveConfig) -> float:
+    """The detuning, or DomainError with weak_drive_defect's reason."""
+    delta = cfg.detuning
+    defect = weak_drive_defect(cfg.g, delta)
+    if defect is not None:
+        raise DomainError(defect)
+    return delta
 
 
 def pumping_rate(cfg: AtomDriveConfig, hot: BathSpectrum) -> float:
     """Collision-induced pumping rate (2g/detuning)^2 G_hot(|detuning|)."""
-    check_weak_drive(cfg)
-    return (2.0 * cfg.g / cfg.detuning) ** 2 * hot.value(abs(cfg.detuning))
+    delta = check_weak_drive(cfg)
+    return (2.0 * cfg.g / delta) ** 2 * hot.value(abs(delta))
 
 
 def weak_balance(cfg: AtomDriveConfig, gamma_p: float,
@@ -95,13 +98,12 @@ def steady_state(cfg: AtomDriveConfig, gamma_p: float, t_hot: float) -> RatePoin
 
 def weak_flows(cfg: AtomDriveConfig, gamma_p: float,
                t_hot: float) -> tuple[float, float]:
-    """Weak-drive (J_hot, P_abs) per atom, on either branch; zero at zero
-    detuning.  Both are one scattering rate gamma rho_ee (weak_balance)
-    times the energy each scattering event exchanges: detuning with the
-    hot bath, nu with the laser.  So J_hot / P_abs = detuning / nu exactly.
+    """Weak-drive (J_hot, P_abs) per atom, on either branch.  Both are one
+    scattering rate gamma rho_ee (weak_balance) times the energy each
+    scattering event exchanges: detuning with the hot bath, nu with the
+    laser.  So J_hot / P_abs = detuning / nu exactly.  Zero detuning is a
+    DomainError, as in pumping_rate and steady_state.
     """
-    if cfg.detuning == 0.0:
-        return 0.0, 0.0
     check_weak_drive(cfg)
     return _flows(cfg, gamma_p, *weak_balance(cfg, gamma_p, t_hot))
 

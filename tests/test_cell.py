@@ -208,29 +208,45 @@ class TestExactRows:
         return (_integrate_over_cell(cell, alpha, lambda att: local(att)[0]),
                 _integrate_over_cell(cell, alpha, lambda att: local(att)[1]))
 
-    def test_one_cold_spectrum_and_one_config_per_depth(self, monkeypatch):
-        # the first 21-point rule is accepted on this row: 21 depths, each
-        # attenuated once and shared by both integrals, and one cold
-        # spectrum, which does not depend on the depth
-        counts = {"cold": 0, "attenuated": 0}
+    def test_one_cold_spectrum_and_one_kernel_per_row(self, monkeypatch):
+        # the first 21-point rule is accepted on this row: one cold spectrum
+        # and one beam_flows kernel, evaluated at 21 depths shared by both
+        # integrals; no attenuated config.  Spectrum values: the two rate
+        # pairs that do not depend on g once, three pairs per depth
+        counts = {"cold": 0, "kernels": 0, "depths": 0, "values": 0}
         real_cold = cellmod.CubicColdSpectrum
-        real_attenuated = AtomDriveConfig.attenuated
+        real_kernel = cellmod.beam_flows
 
         def cold(*args):
             counts["cold"] += 1
             return real_cold(*args)
 
-        def attenuated(cfg, fraction):
-            counts["attenuated"] += 1
-            return real_attenuated(cfg, fraction)
+        def kernel(*args):
+            counts["kernels"] += 1
+            flows_at = real_kernel(*args)
 
+            def counted(u):
+                counts["depths"] += 1
+                return flows_at(u)
+            return counted
+
+        def attenuated(cfg, fraction):
+            raise AssertionError("cell rows must not build attenuated configs")
+
+        for spectrum in (real_cold, FlatHotSpectrum):
+            def value(self, omega, real=spectrum.value):
+                counts["values"] += 1
+                return real(self, omega)
+            monkeypatch.setattr(spectrum, "value", value)
         monkeypatch.setattr(cellmod, "CubicColdSpectrum", cold)
+        monkeypatch.setattr(cellmod, "beam_flows", kernel)
         monkeypatch.setattr(AtomDriveConfig, "attenuated", attenuated)
         with over_budget():
             scan = detuning_scan(lab_cell(), lab_cfg(g_thz=0.5),
                                  thz_to_internal(0.002), [0.5])
         assert scan.rows[0].model == "floquet"
-        assert counts == {"cold": 1, "attenuated": 21}
+        assert counts == {"cold": 1, "kernels": 1, "depths": 21,
+                          "values": 2 * 2 + 21 * 3 * 2}
 
     def test_strong_scan_matches_svd_oracle_without_it(self, monkeypatch):
         cell, cfg, g0 = lab_cell(), lab_cfg(g_thz=0.5), thz_to_internal(0.002)
@@ -364,6 +380,15 @@ class TestCalibration:
                                     min(ds.absorption[1] + 0.05, 1.0)))
         result = calibrate_g0(bumped, cfg, cell)
         assert result.residual_rms > 1e-3
+
+    def test_rows_read_the_one_weak_drive_domain(self, monkeypatch):
+        # calibration and synthesis filter rows by rate_model's predicate
+        monkeypatch.setattr(cellmod, "weak_drive_defect",
+                            lambda g, delta: "outside")
+        with pytest.raises(ValueError, match="weak-drive regime"):
+            synthesize_absorption(lab_cfg(), lab_cell(), 1.2e10, (365.0,))
+        with pytest.raises(CalibrationError, match="no usable rows"):
+            calibrate_g0(gaussian_dataset(), lab_cfg(), lab_cell())
 
     # on resonance, and 0.03 THz to either side, where g = 0.05 THz > |detuning|
     @pytest.mark.parametrize("nu_thz", [377.0, 376.97, 377.03])

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from licore import floquet
 from licore.config import AtomDriveConfig
@@ -17,6 +19,7 @@ from licore.floquet import (
     DressedFlows,
     bare_from_dressed,
     bare_populations,
+    beam_flows,
     build_liouvillian,
     dressed_coupling_set,
     dressed_flows,
@@ -677,11 +680,11 @@ class TestDressedFlows:
         # J_hot + J_cold + P_abs = 0; the closed form must refuse it
         real = floquet._dressed_channels
 
-        def miswired(cfg):
-            # (nu, five dressed frequencies, five coefficients): channel
-            # 4, hot sigma-, sits at 0.5 rabi
-            channels = list(real(cfg))
-            channels[5] = 0.5 * cfg.rabi
+        def miswired(nu, delta, g, stacklevel=3):
+            # (five dressed frequencies, five coefficients): channel 4,
+            # hot sigma-, sits at 0.5 rabi
+            channels = list(real(nu, delta, g, stacklevel))
+            channels[4] = 0.5 * math.hypot(2.0 * g, delta)
             return tuple(channels)
 
         cfg, hot, cold = strong_drive_grid()[0]
@@ -689,3 +692,72 @@ class TestDressedFlows:
         monkeypatch.setattr("licore.floquet._dressed_channels", miswired)
         with pytest.raises(DomainError, match="energy balance"):
             dressed_flows(cfg, hot, cold)
+
+
+def _outcome(call):
+    """call()'s result, or the type of the exception it raised."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return call()
+    except Exception as exc:
+        return type(exc)
+
+
+# beam fractions in (0, 1], subnormal ones drawn on purpose
+BEAM_FRACTIONS = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    st.floats(min_value=5e-324, max_value=2.2250738585072014e-308),
+    st.sampled_from([1.0, math.exp(-700.0), 5e-324]))
+
+
+class TestBeamFlows:
+    """beam_flows(cfg, hot, cold)(u) against dressed_flows of the
+    attenuated config, the route the cell integrand took before."""
+
+    @given(u=BEAM_FRACTIONS, log_ratio=st.floats(-3.0, 1.0),
+           delta_thz=st.floats(0.2, 20.0), blue=st.booleans(),
+           t_cold_k=st.one_of(st.just(0.0), st.floats(1.0, 3000.0)),
+           tabulated=st.booleans(), log_g0=st.floats(-4.0, -1.0),
+           t_hot_k=st.floats(300.0, 700.0))
+    @settings(max_examples=400, deadline=None)
+    def test_same_bits_as_the_attenuated_config(self, u, log_ratio, delta_thz,
+                                                blue, t_cold_k, tabulated,
+                                                log_g0, t_hot_k):
+        delta_thz = -delta_thz if blue else delta_thz
+        cfg = AtomDriveConfig.from_thz(377.0, 6e-6,
+                                       10.0 ** log_ratio * abs(delta_thz),
+                                       377.0 - delta_thz)
+        g0, t_hot = thz_to_internal(10.0 ** log_g0), kelvin_to_internal(t_hot_k)
+        if tabulated:
+            # detailed-balanced at its nodes, G(-w) = exp(-w/T) G(w)
+            omegas = thz_to_internal(np.linspace(-400.0, 400.0, 161))
+            values = g0 * (1.0 + (omegas / omegas[-1]) ** 2) \
+                * np.exp(np.minimum(omegas, 0.0) / t_hot)
+            hot = TabulatedSpectrum(tuple(omegas), tuple(values), t_hot)
+        else:
+            hot = FlatHotSpectrum(g0, t_hot)
+        cold = CubicColdSpectrum(cfg.gamma, cfg.omega0,
+                                 kelvin_to_internal(t_cold_k))
+        local = cfg.attenuated(u)
+        kernel = _outcome(lambda: beam_flows(cfg, hot, cold)(u))
+        oracle = _outcome(lambda: dressed_flows(local, hot, cold))
+        if isinstance(oracle, type):
+            # these inputs leave the model only past the lower sideband
+            assert local.rabi >= local.nu
+            assert kernel is oracle is DomainError
+        else:
+            assert kernel == oracle
+            # signed zeros too, and the bits of the arithmetic taken apart
+            # from the kernel, as a loop over the labelled channels
+            assert _bits(kernel) == _bits(oracle) == \
+                _bits(_looped_dressed_flows(local, hot, cold))
+
+    @pytest.mark.parametrize("u", [-1.0, -5e-324, math.nan, math.inf])
+    def test_bad_fraction_is_value_error(self, u):
+        cfg, hot, cold = strong_drive_grid()[0]
+        kernel = beam_flows(cfg, hot, cold)
+        with pytest.raises(ValueError):
+            kernel(u)
+        with pytest.raises(ValueError):
+            cfg.attenuated(u)

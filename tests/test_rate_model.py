@@ -14,6 +14,7 @@ from licore.rate_model import (
     pumping_rate,
     regime_of,
     steady_state,
+    weak_drive_defect,
     weak_flows,
 )
 from licore.floquet import bare_from_dressed, dressed_flows
@@ -43,6 +44,13 @@ class TestPumpingRate:
         hot = FlatHotSpectrum(5.0, 10.0)
         with pytest.raises(DomainError, match="floquet"):
             pumping_rate(cfg_with(0.0, g=1.0), hot)
+
+    def test_weak_drive_domain_boundary(self):
+        # g < |detuning| on either branch, and no zero detuning
+        for delta in (1.0, -1.0):
+            assert weak_drive_defect(math.nextafter(1.0, 0.0), delta) is None
+            assert "not small" in weak_drive_defect(1.0, delta)
+        assert "zero detuning" in weak_drive_defect(0.0, 0.0)
 
 
 class TestSteadyState:
@@ -256,7 +264,10 @@ class TestAbsorbedPowerAndEfficiency:
         assert eta == pytest.approx(1.0, abs=0.002)
 
     def test_efficiency_zero_on_resonance(self):
-        assert weak_flows(cfg_with(0.0), 1.0, 1.0) == (0.0, 0.0)
+        # the weak-drive flows are singular there, as the pumping rate and
+        # the steady state; energy_flow reports the neutral point itself
+        with pytest.raises(DomainError, match="zero detuning"):
+            weak_flows(cfg_with(0.0), 1.0, 1.0)
         hot = FlatHotSpectrum(5.0, 2.0)
         assert energy_flow(cfg_with(0.0), hot, laser_power=5.0).eta == 0.0
 
