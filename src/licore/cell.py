@@ -4,12 +4,12 @@ The beam attenuates as exp(-alpha z) along the cell, the local coupling
 scales as g^2(z) = g^2 exp(-alpha z), and the cell's cooling power and
 absorbed power are attenuation-weighted integrals of the local per-atom
 (J_hot, P_abs) times the linear atom density.  On the weak-drive branch
-that integral is elementary and taken in closed form; exact-solver rows
+that integral is elementary: one _weak_cell_kernel per row takes the rate
+balance once and the closed form at each amplitude g0.  Exact-solver rows
 integrate the closed-form dressed steady state by adaptive quadrature,
-through one floquet.beam_flows kernel per row that solves each depth
-from the local coupling alone.  The flat hot-spectrum amplitude is
-calibrated so the modeled absorbed-power fraction reproduces measured
-absorption data.
+through one floquet.beam_flows kernel per row that solves each depth from
+the local coupling alone.  The flat hot-spectrum amplitude is calibrated
+so the modeled absorbed-power fraction reproduces measured absorption data.
 
 Photon budget: a row can absorb at most what the beam loses in the cell,
 P_L (1 - exp(-alpha L)) with the row's own alpha.  The measured attenuation
@@ -34,7 +34,8 @@ from .config import AtomDriveConfig, Record, _set
 from .errors import CalibrationError, ConfigError, DomainError
 from .floquet import beam_flows
 from .numerics import brentq, gauss_newton, integrate, interp
-from .rate_model import _flows, pumping_rate, regime_of, weak_balance, weak_drive_defect
+from .rate_model import (_flows, check_weak_drive, regime_of, weak_balance,
+                         weak_drive_defect)
 from .spectra import CubicColdSpectrum, FlatHotSpectrum, read_two_columns
 from .units import (
     internal_to_thz,
@@ -106,8 +107,12 @@ class AbsorptionDataset(Record):
 
     def alpha_at(self, nu_thz: float, length_mm: float) -> float:
         """Attenuation coefficient implied by a(nu) via 1 - exp(-alpha L)."""
-        a = min(self.absorption_at(nu_thz), 1.0 - 1e-15)
-        return -math.log1p(-a) / length_mm
+        return _alpha_of_absorption(self.absorption_at(nu_thz), length_mm)
+
+
+def _alpha_of_absorption(a: float, length_mm: float) -> float:
+    """alpha with 1 - exp(-alpha L) = a, kept finite as a -> 1."""
+    return -math.log1p(-min(a, 1.0 - 1e-15)) / length_mm
 
 
 def load_absorption_csv(path) -> AbsorptionDataset:
@@ -173,9 +178,10 @@ def _x_minus_log1p_over_x2(x: float) -> float:
     return (x - math.log1p(x)) / (x * x)
 
 
-def _weak_cell_flows(cfg_row: AtomDriveConfig, hot: FlatHotSpectrum,
-                     cell: CellConfig, alpha_per_mm: float) -> tuple[float, float]:
-    """Cell (J_hot, P_abs) in watts on the weak-drive branch, in closed form.
+def _weak_cell_kernel(cfg_row: AtomDriveConfig, cell: CellConfig, t_hot: float):
+    """The row's weak-drive cell (J_hot, P_abs) in closed form, as the kernel
+    (g0, alpha_per_mm) -> watts for the flat hot spectrum of amplitude g0,
+    and the internal per-atom P_abs as g0 -> infinity, nu B w / (1 + b).
 
     The pumping rate follows the beam, gamma_p(u) = u gamma_p(1) at the
     attenuation u = exp(-alpha z), so weak_flows gives
@@ -187,56 +193,41 @@ def _weak_cell_flows(cfg_row: AtomDriveConfig, hot: FlatHotSpectrum,
 
     with D = -expm1(-alpha L), u_L = 1 - D, E = B + C u_L, x = C D / E and
     h(x) = (x - log1p x) / x^2; both bracketed terms are positive.  It is
-    L P(1) without attenuation and reaches _saturated_absorption's cap as
-    C -> infinity.  pumping_rate's weak-drive check runs at full beam, the
-    strictest depth (g sqrt(u) <= g).
+    L P(1) without attenuation and D / alpha times the saturated P(1) as
+    C -> infinity.  Built once per row: the weak-drive check at full beam,
+    the strictest depth (g sqrt(u) <= g), the balance per unit pumping, and
+    (2g/detuning)^2, so gamma_p(1) = (2g/detuning)^2 g0 has pumping_rate's
+    bits (a flat spectrum's value at |detuning| is g0).
     """
-    gamma_p = pumping_rate(cfg_row, hot)
-    w, big_b, big_c = weak_balance(cfg_row, gamma_p, hot.temperature)
-    j_1, p_1 = _flows(cfg_row, gamma_p, w, big_b, big_c)
-    d = -math.expm1(-alpha_per_mm * cell.length_mm)
-    if d == 0.0:
-        weight = cell.length_mm
-    else:
-        u_l = 1.0 - d
-        e = big_b + big_c * u_l
-        weight = ((big_b + big_c) * d / (alpha_per_mm * e)
-                  * (big_b * d * _x_minus_log1p_over_x2(big_c * d / e) / e + u_l))
-    atoms = cell.linear_atom_density_per_mm * weight
-    j_w, p_w = internal_to_watts(atoms * j_1), internal_to_watts(atoms * p_1)
-    if not (math.isfinite(j_w) and math.isfinite(p_w)):
-        raise DomainError("weak-drive cell integral is not finite for these "
-                          "parameters")
-    return j_w, p_w
+    coupling = (2.0 * cfg_row.g / check_weak_drive(cfg_row)) ** 2
+    w, big_b, c_per_pumping = weak_balance(cfg_row, 1.0, t_hot)
+    length, density = cell.length_mm, cell.linear_atom_density_per_mm
+
+    def flows(g0: float, alpha_per_mm: float) -> tuple[float, float]:
+        gamma_p = coupling * g0
+        big_c = c_per_pumping * gamma_p
+        j_1, p_1 = _flows(cfg_row, gamma_p, w, big_b, big_c)
+        d = -math.expm1(-alpha_per_mm * length)
+        if d == 0.0:
+            weight = length
+        else:
+            u_l = 1.0 - d
+            e = big_b + big_c * u_l
+            weight = ((big_b + big_c) * d / (alpha_per_mm * e)
+                      * (big_b * d * _x_minus_log1p_over_x2(big_c * d / e) / e + u_l))
+        atoms = density * weight
+        j_w, p_w = internal_to_watts(atoms * j_1), internal_to_watts(atoms * p_1)
+        if not (math.isfinite(j_w) and math.isfinite(p_w)):
+            raise DomainError("weak-drive cell integral is not finite for these "
+                              "parameters")
+        return j_w, p_w
+
+    return flows, cfg_row.nu * big_b * w / c_per_pumping
 
 
 # ---------------------------------------------------------------------------
 # Calibration of the flat hot-spectrum amplitude
 # ---------------------------------------------------------------------------
-
-
-def _modeled_absorption(cfg: AtomDriveConfig, cell: CellConfig, g0: float,
-                        alpha_per_mm: float) -> float:
-    """Absorbed-power fraction of the cell predicted by the weak-drive model
-    with a flat hot spectrum of amplitude g0."""
-    if g0 <= 0:
-        return 0.0
-    hot = FlatHotSpectrum(g0, kelvin_to_internal(cell.bath_temperature_k))
-    return _weak_cell_flows(cfg, hot, cell, alpha_per_mm)[1] / cell.laser_power_w
-
-
-def _saturated_absorption(cfg: AtomDriveConfig, cell: CellConfig,
-                          alpha_per_mm: float) -> float:
-    """Fraction reached as g0 -> infinity (pumping saturates everywhere)."""
-    # per unit pumping, C = 1 + b
-    w, big_b, big_c = weak_balance(
-        cfg, 1.0, kelvin_to_internal(cell.bath_temperature_k))
-    cap = cfg.nu * big_b * w / big_c
-    # integral of exp(-alpha z) over the cell
-    weight = (-math.expm1(-alpha_per_mm * cell.length_mm) / alpha_per_mm
-              if alpha_per_mm > 0 else cell.length_mm)
-    return internal_to_watts(cell.linear_atom_density_per_mm * weight * cap) \
-        / cell.laser_power_w
 
 
 class CalibrationResult(NamedTuple):
@@ -271,26 +262,34 @@ def calibrate_g0(dataset: AbsorptionDataset, cfg_template: AtomDriveConfig,
         nearest = min(rows, key=lambda r: abs(r[0] - reference_nu_thz))
         rows = [nearest]
 
-    # each row's drive config and attenuation, shared by the root and the fit
-    fits = [(cfg_template.with_laser_frequency(thz_to_internal(nu_thz)),
-             dataset.alpha_at(nu_thz, cell.length_mm), a) for nu_thz, a in rows]
-    for cfg_row, alpha, a in fits:
-        cap = _saturated_absorption(cfg_row, cell, alpha)
+    # each row's kernel and attenuation, shared by the root and the fit
+    t_hot, p_l = kelvin_to_internal(cell.bath_temperature_k), cell.laser_power_w
+    fits = []
+    for nu_thz, a in rows:
+        cfg_row = cfg_template.with_laser_frequency(thz_to_internal(nu_thz))
+        alpha = dataset.alpha_at(nu_thz, cell.length_mm)
+        kernel, p_saturated = _weak_cell_kernel(cfg_row, cell, t_hot)
+        # the g0 -> infinity bound, over int exp(-alpha z) dz (alpha > 0 here)
+        weight = -math.expm1(-alpha * cell.length_mm) / alpha
+        cap = internal_to_watts(cell.linear_atom_density_per_mm * weight
+                                * p_saturated) / p_l
         if a >= cap:
             raise CalibrationError(
                 f"absorption {a:.4g} exceeds the saturated model bound "
                 f"{cap:.4g}; no spectrum amplitude can reach it"
             )
+        fits.append((kernel, alpha, a))
 
-    cfg_row, alpha, a = fits[0]
+    kernel, alpha, a = fits[0]
     hi = cfg_template.gamma
     for _ in range(400):
-        if _modeled_absorption(cfg_row, cell, hi, alpha) > a:
+        if kernel(hi, alpha)[1] / p_l > a:
             break
         hi *= 2.0
     else:
         raise CalibrationError("failed to bracket the calibration root")
-    g_start = brentq(lambda g0: _modeled_absorption(cfg_row, cell, g0, alpha) - a,
+    # no amplitude, no absorption: the bracket starts at g0 = 0
+    g_start = brentq(lambda g0: (kernel(g0, alpha)[1] / p_l if g0 > 0 else 0.0) - a,
                      0.0, hi, xtol=1e-300, rtol=1e-14, error=CalibrationError)
     if g_start == 0.0:
         raise CalibrationError(
@@ -299,8 +298,7 @@ def calibrate_g0(dataset: AbsorptionDataset, cfg_template: AtomDriveConfig,
 
     def residuals(x):
         g0 = g_start * math.exp(x - x_start)
-        return [_modeled_absorption(cfg_row, cell, g0, alpha) - a
-                for cfg_row, alpha, a in fits]
+        return [kernel(g0, alpha)[1] / p_l - a for kernel, alpha, a in fits]
 
     x, fun = gauss_newton(residuals, x_start, error=CalibrationError)
     resid = math.sqrt(math.fsum(r * r for r in fun) / len(fun))
@@ -314,6 +312,7 @@ def synthesize_absorption(cfg_template: AtomDriveConfig, cell: CellConfig,
     calibrate_g0."""
     if g0 <= 0:
         raise ValueError("g0 must be positive")
+    t_hot = kelvin_to_internal(cell.bath_temperature_k)
     values = []
     for nu_thz in nus_thz:
         nu = thz_to_internal(nu_thz)
@@ -321,11 +320,12 @@ def synthesize_absorption(cfg_template: AtomDriveConfig, cell: CellConfig,
         if weak_drive_defect(cfg_template.g, delta) is not None:
             raise ValueError("synthesis rows must stay in the weak-drive "
                              "regime (g < |detuning|)")
-        cfg_row = cfg_template.with_laser_frequency(nu)
+        kernel, _ = _weak_cell_kernel(cfg_template.with_laser_frequency(nu),
+                                      cell, t_hot)
 
         def gap(a):
-            alpha = -math.log1p(-a) / cell.length_mm
-            return _modeled_absorption(cfg_row, cell, g0, alpha) - a
+            alpha = _alpha_of_absorption(a, cell.length_mm)
+            return kernel(g0, alpha)[1] / cell.laser_power_w - a
 
         if gap(0.0) <= 0.0:
             values.append(0.0)
@@ -370,10 +370,9 @@ def _scan_row(cell: CellConfig, cfg_template: AtomDriveConfig,
     if dataset is None:
         alpha, j_exp = cell.absorption_coeff_per_mm, None
     else:
-        alpha = dataset.alpha_at(nu_thz, cell.length_mm)
-        j_exp = (experimental_heat_current(cell.laser_power_w,
-                                           dataset.absorption_at(nu_thz),
-                                           delta, nu)
+        a = dataset.absorption_at(nu_thz)
+        alpha = _alpha_of_absorption(a, cell.length_mm)
+        j_exp = (experimental_heat_current(cell.laser_power_w, a, delta, nu)
                  if dataset.covers(nu_thz) else None)
 
     regime = regime_of(cfg_row)
@@ -381,7 +380,8 @@ def _scan_row(cell: CellConfig, cfg_template: AtomDriveConfig,
         return ScanRow(delta_thz, 0.0, j_exp, 0.0, 0.0, regime, "none"), False
     solver = pick_solver(cfg_row)
     if solver == "rate":
-        j_tot, p_abs = _weak_cell_flows(cfg_row, hot, cell, alpha)
+        flows, _ = _weak_cell_kernel(cfg_row, cell, hot.temperature)
+        j_tot, p_abs = flows(hot.plateau, alpha)
     else:
         # the local coupling follows the attenuated beam, g^2(z) = g^2 e^(-alpha z):
         # one kernel per row, with one cold spectrum and the rates that do not

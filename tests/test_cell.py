@@ -8,9 +8,7 @@ import pytest
 from licore.cell import (
     AbsorptionDataset,
     _integrate_over_cell,
-    _modeled_absorption,
-    _saturated_absorption,
-    _weak_cell_flows,
+    _weak_cell_kernel,
     _x_minus_log1p_over_x2,
     CellConfig,
     calibrate_g0,
@@ -22,12 +20,12 @@ from licore.cell import (
     synthesize_absorption,
     write_scan_csv,
 )
-from licore import cell as cellmod, floquet
+from licore import cell as cellmod, floquet, rate_model
 from licore.config import AtomDriveConfig
 from licore.errors import CalibrationError, ConfigError, DomainError
 from licore.floquet import solve_pipeline
 from licore.numerics import brentq
-from licore.rate_model import pumping_rate, weak_flows
+from licore.rate_model import pumping_rate, weak_balance, weak_flows
 from licore.spectra import (
     CubicColdSpectrum,
     FlatHotSpectrum,
@@ -51,6 +49,13 @@ def lab_cell(alpha=1.0 / 9.0, density=2e11):
 def over_budget():
     """Expect the scan's warning about rows over the photon budget."""
     return pytest.warns(UserWarning, match="absorb more than the beam delivers")
+
+
+def modeled_absorption(cfg, cell, g0, alpha):
+    """Absorbed-power fraction of the weak-drive cell at amplitude g0."""
+    flows, _ = _weak_cell_kernel(cfg, cell,
+                                 kelvin_to_internal(cell.bath_temperature_k))
+    return flows(g0, alpha)[1] / cell.laser_power_w
 
 
 def gaussian_dataset(width=6.0, amax=0.95):
@@ -123,7 +128,8 @@ class TestWeakCellClosedForm:
 
             j_quad = _integrate_over_cell(cell, alpha, lambda att: local(att)[0])
             p_quad = _integrate_over_cell(cell, alpha, lambda att: local(att)[1])
-            j, p = _weak_cell_flows(cfg, hot, cell, alpha)
+            flows, _ = _weak_cell_kernel(cfg, cell, hot.temperature)
+            j, p = flows(hot.plateau, alpha)
             # abs=0: weak pumping gives powers below approx's default abs
             assert j == pytest.approx(j_quad, rel=1e-10, abs=0), ratio
             assert p == pytest.approx(p_quad, rel=1e-10, abs=0), ratio
@@ -144,27 +150,32 @@ class TestWeakCellClosedForm:
         cfg = lab_cfg()
         cell = lab_cell()
         alpha = cell.absorption_coeff_per_mm
-        cap = _saturated_absorption(cfg, cell, alpha)
-        gaps = [cap - _modeled_absorption(cfg, cell, g0, alpha)
+        _, p_saturated = _weak_cell_kernel(
+            cfg, cell, kelvin_to_internal(cell.bath_temperature_k))
+        # the saturated per-atom power over the integral of exp(-alpha z)
+        weight = -math.expm1(-alpha * cell.length_mm) / alpha
+        cap = internal_to_watts(cell.linear_atom_density_per_mm * weight
+                                * p_saturated) / cell.laser_power_w
+        gaps = [cap - modeled_absorption(cfg, cell, g0, alpha)
                 for g0 in (1e12, 1e15, 1e18, 1e21)]
         assert all(gap > 0 for gap in gaps)
         assert all(b < a / 100 for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] <= 1e-8 * cap
 
     def test_no_amplitude_no_absorption(self):
-        assert _modeled_absorption(lab_cfg(), lab_cell(), 0.0, 0.1) == 0.0
+        assert modeled_absorption(lab_cfg(), lab_cell(), 0.0, 0.1) == 0.0
 
     def test_weak_drive_checked_at_full_beam(self):
         # g above the detuning at the entrance, below it deeper in the cell
         cfg = lab_cfg(nu_thz=376.96, g_thz=0.05)
         with pytest.raises(DomainError, match="not small"):
-            _weak_cell_flows(cfg, FlatHotSpectrum(1e10, 1e13), lab_cell(), 0.1)
+            _weak_cell_kernel(cfg, lab_cell(), 1e13)
 
     def test_non_finite_result_rejected(self):
         # nu gamma_p overflows: no finite power to report
+        flows, _ = _weak_cell_kernel(lab_cfg(), lab_cell(), 1e13)
         with pytest.raises(DomainError, match="not finite"):
-            _weak_cell_flows(lab_cfg(), FlatHotSpectrum(1e308, 1e13),
-                             lab_cell(), 0.1)
+            flows(1e308, 0.1)
 
     def test_rate_paths_run_without_quadrature(self, monkeypatch):
         import licore.cell
@@ -409,9 +420,9 @@ class TestCalibration:
 
         def sum_of_squares(log_g0):
             return math.fsum(
-                (_modeled_absorption(cfg.with_laser_frequency(thz_to_internal(nu)),
-                                     cell, math.exp(log_g0),
-                                     ds.alpha_at(nu, cell.length_mm)) - a) ** 2
+                (modeled_absorption(cfg.with_laser_frequency(thz_to_internal(nu)),
+                                    cell, math.exp(log_g0),
+                                    ds.alpha_at(nu, cell.length_mm)) - a) ** 2
                 for nu, a in result.rows_used)
 
         h = 2.5e-6    # the difference's own O(h^2) shift of the root is ~2e-12
@@ -429,8 +440,8 @@ class TestCalibration:
 
         def sum_of_squares(g0):
             return math.fsum(
-                (_modeled_absorption(cfg.with_laser_frequency(thz_to_internal(nu)),
-                                     cell, g0, ds.alpha_at(nu, cell.length_mm))
+                (modeled_absorption(cfg.with_laser_frequency(thz_to_internal(nu)),
+                                    cell, g0, ds.alpha_at(nu, cell.length_mm))
                  - a) ** 2 for nu, a in result.rows_used)
 
         assert len(result.rows_used) == 2
@@ -468,6 +479,62 @@ class TestCalibration:
             roots.clear()
             calibrate_g0(ds, lab_cfg(), cell, reference_nu_thz=reference)
             assert len(roots) == 1, (len(ds.nu_thz), reference)
+
+    def test_one_rate_balance_per_row(self, monkeypatch):
+        # the fit evaluates each row's kernel; the rate balance is taken once
+        # per row however many steps the fit takes, and no spectrum is built
+        cfg, cell = lab_cfg(), lab_cell()
+        nus = (360.0, 363.0, 366.0, 369.0, 384.0, 388.0)
+        consistent = synthesize_absorption(cfg, cell, 1.2e10, nus)
+        mismatched = AbsorptionDataset(nus, tuple(
+            a * (1.3 if k % 2 else 0.7) for k, a in enumerate(consistent.absorption)))
+        balances, evaluations = [], []
+
+        def counted_balance(*args):
+            balances.append(args)
+            return weak_balance(*args)
+
+        def counted_flows(*args):
+            evaluations.append(args)
+            return rate_model._flows(*args)
+
+        def no_spectrum(*args):
+            raise AssertionError("a hot spectrum was built")
+
+        monkeypatch.setattr(cellmod, "weak_balance", counted_balance)
+        monkeypatch.setattr(cellmod, "_flows", counted_flows)
+        monkeypatch.setattr(cellmod, "FlatHotSpectrum", no_spectrum)
+        counts = []
+        for ds in (consistent, mismatched):
+            balances.clear()
+            evaluations.clear()
+            result = calibrate_g0(ds, cfg, cell)
+            assert len(result.rows_used) == len(nus)
+            counts.append((len(balances), len(evaluations)))
+        assert [b for b, _ in counts] == [len(nus), len(nus)]
+        # the mismatched fit takes more steps, so more evaluations
+        assert counts[1][1] > counts[0][1]
+
+    def test_fits_and_synthesis_keep_their_bits(self, scan_dataset_path,
+                                               two_rows_path):
+        cfg = lab_cfg()
+        fixture = load_absorption_csv(scan_dataset_path)
+        two_rows = load_absorption_csv(two_rows_path)
+        # all rows, the reference row, and a flat minimum of several steps
+        fits = [calibrate_g0(fixture, cfg, lab_cell()),
+                calibrate_g0(fixture, cfg, lab_cell(), reference_nu_thz=372.0),
+                calibrate_g0(two_rows, cfg, lab_cell(density=1e11))]
+        assert [(r.g0.hex(), r.residual_rms.hex(), len(r.rows_used))
+                for r in fits] == [
+            ("0x1.60ce34922eb74p+34", "0x1.07aaf909f0cc0p-3", 50),
+            ("0x1.96a355afbfd53p+35", "0x1.0000000000000p-53", 1),
+            ("0x1.4dcd2b40573e4p+20", "0x1.cf66eb0a5dee4p-8", 2)]
+        synthetic = synthesize_absorption(cfg, lab_cell(), 1.2e10,
+                                          (360.0, 365.0, 370.0, 382.0, 390.0))
+        assert [a.hex() for a in synthetic.absorption] == [
+            "0x1.0100bc13f54b7p-6", "0x1.9243310f126c7p-5",
+            "0x1.87972b4d57782p-3", "0x1.ef60d23419404p-2",
+            "0x1.0b228741efd69p-3"]
 
     def test_dark_dataset_rejected(self):
         ds = AbsorptionDataset((360.0, 365.0), (0.0, 0.0))

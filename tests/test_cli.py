@@ -949,6 +949,14 @@ class TestDeterminism:
         assert (tmp_path / "scan.csv").read_bytes() == \
             (FIXTURES / fixture).read_bytes()
 
+    def test_all_row_calibration_matches_its_fixture(self, capsys, tmp_path):
+        # the all-row fit's bits, as the runtime-only CI job compares them
+        code, out, err = run(capsys, "calibrate", "--config",
+                             _scan_config(tmp_path, _without_reference_row),
+                             "--no-metadata")
+        assert code == 0, err
+        assert out == (FIXTURES / "calibrate_all_rows.json").read_text()
+
     def test_point_commands_byte_stable(self, capsys, tmp_path):
         for command in ("steady-state", "currents", "tmin", "compare"):
             a = tmp_path / "a.json"

@@ -14,14 +14,14 @@ from scipy import optimize as sp_optimize
 
 from licore import numerics
 from licore.analysis import min_temp_exact
-from licore.cell import _modeled_absorption, load_absorption_csv
+from licore.cell import load_absorption_csv
 from licore.config import AtomDriveConfig
 from licore.errors import CalibrationError, DomainError, NoSolutionError
 from licore.floquet import dressed_flows, heat_current_exact
 from licore.spectra import CubicColdSpectrum, FlatHotSpectrum
 from licore.units import kelvin_to_internal, thz_to_internal
 
-from test_cell import lab_cell, lab_cfg
+from test_cell import lab_cell, lab_cfg, modeled_absorption
 
 EPS = sys.float_info.epsilon
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -64,7 +64,7 @@ def licore_root_problems():
         cfg = lab_cfg(nu_thz=nu_thz)
         alpha = ds.alpha_at(nu_thz, cell.length_mm)
         yield (functools.partial(
-            lambda cfg, alpha, a, g0: _modeled_absorption(cfg, cell, g0, alpha) - a,
+            lambda cfg, alpha, a, g0: modeled_absorption(cfg, cell, g0, alpha) - a,
             cfg, alpha, a), 0.0, 1e13, 1e-300, 1e-14)
 
 
