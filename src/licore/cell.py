@@ -199,14 +199,15 @@ def _weak_cell_kernel(cfg_row: AtomDriveConfig, cell: CellConfig, t_hot: float):
     (2g/detuning)^2, so gamma_p(1) = (2g/detuning)^2 g0 has pumping_rate's
     bits (a flat spectrum's value at |detuning| is g0).
     """
-    coupling = (2.0 * cfg_row.g / check_weak_drive(cfg_row)) ** 2
+    delta, nu = check_weak_drive(cfg_row), cfg_row.nu
+    coupling = (2.0 * cfg_row.g / delta) ** 2
     w, big_b, c_per_pumping = weak_balance(cfg_row, 1.0, t_hot)
     length, density = cell.length_mm, cell.linear_atom_density_per_mm
 
     def flows(g0: float, alpha_per_mm: float) -> tuple[float, float]:
         gamma_p = coupling * g0
         big_c = c_per_pumping * gamma_p
-        j_1, p_1 = _flows(cfg_row, gamma_p, w, big_b, big_c)
+        j_1, p_1 = _flows(delta, nu, gamma_p, w, big_b, big_c)
         d = -math.expm1(-alpha_per_mm * length)
         if d == 0.0:
             weight = length
@@ -222,7 +223,7 @@ def _weak_cell_kernel(cfg_row: AtomDriveConfig, cell: CellConfig, t_hot: float):
                               "parameters")
         return j_w, p_w
 
-    return flows, cfg_row.nu * big_b * w / c_per_pumping
+    return flows, nu * big_b * w / c_per_pumping
 
 
 # ---------------------------------------------------------------------------
@@ -247,14 +248,15 @@ def calibrate_g0(dataset: AbsorptionDataset, cfg_template: AtomDriveConfig,
     measured absorption itself.  One root, the first row's, starts the fit
     in ln g0; a single row's fit stays on that root.
     """
-    rows = []
+    rows = []    # (nu_thz, a, nu)
     for nu_thz, a in zip(dataset.nu_thz, dataset.absorption):
-        delta = cfg_template.omega0 - thz_to_internal(nu_thz)
+        nu = thz_to_internal(nu_thz)
         # calibration runs through the weak-drive model; rows too close to
         # resonance for it are left out
-        if a < MIN_ABSORPTION or weak_drive_defect(cfg_template.g, delta) is not None:
+        if (a < MIN_ABSORPTION or weak_drive_defect(
+                cfg_template.g, cfg_template.omega0 - nu) is not None):
             continue
-        rows.append((nu_thz, a))
+        rows.append((nu_thz, a, nu))
     if not rows:
         raise CalibrationError("no usable rows: absorption is ~0 everywhere "
                                "or all rows sit at/near resonance")
@@ -262,12 +264,14 @@ def calibrate_g0(dataset: AbsorptionDataset, cfg_template: AtomDriveConfig,
         nearest = min(rows, key=lambda r: abs(r[0] - reference_nu_thz))
         rows = [nearest]
 
-    # each row's kernel and attenuation, shared by the root and the fit
+    # each row's kernel and attenuation, shared by the root and the fit; a
+    # row's attenuation comes from its own absorption, the dataset's value
+    # at its node
     t_hot, p_l = kelvin_to_internal(cell.bath_temperature_k), cell.laser_power_w
     fits = []
-    for nu_thz, a in rows:
-        cfg_row = cfg_template.with_laser_frequency(thz_to_internal(nu_thz))
-        alpha = dataset.alpha_at(nu_thz, cell.length_mm)
+    for _, a, nu in rows:
+        cfg_row = cfg_template.with_laser_frequency(nu)
+        alpha = _alpha_of_absorption(a, cell.length_mm)
         kernel, p_saturated = _weak_cell_kernel(cfg_row, cell, t_hot)
         # the g0 -> infinity bound, over int exp(-alpha z) dz (alpha > 0 here)
         weight = -math.expm1(-alpha * cell.length_mm) / alpha
@@ -302,7 +306,8 @@ def calibrate_g0(dataset: AbsorptionDataset, cfg_template: AtomDriveConfig,
 
     x, fun = gauss_newton(residuals, x_start, error=CalibrationError)
     resid = math.sqrt(math.fsum(r * r for r in fun) / len(fun))
-    return CalibrationResult(g_start * math.exp(x - x_start), resid, tuple(rows))
+    return CalibrationResult(g_start * math.exp(x - x_start), resid,
+                             tuple((nu_thz, a) for nu_thz, a, _ in rows))
 
 
 def synthesize_absorption(cfg_template: AtomDriveConfig, cell: CellConfig,

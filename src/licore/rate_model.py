@@ -63,8 +63,9 @@ def weak_balance(cfg: AtomDriveConfig, gamma_p: float,
         raise ValueError("gamma_p must be non-negative")
     if t_hot <= 0:
         raise ValueError("t_hot must be positive")
-    b = boltzmann_weight(abs(cfg.detuning), t_hot)
-    return (b if cfg.detuning > 0 else 1.0), cfg.gamma, (1.0 + b) * gamma_p
+    delta = cfg.detuning
+    b = boltzmann_weight(abs(delta), t_hot)
+    return (b if delta > 0 else 1.0), cfg.gamma, (1.0 + b) * gamma_p
 
 
 class RatePoint(NamedTuple):
@@ -104,18 +105,19 @@ def weak_flows(cfg: AtomDriveConfig, gamma_p: float,
     laser.  So J_hot / P_abs = detuning / nu exactly.  Zero detuning is a
     DomainError, as in pumping_rate and steady_state.
     """
-    check_weak_drive(cfg)
-    return _flows(cfg, gamma_p, *weak_balance(cfg, gamma_p, t_hot))
+    delta = check_weak_drive(cfg)
+    return _flows(delta, cfg.nu, gamma_p, *weak_balance(cfg, gamma_p, t_hot))
 
 
-def _flows(cfg: AtomDriveConfig, gamma_p: float, w: float, big_b: float,
+def _flows(delta: float, nu: float, gamma_p: float, w: float, big_b: float,
            big_c: float) -> tuple[float, float]:
-    """weak_flows from the balance (w, B, C)."""
+    """weak_flows at detuning delta and laser frequency nu, from the
+    balance (w, B, C)."""
     den = big_b + big_c
     # each product starts from the energy: the all-row calibration fit
     # moves with the last bit of P_abs
-    return (cfg.detuning * gamma_p * big_b * w / den,
-            cfg.nu * gamma_p * big_b * w / den)
+    return (delta * gamma_p * big_b * w / den,
+            nu * gamma_p * big_b * w / den)
 
 
 def asymmetry_ratio(cfg: AtomDriveConfig, gamma_p: float, t_hot: float) -> float:

@@ -85,8 +85,21 @@ def test_derived_configs_equal_replaced_fields():
                           laser_power=2.4)
     assert cfg.attenuated(0.3) == AtomDriveConfig(
         omega0=10.0, gamma=1.0, g=2.0 * math.sqrt(0.3), nu=9.0, laser_power=2.4)
-    assert cfg.with_laser_frequency(9.5) == AtomDriveConfig(
-        omega0=10.0, gamma=1.0, g=2.0, nu=9.5, laser_power=2.4)
+    # with_laser_frequency copies the checked fields without the
+    # constructor; its record is the constructor's in every respect
+    for nu in (9.5, 5e-324):
+        derived = cfg.with_laser_frequency(nu)
+        built = AtomDriveConfig(omega0=10.0, gamma=1.0, g=2.0, nu=nu,
+                                laser_power=2.4)
+        assert type(derived) is AtomDriveConfig
+        assert derived == built and hash(derived) == hash(built)
+        assert repr(derived) == repr(built)
+        assert pickle.loads(pickle.dumps(derived)) == built
+        with pytest.raises(AttributeError):
+            derived.nu = 1.0
+        with pytest.raises(AttributeError):
+            derived.omega0 = 1.0
+        assert derived.nu == nu and derived.omega0 == 10.0
 
 
 @pytest.mark.parametrize("derive, message", [
@@ -94,7 +107,11 @@ def test_derived_configs_equal_replaced_fields():
     (lambda cfg: cfg.attenuated(math.nan), "g must be finite"),
     (lambda cfg: cfg.with_laser_frequency(0.0), "nu must be positive"),
     (lambda cfg: cfg.with_laser_frequency(math.nan), "nu must be finite"),
-], ids=["attenuated-negative", "attenuated-nan", "nu-zero", "nu-nan"])
+    (lambda cfg: cfg.with_laser_frequency(math.inf), "nu must be finite"),
+    (lambda cfg: cfg.with_laser_frequency(-math.inf), "nu must be finite"),
+    (lambda cfg: cfg.with_laser_frequency(-9.5), "nu must be positive"),
+], ids=["attenuated-negative", "attenuated-nan", "nu-zero", "nu-nan",
+        "nu-inf", "nu-minus-inf", "nu-negative"])
 def test_derived_configs_keep_the_checks(derive, message):
     cfg = AtomDriveConfig(omega0=10.0, gamma=1.0, g=2.0, nu=9.0)
     with pytest.raises(ValueError, match=f"^{message}$"):
