@@ -8,6 +8,7 @@ solves for T_hot in closed form.  A numerical root of the exact current
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from typing import NamedTuple
@@ -82,6 +83,8 @@ def min_temp_bisect(cfg: AtomDriveConfig, t_cold: float) -> float:
     if t_root == 0.0:
         return 0.0
 
+    # memoized: brentq starts from the two ends the sign check just took
+    @functools.cache
     def current(t_hot: float) -> float:
         return heat_current_exact(cfg, 1.0, t_hot, t_cold)
 

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from licore import analysis
 from licore.analysis import (
     LICORE,
     RESOLVED,
@@ -149,6 +150,30 @@ class TestMinTempBisect:
             exact = min_temp_exact(cfg, t_cold)
             root = min_temp_bisect(cfg, t_cold)
             assert root == pytest.approx(exact, rel=1e-11)
+
+    @pytest.mark.parametrize("drive, t_cold, root_bits", [
+        (dict(g=0.01), 0.0, "0x1.bb567fc242000p-5"),
+        (dict(delta=1.0, g=0.8), 3.0, "0x1.86541b2aa24d4p-1"),
+        (dict(delta=5.0, g=0.2), 3.0, "0x1.8586dd85187c3p-2"),
+    ])
+    def test_each_temperature_evaluated_once(self, monkeypatch, drive,
+                                             t_cold, root_bits):
+        # Brent's method starts from the values the sign check took at the
+        # two bracket ends, so no temperature is evaluated twice; the root
+        # keeps its bits
+        temps = []
+
+        def counted(cfg, gamma_p, t_hot, t_cold):
+            temps.append(t_hot)
+            return heat_current_exact(cfg, gamma_p, t_hot, t_cold)
+
+        monkeypatch.setattr(analysis, "heat_current_exact", counted)
+        cfg = make_cfg(**drive)
+        root = min_temp_bisect(cfg, t_cold)
+        assert root == float.fromhex(root_bits)
+        t_root = min_temp_exact(cfg, t_cold)
+        assert temps[:2] == [t_root / 10.0, t_root * 10.0]
+        assert len(temps) == len(set(temps))
 
 
 class TestMethodComparison:

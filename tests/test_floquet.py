@@ -32,7 +32,14 @@ from licore.floquet import (
     solve_pipeline,
     steady_state,
 )
-from licore.operators import dissipator, unvec, vec
+from licore.operators import (
+    SIGMA_MINUS,
+    SIGMA_PLUS,
+    SIGMA_Z,
+    dissipator,
+    unvec,
+    vec,
+)
 from licore.rate_model import pumping_rate, weak_flows
 from licore.rate_model import steady_state as rate_steady_state
 from licore.spectra import (
@@ -47,6 +54,15 @@ from licore.units import kelvin_to_internal, thz_to_internal
 
 def make_cfg(delta=1.0, g=1e-3, gamma=0.05, nu=99.0):
     return AtomDriveConfig(omega0=nu + delta, gamma=gamma, g=g, nu=nu)
+
+
+# dressed-basis matrix of each jump, the upper dressed state first
+JUMP_MATRICES = {RAISE: SIGMA_PLUS, LOWER: SIGMA_MINUS, DEPHASE: SIGMA_Z}
+
+
+def coupling_operator(entry):
+    """c S of a coupling harmonic, 2x2 in the dressed basis."""
+    return entry.coefficient * JUMP_MATRICES[entry.jump]
 
 
 def random_weak_cfg(rng, g_over_delta=1e-3, gamma_p_over_gamma=None):
@@ -99,12 +115,12 @@ class TestCouplingSet:
         cfg = make_cfg(delta=1.0, g=0.0)
         cs = dressed_coupling_set(cfg)
         by_freq = {e.dressed_freq: e for e in cs.entries if e.bath == COLD}
-        assert np.abs(by_freq[-cfg.rabi].operator).max() == 0.0
-        assert np.abs(by_freq[0.0].operator).max() == 0.0
-        assert np.abs(by_freq[cfg.rabi].operator).max() == 1.0
+        assert np.abs(coupling_operator(by_freq[-cfg.rabi])).max() == 0.0
+        assert np.abs(coupling_operator(by_freq[0.0])).max() == 0.0
+        assert np.abs(coupling_operator(by_freq[cfg.rabi])).max() == 1.0
         hot_rabi = [e for e in cs.entries
                     if e.bath == HOT and e.dressed_freq != 0.0][0]
-        assert np.abs(hot_rabi.operator).max() == 0.0
+        assert np.abs(coupling_operator(hot_rabi)).max() == 0.0
         # the surviving channel sits at the bare resonance
         assert by_freq[cfg.rabi].effective_frequency(cs.drive_frequency) == \
             pytest.approx(cfg.omega0)
@@ -113,11 +129,11 @@ class TestCouplingSet:
         cfg = make_cfg(delta=0.0, g=1.0)
         cs = dressed_coupling_set(cfg)
         cold = {e.dressed_freq: e for e in cs.entries if e.bath == COLD}
-        assert np.abs(cold[-cfg.rabi].operator).max() == pytest.approx(0.5)
-        assert np.abs(cold[+cfg.rabi].operator).max() == pytest.approx(0.5)
+        assert np.abs(coupling_operator(cold[-cfg.rabi])).max() == pytest.approx(0.5)
+        assert np.abs(coupling_operator(cold[+cfg.rabi])).max() == pytest.approx(0.5)
         hot_dephasing = [e for e in cs.entries
                          if e.bath == HOT and e.dressed_freq == 0.0][0]
-        assert np.abs(hot_dephasing.operator).max() == 0.0
+        assert np.abs(coupling_operator(hot_dephasing)).max() == 0.0
 
     def test_weak_drive_hot_rate_approaches_pumping_rate(self):
         cfg, hot = random_weak_cfg(np.random.default_rng(0), g_over_delta=1e-3)
@@ -174,10 +190,10 @@ class TestLiouvillian:
     def test_trace_defect_rejected(self, monkeypatch):
         # sigma- empties the upper dressed state without filling the lower
         jumps = dict(floquet._jump_operators())
-        op, dissipator_lower = jumps[LOWER]
+        dissipator_lower, row = jumps[LOWER]
         leaky = dissipator_lower.copy()
         leaky[3, 0] = 0.0
-        jumps[LOWER] = (op, leaky)
+        jumps[LOWER] = (leaky, row)
         monkeypatch.setattr(floquet, "_jump_operators", lambda: jumps)
         cfg, hot = random_weak_cfg(np.random.default_rng(5))
         cold = CubicColdSpectrum(cfg.gamma, cfg.omega0, 0.0)
@@ -215,7 +231,7 @@ class TestLiouvillian:
             for entry in couplings.entries:
                 spectrum = hot if entry.bath == HOT else cold
                 w_eff = entry.effective_frequency(cfg.nu)
-                s = entry.operator
+                s = coupling_operator(entry)
                 direct += spectrum.value(w_eff) * dissipator(s) \
                     + spectrum.value(-w_eff) * dissipator(s.conj().T)
             liouv = build_liouvillian(couplings, hot, cold)
@@ -328,7 +344,66 @@ class TestSteadyState:
         assert gg == pytest.approx(1.0, abs=1e-13)
 
 
+def looped_heat_currents(liouv, rho):
+    """(J_hot, J_cold, conservation residual) one channel at a time, from
+    the 2x2 products tr(rho S+S), tr(rho SS+) and tr(L_k(rho) H)."""
+    h = np.diag([0.5 * liouv.rabi, -0.5 * liouv.rabi])
+    totals = {HOT: 0.0, COLD: 0.0}
+    p_direct = 0.0
+    for comp in liouv.components:
+        entry = comp.coupling
+        s = coupling_operator(entry)
+        sd = s.conj().T
+        n_down = comp.rate_down * np.trace(rho @ sd @ s).real
+        n_up = comp.rate_up * np.trace(rho @ s @ sd).real
+        if entry.dressed_freq != 0.0:
+            change = unvec(comp.matrix @ vec(rho))
+            heat = (comp.omega_eff / entry.dressed_freq) \
+                * np.trace(change @ h).real
+        else:
+            heat = comp.omega_eff * (n_up - n_down)
+        totals[entry.bath] += heat
+        p_direct += entry.harmonic * liouv.drive_frequency * (n_down - n_up)
+    j_hot, j_cold = totals[HOT], totals[COLD]
+    return j_hot, j_cold, abs(p_direct + j_hot + j_cold)
+
+
 class TestHeatCurrents:
+    @given(log_ratio=st.floats(-3.0, 0.3), delta_thz=st.floats(0.2, 20.0),
+           blue=st.booleans(),
+           t_cold_k=st.one_of(st.just(0.0), st.floats(1.0, 3000.0)),
+           t_hot_k=st.floats(300.0, 700.0), stationary=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_batched_pass_matches_per_channel_loop(self, log_ratio, delta_thz,
+                                                   blue, t_cold_k, t_hot_k,
+                                                   stationary):
+        delta_thz = -delta_thz if blue else delta_thz
+        cfg = AtomDriveConfig.from_thz(377.0, 6e-6,
+                                       10.0 ** log_ratio * abs(delta_thz),
+                                       377.0 - delta_thz)
+        hot = FlatHotSpectrum(thz_to_internal(0.002),
+                              kelvin_to_internal(t_hot_k))
+        cold = CubicColdSpectrum(cfg.gamma, cfg.omega0,
+                                 kelvin_to_internal(t_cold_k))
+        liouv = build_liouvillian(dressed_coupling_set(cfg), hot, cold)
+        if stationary:
+            rho = steady_state(liouv).rho
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = heat_currents(liouv, rho)
+        else:
+            rho = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+            with pytest.warns(UserWarning, match="non-stationary"):
+                report = heat_currents(liouv, rho)
+        assert report.stationary is stationary
+        j_hot, j_cold, residual = looped_heat_currents(liouv, rho)
+        scale = max(abs(j_hot), abs(j_cold), abs(j_hot + j_cold))
+        assert scale > 0.0
+        assert abs(report.j_hot - j_hot) <= 1e-13 * scale
+        assert abs(report.j_cold - j_cold) <= 1e-13 * scale
+        assert abs(report.p_abs + (j_hot + j_cold)) <= 1e-13 * scale
+        assert abs(report.conservation_residual - residual) <= 1e-13 * scale
+
     def test_undriven_atom_carries_no_current(self):
         cfg = make_cfg(delta=1.0, g=0.0)
         hot = FlatHotSpectrum(5.0, 2.0)
