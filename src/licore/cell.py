@@ -178,6 +178,16 @@ def _x_minus_log1p_over_x2(x: float) -> float:
     return (x - math.log1p(x)) / (x * x)
 
 
+def _log1p_minus_x_over_1px_over_x2(x: float) -> float:
+    """(log1p(x) - x/(1 + x)) / x^2 for x >= 0, free of cancellation in
+    the same way: below 1e-2 the series sum (-1)^n (n+1)/(n+2) x^n, cut
+    after x^8, is exact to rounding."""
+    if x < 1e-2:
+        return 1 / 2 - x * (2 / 3 - x * (3 / 4 - x * (4 / 5 - x * (
+            5 / 6 - x * (6 / 7 - x * (7 / 8 - x * (8 / 9 - x * 9 / 10)))))))
+    return (math.log1p(x) - x / (1.0 + x)) / (x * x)
+
+
 def _weak_cell_kernel(cfg_row: AtomDriveConfig, cell: CellConfig, t_hot: float):
     """The row's weak-drive cell (J_hot, P_abs) in closed form, as the kernel
     (g0, alpha_per_mm) -> watts for the flat hot spectrum of amplitude g0,
@@ -198,13 +208,23 @@ def _weak_cell_kernel(cfg_row: AtomDriveConfig, cell: CellConfig, t_hot: float):
     the strictest depth (g sqrt(u) <= g), the balance per unit pumping, and
     (2g/detuning)^2, so gamma_p(1) = (2g/detuning)^2 g0 has pumping_rate's
     bits (a flat spectrum's value at |detuning| is g0).
+
+    The slope of the cell's P_abs in ln g0 is gamma_p d/dgamma_p of the
+    same integral, nu B^2 w gamma_p times the integral of u^2 / (B + C u)^2
+    dz, which is elementary too,
+
+        nu B^2 w gamma_p / alpha [(D/E)^2 k(x) + D u_L / (E^2 (1 + x))],
+
+    with k(x) = (log1p x - x / (1 + x)) / x^2, and L / (B + C)^2 in place
+    of the integral without attenuation.  Only a call with slope=True
+    takes it, and returns it after (J_hot, P_abs), in watts.
     """
     delta, nu = check_weak_drive(cfg_row), cfg_row.nu
     coupling = (2.0 * cfg_row.g / delta) ** 2
     w, big_b, c_per_pumping = weak_balance(cfg_row, 1.0, t_hot)
     length, density = cell.length_mm, cell.linear_atom_density_per_mm
 
-    def flows(g0: float, alpha_per_mm: float) -> tuple[float, float]:
+    def flows(g0: float, alpha_per_mm: float, slope: bool = False) -> tuple:
         gamma_p = coupling * g0
         big_c = c_per_pumping * gamma_p
         j_1, p_1 = _flows(delta, nu, gamma_p, w, big_b, big_c)
@@ -214,14 +234,24 @@ def _weak_cell_kernel(cfg_row: AtomDriveConfig, cell: CellConfig, t_hot: float):
         else:
             u_l = 1.0 - d
             e = big_b + big_c * u_l
+            x = big_c * d / e
             weight = ((big_b + big_c) * d / (alpha_per_mm * e)
-                      * (big_b * d * _x_minus_log1p_over_x2(big_c * d / e) / e + u_l))
+                      * (big_b * d * _x_minus_log1p_over_x2(x) / e + u_l))
         atoms = density * weight
         j_w, p_w = internal_to_watts(atoms * j_1), internal_to_watts(atoms * p_1)
         if not (math.isfinite(j_w) and math.isfinite(p_w)):
             raise DomainError("weak-drive cell integral is not finite for these "
                               "parameters")
-        return j_w, p_w
+        if not slope:
+            return j_w, p_w
+        if d == 0.0:
+            slope_weight = length / (big_b + big_c) ** 2
+        else:
+            d_e = d / e
+            slope_weight = (d_e * d_e * _log1p_minus_x_over_1px_over_x2(x)
+                            + d * u_l / (e * e * (1.0 + x))) / alpha_per_mm
+        return j_w, p_w, internal_to_watts(
+            density * nu * big_b * big_b * w * gamma_p * slope_weight)
 
     return flows, nu * big_b * w / c_per_pumping
 
@@ -246,8 +276,13 @@ def calibrate_g0(dataset: AbsorptionDataset, cfg_template: AtomDriveConfig,
     otherwise all rows with usable absorption enter an equally weighted
     least-squares fit.  The attenuation profile per row is taken from the
     measured absorption itself.  One root, the first row's, starts the fit
-    in ln g0; a single row's fit stays on that root.
+    in ln g0; a single row's fit stays on that root.  A reference outside
+    the dataset's frequency span is a ConfigError.
     """
+    if reference_nu_thz is not None and not dataset.covers(reference_nu_thz):
+        raise ConfigError(
+            f"reference_nu_thz {reference_nu_thz} THz lies outside the "
+            f"dataset's span {dataset.nu_thz[0]}-{dataset.nu_thz[-1]} THz")
     rows = []    # (nu_thz, a, nu)
     for nu_thz, a in zip(dataset.nu_thz, dataset.absorption):
         nu = thz_to_internal(nu_thz)
@@ -300,11 +335,16 @@ def calibrate_g0(dataset: AbsorptionDataset, cfg_template: AtomDriveConfig,
             f"the model absorbs more than {a:.4g} at every amplitude g0 > 0")
     x_start = math.log(g_start)
 
-    def residuals(x):
+    def residuals_and_slopes(x):
         g0 = g_start * math.exp(x - x_start)
-        return [kernel(g0, alpha)[1] / p_l - a for kernel, alpha, a in fits]
+        r, s = [], []
+        for kernel, alpha, a in fits:
+            _, p, slope = kernel(g0, alpha, True)
+            r.append(p / p_l - a)
+            s.append(slope / p_l)
+        return r, s
 
-    x, fun = gauss_newton(residuals, x_start, error=CalibrationError)
+    x, fun = gauss_newton(residuals_and_slopes, x_start, error=CalibrationError)
     resid = math.sqrt(math.fsum(r * r for r in fun) / len(fun))
     return CalibrationResult(g_start * math.exp(x - x_start), resid,
                              tuple((nu_thz, a) for nu_thz, a, _ in rows))

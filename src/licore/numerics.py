@@ -7,9 +7,10 @@ Stdlib only, so that no licore command pays for importing SciPy or numpy.
 same roots; ``integrate`` is QUADPACK's 21-point Gauss-Kronrod rule,
 which it accepts by qagse's test and otherwise refines by global
 bisection of the worst interval; ``gauss_newton`` fits one parameter by
-least squares.  The root finder and the fit raise the ``error`` class
-their caller names when they cannot return an answer; ``integrate``
-returns its error estimate for the caller to check.
+least squares, from residuals and slopes its caller returns together,
+with secant steps on the gradient.  The root finder and the fit raise
+the ``error`` class their caller names when they cannot return an
+answer; ``integrate`` returns its error estimate for the caller to check.
 """
 
 from __future__ import annotations
@@ -207,53 +208,53 @@ def integrate(f, a: float, b: float, epsrel: float) -> tuple[float, float]:
     return math.fsum(part for *_, part in heap), errsum
 
 
-# x is a logarithm, varying on a scale of one: eps^(1/3) balances the
-# central difference's truncation against its rounding
-_SLOPE_STEP = _EPMACH ** (1.0 / 3.0)
 _UNBRACKETED_STEP = math.log(2.0)
+# x is a logarithm, varying on a scale of one: a step below this that does
+# not shrink is rounding, not progress
+_FLOOR_STEP = _EPMACH ** (1.0 / 3.0)
+# the rounding in each term r_i s_i of the gradient: a few ulps from the
+# residual, the slope and their product
+_GRADIENT_ULPS = 16.0
 XTOL_FIT = 1e-15
 
 
-def gauss_newton(residuals, x0: float, error=DomainError) -> tuple[float, list]:
+def gauss_newton(residuals_and_slopes, x0: float,
+                 error=DomainError) -> tuple[float, list]:
     """Least-squares fit of one parameter: the x where sum r_i(x)^2 is
-    stationary, by Gauss-Newton steps with a central-difference slope s_i
-    of each residual.  Returns x and the residuals there.
+    stationary.  residuals_and_slopes(x) returns the residuals r_i and
+    their slopes s_i = dr_i/dx, two lists, from one call.  Returns x and
+    the residuals there.
+
+    Each step divides the gradient sum r_i s_i by a curvature.  The first
+    takes Gauss-Newton's sum s_i^2.  Once two points exist, each takes the
+    secant slope of the gradient through the last two, which reaches the
+    stationary point superlinearly even where large residuals make
+    sum r_i r_i'' cancel most of sum s_i^2.  Where that secant is not
+    positive, or the change in the gradient is at its rounding level,
+    the step falls back to sum s_i^2.
 
     Every residual must rise with x, so the sign of a step tells which
     side of the minimum x is on, and the points visited bracket it.  Until
     both sides are known a step moves at most ln 2; after that, a step
     that would leave the bracket goes to its midpoint instead.  The steps
     shrink until they reach XTOL_FIT or, when the residuals stay large,
-    the floor that rounding in the slopes sets; a step below _SLOPE_STEP
-    that is no smaller than the one before has reached it.
-
-    A Gauss-Newton step divides the gradient sum r_i s_i by the curvature
-    sum s_i^2, which leaves out sum r_i r_i''.  Where the residuals stay
-    large, that term can cancel most of sum s_i^2, and each step then
-    takes only a fixed share of the way to the minimum, in some fits 2%.
-    A fit still moving after MAXITER steps takes the gradient's secant
-    slope through its last two points as the curvature instead, which
-    reaches the same stationary point superlinearly; a fit that stops
-    within MAXITER steps never takes such a step."""
+    the floor that rounding in the gradient sets; a step below _FLOOR_STEP
+    that is no smaller than the one before has reached it."""
     x, lo, hi, last_move = x0, -math.inf, math.inf, math.inf
-    x_before = gradient_before = math.nan
     for count in range(2 * MAXITER):
-        r = residuals(x)
-        up, down = residuals(x + _SLOPE_STEP), residuals(x - _SLOPE_STEP)
-        slope = [(u - d) / (2.0 * _SLOPE_STEP) for u, d in zip(up, down)]
+        r, slope = residuals_and_slopes(x)
         curvature = math.fsum(s * s for s in slope)
         if not curvature > 0.0:
             raise error("least-squares fit: the residuals do not depend on "
                         "the parameter")
         gradient = math.fsum(ri * s for ri, s in zip(r, slope))
-        if count >= MAXITER:
-            secant = (gradient - gradient_before) / (x - x_before)
-            if secant > 0.0:
-                curvature = secant
-            if count == MAXITER:
-                # the first secant step is no continuation of the last
-                # Gauss-Newton step: it jumps to where they were heading
-                last_move = math.inf
+        if count:
+            change = gradient - gradient_before
+            if abs(change) > _GRADIENT_ULPS * _EPMACH * math.fsum(
+                    abs(ri * s) for ri, s in zip(r, slope)):
+                secant = change / (x - x_before)
+                if secant > 0.0:
+                    curvature = secant
         step = -gradient / curvature
         if step > 0.0:
             lo = x
@@ -262,9 +263,10 @@ def gauss_newton(residuals, x0: float, error=DomainError) -> tuple[float, list]:
         if hi - lo == math.inf:
             x_new = x + min(max(step, -_UNBRACKETED_STEP), _UNBRACKETED_STEP)
         else:
-            x_new = x + step if lo < x + step < hi else 0.5 * (lo + hi)
+            # a step below half an ulp of x lands on x, an end of the bracket
+            x_new = x + step if lo <= x + step <= hi else 0.5 * (lo + hi)
         move = abs(x_new - x)
-        if move <= XTOL_FIT * (XTOL_FIT + abs(x)) or last_move <= move <= _SLOPE_STEP:
+        if move <= XTOL_FIT * (XTOL_FIT + abs(x)) or last_move <= move <= _FLOOR_STEP:
             return x, r
         x_before, gradient_before = x, gradient
         x, last_move = x_new, move

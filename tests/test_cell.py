@@ -5,10 +5,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from licore.cell import (
     AbsorptionDataset,
     _integrate_over_cell,
+    _log1p_minus_x_over_1px_over_x2,
     _weak_cell_kernel,
     _x_minus_log1p_over_x2,
     CellConfig,
@@ -25,7 +28,7 @@ from licore import cell as cellmod, floquet, numerics, rate_model
 from licore.config import AtomDriveConfig
 from licore.errors import CalibrationError, ConfigError, DomainError
 from licore.floquet import solve_pipeline
-from licore.numerics import brentq, interp
+from licore.numerics import brentq, gauss_newton, interp
 from licore.rate_model import pumping_rate, weak_balance, weak_flows
 from licore.spectra import (
     CubicColdSpectrum,
@@ -69,23 +72,31 @@ def sum_of_squares(ds, cfg, cell, rows, g0):
 
 def least_squares_g0(ds, cfg, cell, rows, g0):
     """The amplitude within 1% of g0 where sum_of_squares is stationary,
-    by bisection on its central difference in ln g0."""
+    by bisection on its five-point central difference in ln g0."""
     from scipy.optimize import bisect
 
     def misfit(log_g0):
         return sum_of_squares(ds, cfg, cell, rows, math.exp(log_g0))
 
-    # on the fixture the difference's own O(h^2) shift of the root is ~2e-12
-    h = 2.5e-6
+    # the difference's own O(h^4) shift of the root is ~1e-13 on the
+    # fixture, and rounding in the misfit moves the root by ~1e-11 on
+    # scattered_dataset.  A two-point difference needs h ~ 1e-6 for an
+    # O(h^2) shift that small, and rounding then moves its root by ~1e-9
+    h = 1e-3
+
+    def slope(y):
+        return (8.0 * (misfit(y + h) - misfit(y - h))
+                - (misfit(y + 2.0 * h) - misfit(y - 2.0 * h)))
+
     x = math.log(g0)
-    return math.exp(bisect(lambda y: misfit(y + h) - misfit(y - h),
-                           x - 0.01, x + 0.01, xtol=1e-300, rtol=1e-15))
+    return math.exp(bisect(slope, x - 0.01, x + 0.01, xtol=1e-300, rtol=1e-15))
 
 
 def scattered_dataset():
     """A 50-row synthesized dataset, each row scaled by a seeded factor in
-    [0.6, 1): its least-squares minimum is so flat that a Gauss-Newton
-    step there covers only about 15% of the remaining way."""
+    [0.6, 1): its residuals stay so large at the least-squares minimum
+    that a Gauss-Newton step, with sum s_i^2 as the curvature, covers only
+    about 15% of the remaining way there."""
     nus = [352.5 + k for k in range(50)]
     ds = synthesize_absorption(lab_cfg(), lab_cell(),
                                thz_to_internal(0.002281237607714487), nus)
@@ -181,6 +192,45 @@ class TestWeakCellClosedForm:
                 exact = float((d - (1 + d).ln()) / (d * d))
                 assert _x_minus_log1p_over_x2(x) == pytest.approx(exact,
                                                                   rel=5e-14), x
+
+    def test_slope_series_and_direct_forms_against_50_digits(self):
+        import decimal
+
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            for x in (1e-12, 1e-6, 3e-3, 9.99e-3, 1e-2, 0.1, 1.0, 37.0, 1e3,
+                      1e8):
+                d = decimal.Decimal(x)
+                exact = float(((1 + d).ln() - d / (1 + d)) / (d * d))
+                assert _log1p_minus_x_over_1px_over_x2(x) == pytest.approx(
+                    exact, rel=5e-14), x
+
+    @given(log_ratio=st.floats(-12.0, 8.0),
+           log_alpha_l=st.floats(-6.0, math.log10(50.0)),
+           delta_thz=st.sampled_from((-20.0, -2.0, 2.0, 20.0)),
+           attenuated=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_slope_matches_richardson_difference(self, log_ratio, log_alpha_l,
+                                                 delta_thz, attenuated):
+        # C/B from 1e-12 to 1e8 and alpha L from 1e-6 to 50 take k(x) on
+        # both its series and its direct branch; alpha = 0 takes d == 0
+        cfg = lab_cfg(nu_thz=377.0 - delta_thz)
+        alpha = 10.0 ** log_alpha_l / 10.0 if attenuated else 0.0
+        cell = lab_cell(alpha=alpha)
+        hot = _hot_for_pumping_ratio(cfg, 10.0 ** log_ratio)
+        flows, _ = _weak_cell_kernel(cfg, cell, hot.temperature)
+        g0 = hot.plateau
+        j, p, slope = flows(g0, alpha, True)
+        assert (j, p) == flows(g0, alpha)
+
+        def difference(h):
+            return (flows(g0 * math.exp(h), alpha)[1]
+                    - flows(g0 * math.exp(-h), alpha)[1]) / (2.0 * h)
+
+        richardson = (4.0 * difference(5e-4) - difference(1e-3)) / 3.0
+        # rounding in the differences reaches ~2e-11 of P; where C >> B the
+        # slope is down to 1e-8 of P
+        assert slope == pytest.approx(richardson, rel=1e-9, abs=1e-10 * p)
 
     def test_fraction_approaches_saturation_cap(self):
         cfg = lab_cfg()
@@ -456,8 +506,8 @@ class TestCalibration:
             rel=1e-10, abs=0)
 
     def test_scattered_rows_reach_the_least_squares_minimum(self):
-        # Gauss-Newton alone takes 120 steps here, and stops 3e-9 short of
-        # the minimum in ln g0; past 100 steps the fit's secant finishes it
+        # Gauss-Newton steps alone would take 120 steps here, and stop 3e-9
+        # short of the minimum in ln g0; the gradient's secant takes 13
         ds = scattered_dataset()
         cfg, cell = lab_cfg(), lab_cell()
         result = calibrate_g0(ds, cfg, cell)
@@ -466,9 +516,36 @@ class TestCalibration:
             least_squares_g0(ds, cfg, cell, result.rows_used, result.g0),
             rel=1e-9, abs=0)
 
+    def test_scattered_fit_takes_few_residual_passes(self, monkeypatch):
+        # each pass is one call for every row's residual and slope
+        passes = []
+
+        def counted(residuals_and_slopes, *args, **kwargs):
+            def call(x):
+                passes.append(x)
+                return residuals_and_slopes(x)
+            return gauss_newton(call, *args, **kwargs)
+
+        monkeypatch.setattr(cellmod, "gauss_newton", counted)
+        calibrate_g0(scattered_dataset(), lab_cfg(), lab_cell())
+        assert len(passes) <= 20
+
+    def test_reference_outside_the_dataset_rejected(self):
+        ds = synthesize_absorption(lab_cfg(), lab_cell(), 8.0e9, (365.0, 370.0))
+        for reference in (364.9, 370.1, 1000.0, math.nan):
+            with pytest.raises(ConfigError, match="outside the dataset's span "
+                                                  "365.0-370.0 THz"):
+                calibrate_g0(ds, lab_cfg(), lab_cell(),
+                             reference_nu_thz=reference)
+        # both ends of the span are inside it
+        for reference in (365.0, 370.0):
+            result = calibrate_g0(ds, lab_cfg(), lab_cell(),
+                                  reference_nu_thz=reference)
+            assert result.rows_used == ((reference, ds.absorption[
+                ds.nu_thz.index(reference)]),)
+
     def test_flat_two_row_minimum_is_reached(self, two_rows_path):
-        # at this flat minimum, rounding in the slopes keeps the fit's steps
-        # near 5e-8 in ln g0; the fit must still stop, on the minimum
+        # at this flat minimum the fit must stop, on the minimum
         ds = load_absorption_csv(two_rows_path)
         cfg, cell = lab_cfg(), lab_cell(density=1e11)
         result = calibrate_g0(ds, cfg, cell)
@@ -574,9 +651,9 @@ class TestCalibration:
                 calibrate_g0(two_rows, cfg, lab_cell(density=1e11))]
         assert [(r.g0.hex(), r.residual_rms.hex(), len(r.rows_used))
                 for r in fits] == [
-            ("0x1.60ce34922eb74p+34", "0x1.07aaf909f0cc0p-3", 50),
+            ("0x1.60ce349233545p+34", "0x1.07aaf909f0cbfp-3", 50),
             ("0x1.96a355afbfd53p+35", "0x1.0000000000000p-53", 1),
-            ("0x1.4dcd2b40573e4p+20", "0x1.cf66eb0a5dee4p-8", 2)]
+            ("0x1.4dcd2db572994p+20", "0x1.cf66eb0a5dee4p-8", 2)]
         synthetic = synthesize_absorption(cfg, lab_cell(), 1.2e10,
                                           (360.0, 365.0, 370.0, 382.0, 390.0))
         assert [a.hex() for a in synthetic.absorption] == [

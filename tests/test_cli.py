@@ -405,6 +405,17 @@ class TestExitCodes:
         assert err.startswith("domain error: the model absorbs more than ")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("reference", ["1000", "351.9", "402.1"])
+    def test_reference_row_outside_the_dataset_is_config_error(
+            self, capsys, reference):
+        # the fixture dataset spans 352-402 THz; the nearest row to a
+        # reference outside it is not the row the user named
+        code, out, err = run(capsys, "calibrate", "--config", SCAN,
+                             "--set", f"calibrate.reference_nu_thz={reference}")
+        assert (code, out) == (2, "")
+        assert err == (f"config error: reference_nu_thz {reference} THz lies "
+                       "outside the dataset's span 352.0-402.0 THz\n")
+
     @pytest.mark.parametrize("command, section", [
         ("currents", "hot_bath"),
         ("currents", "cold_bath"),

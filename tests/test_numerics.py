@@ -158,24 +158,48 @@ class TestIntegrate:
             assert err <= 1e-8 * abs(got)
 
 
+def _tanh_residual(x):
+    """One residual tanh(x) - 1/2 and its slope, minimum at atanh(1/2)."""
+    return [math.tanh(x) - 0.5], [1.0 / math.cosh(x) ** 2]
+
+
 class TestGaussNewton:
     def test_zero_residual_fit_is_exact(self):
         x, r = numerics.gauss_newton(
-            lambda x: [math.exp(x) - 3.0, 2.0 * math.exp(x) - 6.0], 0.0)
+            lambda x: ([math.exp(x) - 3.0, 2.0 * math.exp(x) - 6.0],
+                       [math.exp(x), 2.0 * math.exp(x)]), 0.0)
         assert x == pytest.approx(math.log(3.0), rel=1e-15)
         assert max(map(abs, r)) <= 1e-14
 
     def test_far_start_walks_to_the_bracketed_minimum(self):
         # at x = -10 the slope is ~8e-9, and a full Gauss-Newton step would
         # land near 2e8, where the residual no longer depends on x
-        x, r = numerics.gauss_newton(lambda x: [math.tanh(x) - 0.5], -10.0)
+        x, r = numerics.gauss_newton(_tanh_residual, -10.0)
         assert x == pytest.approx(math.atanh(0.5), rel=1e-15)
         assert abs(r[0]) <= 1e-15
 
     def test_flat_residuals_raise_the_callers_error(self):
         with pytest.raises(CalibrationError, match="do not depend"):
-            numerics.gauss_newton(lambda x: [1.0, 2.0], 0.0,
+            numerics.gauss_newton(lambda x: ([1.0, 2.0], [0.0, 0.0]), 0.0,
                                   error=CalibrationError)
+
+    def test_non_positive_secant_falls_back_to_gauss_newton(self):
+        # in the tail left of the minimum the gradient r s grows more
+        # negative towards it, so the secant through the first two points
+        # is negative; taken as the curvature it would step away from the
+        # minimum, while sum s^2 steps towards it, by the ln 2 cap
+        visited = []
+
+        def recorded(x):
+            visited.append(x)
+            return _tanh_residual(x)
+
+        x, _ = numerics.gauss_newton(recorded, -3.0)
+        gradients = [r[0] * s[0] for r, s in map(_tanh_residual, visited[:2])]
+        assert (gradients[1] - gradients[0]) / (visited[1] - visited[0]) < 0.0
+        assert visited[:3] == [-3.0, -3.0 + math.log(2.0),
+                               -3.0 + math.log(2.0) + math.log(2.0)]
+        assert x == pytest.approx(math.atanh(0.5), rel=1e-15)
 
 
 def _same_float(a: float, b: float) -> bool:
