@@ -111,8 +111,13 @@ class AbsorptionDataset(Record):
 
 
 def _alpha_of_absorption(a: float, length_mm: float) -> float:
-    """alpha with 1 - exp(-alpha L) = a, kept finite as a -> 1."""
-    return -math.log1p(-min(a, 1.0 - 1e-15)) / length_mm
+    """alpha with 1 - exp(-alpha L) = a, kept finite as a -> 1; a
+    DomainError where a subnormal length overflows it."""
+    alpha = -math.log1p(-min(a, 1.0 - 1e-15)) / length_mm
+    if not math.isfinite(alpha):
+        raise DomainError(f"attenuation coefficient overflows: absorption "
+                          f"{a:.4g} over a cell of {length_mm:.4g} mm")
+    return alpha
 
 
 def load_absorption_csv(path) -> AbsorptionDataset:
@@ -145,27 +150,45 @@ def pick_solver(cfg: AtomDriveConfig) -> str:
     return "floquet"
 
 
-def _integrate_over_cell(cell: CellConfig, alpha_per_mm: float, local_fn) -> float:
-    """(N_a/L) integral of exp(-alpha z) local_fn(attenuation(z)) dz, where
-    local_fn returns an internal per-atom power; result in watts.
+def _integrate_over_cell(cell: CellConfig, alpha_per_mm: float,
+                         local) -> tuple[float, float]:
+    """(N_a/L) integrals of exp(-alpha z) J_hot and exp(-alpha z) P_abs,
+    where local(attenuation(z)) returns the internal per-atom pair
+    (J_hot, P_abs); results in watts.
 
-    Past the depth BEAM_CUTOFF / alpha the beam is subnormal, then zero, as
-    is the coupling; an optically thick cell is integrated to there only.
+    The P_abs pass reads the values the J_hot pass stored at its depths
+    and calls local only at depths that pass never visited, where the two
+    bisections part.  Past the depth BEAM_CUTOFF / alpha the beam is
+    subnormal, then zero, as is the coupling; an optically thick cell is
+    integrated to there only.
 
-    Raises DomainError when the error estimate misses QUAD_EPSREL."""
+    Raises DomainError when either error estimate misses QUAD_EPSREL."""
     depth = cell.length_mm
     if alpha_per_mm * depth > BEAM_CUTOFF:
         depth = BEAM_CUTOFF / alpha_per_mm
+    p_at = {}     # depth -> exp(-alpha z) P_abs, from the J_hot pass
 
-    def integrand(z: float) -> float:
+    def j_integrand(z: float) -> float:
         att = math.exp(-alpha_per_mm * z)
-        return att * local_fn(att)
+        j_hot, p_abs = local(att)
+        p_at[z] = att * p_abs
+        return att * j_hot
 
-    value, err = integrate(integrand, 0.0, depth, QUAD_EPSREL)
-    if not err <= QUAD_EPSREL * abs(value):
-        raise DomainError(f"cell integral did not converge: error estimate "
-                          f"{err:.3g} against value {value:.6g}")
-    return internal_to_watts(cell.linear_atom_density_per_mm * value)
+    def p_integrand(z: float) -> float:
+        stored = p_at.get(z)
+        if stored is not None:
+            return stored
+        att = math.exp(-alpha_per_mm * z)
+        return att * local(att)[1]
+
+    totals = []
+    for integrand in (j_integrand, p_integrand):
+        value, err = integrate(integrand, 0.0, depth, QUAD_EPSREL)
+        if not err <= QUAD_EPSREL * abs(value):
+            raise DomainError(f"cell integral did not converge: error "
+                              f"estimate {err:.3g} against value {value:.6g}")
+        totals.append(internal_to_watts(cell.linear_atom_density_per_mm * value))
+    return tuple(totals)
 
 
 def _x_minus_log1p_over_x2(x: float) -> float:
@@ -430,11 +453,15 @@ def _scan_row(cell: CellConfig, cfg_template: AtomDriveConfig,
     else:
         # the local coupling follows the attenuated beam, g^2(z) = g^2 e^(-alpha z):
         # one kernel per row, with one cold spectrum and the rates that do not
-        # depend on g; both integrals visit the same depths, so each is solved once
+        # depend on g; both integrals share its calls at each depth
         cold = CubicColdSpectrum(cfg_row.gamma, cfg_row.omega0, t_cold)
-        flows = functools.cache(beam_flows(cfg_row, hot, cold))
-        j_tot = _integrate_over_cell(cell, alpha, lambda att: flows(att).j_hot)
-        p_abs = _integrate_over_cell(cell, alpha, lambda att: flows(att).p_abs)
+        flows = beam_flows(cfg_row, hot, cold)
+
+        def local(att: float) -> tuple[float, float]:
+            at_depth = flows(att)
+            return at_depth.j_hot, at_depth.p_abs
+
+        j_tot, p_abs = _integrate_over_cell(cell, alpha, local)
     eta = j_tot / cell.laser_power_w
     budget = cell.laser_power_w * -math.expm1(-alpha * cell.length_mm)
     return (ScanRow(delta_thz, j_tot, j_exp, p_abs, eta, regime, solver),

@@ -160,13 +160,13 @@ def dressed_coupling_set(cfg: AtomDriveConfig) -> HarmonicCouplingSet:
 
 
 def _rate_pair(spectrum: BathSpectrum, w_eff: float) -> tuple[float, float]:
-    """(G(w_eff), G(-w_eff)), the rates of D[S] and D[S+]; DomainError
-    unless both are finite and non-negative."""
-    rate_down = spectrum.value(w_eff)
-    rate_up = spectrum.value(-w_eff)
-    if not (math.isfinite(rate_down) and math.isfinite(rate_up)):
-        raise DomainError(f"non-finite spectrum value at {w_eff:.6g}")
-    if rate_down < 0 or rate_up < 0:
+    """(G(w_eff), G(-w_eff)), the rates of D[S] and D[S+], from one
+    spectrum.pair call; DomainError unless both are finite and
+    non-negative."""
+    rate_down, rate_up = spectrum.pair(w_eff)
+    if not (0.0 <= rate_down < math.inf and 0.0 <= rate_up < math.inf):
+        if not (math.isfinite(rate_down) and math.isfinite(rate_up)):
+            raise DomainError(f"non-finite spectrum value at {w_eff:.6g}")
         raise DomainError(f"negative spectrum value at {w_eff:.6g}")
     return rate_down, rate_up
 

@@ -3,6 +3,9 @@
 Every spectrum is defined for all real frequencies: the positive side is
 given by the model, the negative side follows from the KMS relation
 G(-w) = exp(-w/T) G(w).  A zero-temperature bath has G(-w) = 0 for w > 0.
+``pair(w)`` gives (G(w), G(-w)) together, the rate pair of one channel:
+two ``value`` calls by default, one positive-side value and its
+Boltzmann weight for the flat and cubic models, with the same bits.
 """
 
 from __future__ import annotations
@@ -49,6 +52,12 @@ class BathSpectrum(abc.ABC):
     def value(self, omega: float) -> float:
         ...
 
+    def pair(self, omega: float) -> tuple[float, float]:
+        """(G(omega), G(-omega)), bit for bit the two value calls.  The
+        flat and cubic models override it, so a subclass of theirs that
+        redefines value redefines pair too."""
+        return self.value(omega), self.value(-omega)
+
 
 class FlatHotSpectrum(Record, BathSpectrum):
     """Constant plateau for omega >= 0, thermally suppressed below zero.
@@ -71,6 +80,13 @@ class FlatHotSpectrum(Record, BathSpectrum):
         if omega >= 0:
             return self.plateau
         return self.plateau * boltzmann_weight(-omega, self.temperature)
+
+    def pair(self, omega: float) -> tuple[float, float]:
+        # a NaN omega takes the weighted value on both sides, as value does
+        plateau = self.plateau
+        weighted = plateau * boltzmann_weight(abs(omega), self.temperature)
+        return (plateau if omega >= 0 else weighted,
+                plateau if omega <= 0 else weighted)
 
 
 class CubicColdSpectrum(Record, BathSpectrum):
@@ -97,6 +113,16 @@ class CubicColdSpectrum(Record, BathSpectrum):
         if omega > 0:
             return mag
         return mag * boltzmann_weight(-omega, self.temperature)
+
+    def pair(self, omega: float) -> tuple[float, float]:
+        if omega == 0:
+            return 0.0, 0.0
+        w = abs(omega)
+        mag = self.gamma * (w / self.omega0) ** 3
+        weighted = mag * boltzmann_weight(w, self.temperature)
+        if omega > 0:
+            return mag, weighted
+        return weighted, mag
 
 
 class ZeroSpectrum(Record, BathSpectrum):

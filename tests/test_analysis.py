@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from licore import analysis
 from licore.analysis import (
@@ -22,9 +23,11 @@ from licore.analysis import (
 )
 from licore.config import AtomDriveConfig
 from licore.errors import DomainError, NoSolutionError
-from licore.floquet import heat_current_exact, hot_channel_rate, sideband_weights
-from licore.spectra import CubicColdSpectrum, FlatHotSpectrum
-from licore.units import amu_to_kg
+from licore.floquet import (dressed_flows, heat_current_exact,
+                            hot_channel_rate, sideband_weights)
+from licore.spectra import (BathSpectrum, CubicColdSpectrum, FlatHotSpectrum,
+                            boltzmann_weight)
+from licore.units import amu_to_kg, kelvin_to_internal, thz_to_internal
 
 
 def make_cfg(delta=1.0, g=1e-3, gamma=0.05, nu=99.0):
@@ -174,6 +177,48 @@ class TestMinTempBisect:
         t_root = min_temp_exact(cfg, t_cold)
         assert temps[:2] == [t_root / 10.0, t_root * 10.0]
         assert len(temps) == len(set(temps))
+
+
+class _Lorentzian(BathSpectrum):
+    """A value-only KMS hot shape: amplitude width^2 / (w^2 + width^2)
+    for w >= 0, times the Boltzmann weight below zero."""
+
+    def __init__(self, amplitude, width, temperature):
+        self.amplitude, self.width = amplitude, width
+        self.temperature = temperature
+
+    def value(self, omega):
+        shape = self.amplitude * self.width ** 2 / (omega * omega
+                                                    + self.width ** 2)
+        if omega >= 0:
+            return shape
+        return shape * boltzmann_weight(-omega, self.temperature)
+
+
+class TestFloorForAnyHotShape:
+    """The hot sigma_z channel sits at frequency 0 and carries no heat, so
+    J_hot vanishes where the sigma- channel at rabi is thermal, whatever
+    the hot shape: tmin's closed form is the floor of any KMS hot
+    spectrum with G(rabi) > 0."""
+
+    @pytest.mark.parametrize("t_cold_k", [0.0, 300.0])
+    @pytest.mark.parametrize("g_thz", [0.01, 0.1, 0.5, 2.0])
+    @pytest.mark.parametrize("width_thz", [0.1, 1.0, 100.0])
+    def test_root_of_the_exact_current_is_min_temp_exact(
+            self, width_thz, g_thz, t_cold_k):
+        cfg = AtomDriveConfig.from_thz(377.0, 6e-6, g_thz, 372.0)
+        t_cold = kelvin_to_internal(t_cold_k)
+        cold = CubicColdSpectrum(cfg.gamma, cfg.omega0, t_cold)
+        amplitude, width = thz_to_internal(0.002), thz_to_internal(width_thz)
+
+        def j_hot(t_hot):
+            hot = _Lorentzian(amplitude, width, t_hot)
+            return dressed_flows(cfg, hot, cold).j_hot
+
+        t_min = min_temp_exact(cfg, t_cold)
+        root = brentq(j_hot, t_min / 10.0, t_min * 10.0, xtol=1e-300,
+                      rtol=4 * np.finfo(float).eps)
+        assert root == pytest.approx(t_min, rel=1e-12, abs=0)
 
 
 class TestMethodComparison:

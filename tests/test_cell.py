@@ -123,7 +123,9 @@ class TestQuadrature:
     def test_constant_integrand_closed_form(self):
         cell = lab_cell(alpha=0.2, density=3e11)
         j_const = 2.5e18  # internal units
-        total = _integrate_over_cell(cell, 0.2, lambda att: j_const)
+        total, again = _integrate_over_cell(cell, 0.2,
+                                            lambda att: (j_const, j_const))
+        assert again == total
         n_atoms = cell.linear_atom_density_per_mm * cell.length_mm
         alpha_l = 0.2 * cell.length_mm
         expected = internal_to_watts(
@@ -133,7 +135,8 @@ class TestQuadrature:
     def test_no_attenuation_reduces_to_atom_count(self):
         cell = lab_cell(alpha=0.0)
         j_const = 1.7e18
-        total = _integrate_over_cell(cell, 0.0, lambda att: j_const)
+        total, _ = _integrate_over_cell(cell, 0.0,
+                                        lambda att: (j_const, j_const))
         n_atoms = cell.linear_atom_density_per_mm * cell.length_mm
         assert total == pytest.approx(internal_to_watts(n_atoms * j_const),
                                       rel=1e-10)
@@ -143,7 +146,27 @@ class TestQuadrature:
         cell = lab_cell(alpha=0.2)
         pole = math.exp(-0.2 * math.pi)
         with pytest.raises(DomainError, match="did not converge"):
-            _integrate_over_cell(cell, 0.2, lambda att: 1.0 / (att - pole))
+            _integrate_over_cell(cell, 0.2, lambda att: (1.0 / (att - pole),
+                                                         1.0))
+        # the P_abs pass checks its own estimate
+        with pytest.raises(DomainError, match="did not converge"):
+            _integrate_over_cell(cell, 0.2, lambda att: (1.0,
+                                                         1.0 / (att - pole)))
+
+    def test_each_depth_solved_once_where_the_passes_part(self):
+        # J_hot is met by one 21-point rule, the peaked P_abs bisects: its
+        # pass reads the 21 stored depths and solves only the new ones
+        cell = lab_cell(alpha=0.2)
+        peak = math.exp(-0.2 * math.pi)
+        seen = []
+
+        def local(att):
+            seen.append(att)
+            return 1.0, 1.0 / (1e-4 + (att - peak) ** 2)
+
+        _integrate_over_cell(cell, 0.2, local)
+        assert len(seen) > 21
+        assert len(set(seen)) == len(seen)
 
 
 def _hot_for_pumping_ratio(cfg, ratio):
@@ -173,8 +196,7 @@ class TestWeakCellClosedForm:
                 return weak_flows(cfg_att, pumping_rate(cfg_att, hot),
                                   hot.temperature)
 
-            j_quad = _integrate_over_cell(cell, alpha, lambda att: local(att)[0])
-            p_quad = _integrate_over_cell(cell, alpha, lambda att: local(att)[1])
+            j_quad, p_quad = _integrate_over_cell(cell, alpha, local)
             flows, _ = _weak_cell_kernel(cfg, cell, hot.temperature)
             j, p = flows(hot.plateau, alpha)
             # abs=0: weak pumping gives powers below approx's default abs
@@ -301,16 +323,16 @@ class TestExactRows:
             currents = solve_pipeline(cfg_local, hot, cold)[2]
             return currents.j_hot, currents.p_abs
 
-        alpha = cell.absorption_coeff_per_mm
-        return (_integrate_over_cell(cell, alpha, lambda att: local(att)[0]),
-                _integrate_over_cell(cell, alpha, lambda att: local(att)[1]))
+        return _integrate_over_cell(cell, cell.absorption_coeff_per_mm, local)
 
     def test_one_cold_spectrum_and_one_kernel_per_row(self, monkeypatch):
         # the first 21-point rule is accepted on this row: one cold spectrum
         # and one beam_flows kernel, evaluated at 21 depths shared by both
-        # integrals; no attenuated config.  Spectrum values: the two rate
-        # pairs that do not depend on g once, three pairs per depth
-        counts = {"cold": 0, "kernels": 0, "depths": 0, "values": 0}
+        # integrals; no attenuated config.  Spectrum pairs, each one call
+        # and no value call: the two that do not depend on g once, three
+        # per depth
+        counts = {"cold": 0, "kernels": 0, "depths": 0, "pairs": 0,
+                  "values": 0}
         real_cold = cellmod.CubicColdSpectrum
         real_kernel = cellmod.beam_flows
 
@@ -331,10 +353,12 @@ class TestExactRows:
             raise AssertionError("cell rows must not build attenuated configs")
 
         for spectrum in (real_cold, FlatHotSpectrum):
-            def value(self, omega, real=spectrum.value):
-                counts["values"] += 1
-                return real(self, omega)
-            monkeypatch.setattr(spectrum, "value", value)
+            for method in ("pair", "value"):
+                def counted_method(self, omega, real=getattr(spectrum, method),
+                                   key=method + "s"):
+                    counts[key] += 1
+                    return real(self, omega)
+                monkeypatch.setattr(spectrum, method, counted_method)
         monkeypatch.setattr(cellmod, "CubicColdSpectrum", cold)
         monkeypatch.setattr(cellmod, "beam_flows", kernel)
         monkeypatch.setattr(AtomDriveConfig, "attenuated", attenuated)
@@ -343,7 +367,7 @@ class TestExactRows:
                                  thz_to_internal(0.002), [0.5])
         assert scan.rows[0].model == "floquet"
         assert counts == {"cold": 1, "kernels": 1, "depths": 21,
-                          "values": 2 * 2 + 21 * 3 * 2}
+                          "pairs": 2 + 21 * 3, "values": 0}
 
     def test_strong_scan_matches_svd_oracle_without_it(self, monkeypatch):
         cell, cfg, g0 = lab_cell(), lab_cfg(g_thz=0.5), thz_to_internal(0.002)

@@ -540,6 +540,23 @@ class TestExitCodes:
          "config error: cell: absorption_length_mm overflows internal units"),
         (["calibrate", "--set", "cell.absorption_length_mm=1e-320"], 2,
          "config error: cell: absorption_length_mm overflows internal units"),
+        # a dataset row's alpha = -log1p(-a) / length overflows; given an
+        # amplitude, weak rows wrote j_hot_watt = 0 with exit 0 and exact
+        # rows ended in a ValueError on a NaN power fraction
+        (["calibrate", "--set", "cell.length_mm=1e-320"], 3,
+         "domain error: attenuation coefficient overflows: absorption 0.6713 "
+         "over a cell of 1e-320 mm"),
+        (["scan", "--set", "cell.length_mm=1e-320"], 3,
+         "domain error: attenuation coefficient overflows: absorption "
+         "0.0001614 over a cell of 1e-320 mm"),
+        (["scan", "--set", "cell.length_mm=1e-320",
+          "--set", "hot_bath.g0_thz=0.002", "--set", "scan.delta_min_thz=5.0",
+          "--set", "scan.delta_max_thz=6.0"], 3,
+         "domain error: attenuation coefficient overflows: absorption 0.6713 "
+         "over a cell of 1e-320 mm"),
+        (["scan", *FLOQUET_ROWS, "--set", "cell.length_mm=1e-320"], 3,
+         "domain error: attenuation coefficient overflows: absorption 0.9369 "
+         "over a cell of 1e-320 mm"),
         # refused before the file is read: it need not exist
         (["scan", "--set", "hot_bath.spectrum_csv=missing.csv"], 2,
          "config error: hot_bath.spectrum_csv is not supported by scan and "
@@ -550,6 +567,8 @@ class TestExitCodes:
     ], ids=["laser-below-zero", "calibration-unbracketed",
             "absorption-coefficient", "g0-overflows", "flows-overflow",
             "alpha-overflows", "calibrate-alpha-overflows",
+            "calibrate-row-alpha-overflows", "row-alpha-overflows",
+            "weak-row-alpha-overflows", "floquet-row-alpha-overflows",
             "scan-tabulated-spectrum", "calibrate-tabulated-spectrum"])
     def test_scan_fixture_failure_is_one_stderr_line(self, capsys, tmp_path,
                                                      argv, code, message):
@@ -836,8 +855,8 @@ SCAN_FUZZ_FIELDS = ("scan.delta_min_thz", "scan.delta_max_thz",
                     "cell.linear_atom_density_per_mm", "cell.laser_power_w")
 # no pair of these makes a grid of more than about 800 rows but fewer than
 # MAX_SCAN_ROWS, so every example stays quick
-SCAN_FUZZ_VALUES = ("0", "1e-300", "-1e-300", "0.5", "1", "-25", "377", "1e30",
-                    "1e308", "NaN", "Infinity", "-Infinity", "1e400")
+SCAN_FUZZ_VALUES = ("0", "1e-300", "-1e-300", "1e-320", "0.5", "1", "-25", "377",
+                    "1e30", "1e308", "NaN", "Infinity", "-Infinity", "1e400")
 
 
 @pytest.fixture(scope="module")

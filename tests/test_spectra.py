@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from licore.errors import ConfigError
 from licore.spectra import (
+    BathSpectrum,
     CubicColdSpectrum,
     FlatHotSpectrum,
     TabulatedSpectrum,
@@ -155,3 +156,54 @@ def test_kms_check_reports_nan_defect():
     spec = NanAbove(1.0, 1.0)
     assert math.isnan(kms_violation(spec, [1.0, 2.0, 3.0]))
     assert kms_violation(spec, 1.0) <= 1e-15
+
+
+class _ValueOnly(BathSpectrum):
+    """A spectrum that defines value alone, so pair is the base class's;
+    odd in omega, so the sign of a zero shows."""
+
+    temperature = 1.0
+
+    def value(self, omega):
+        return 2.0 * omega
+
+
+def _same_bits(x, y) -> bool:
+    """Equal with the same sign, or both NaN."""
+    if math.isnan(x) or math.isnan(y):
+        return math.isnan(x) and math.isnan(y)
+    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+
+
+PAIR_SPECTRA = [
+    FlatHotSpectrum(5.0, 10.0),
+    FlatHotSpectrum(2.5, 1e300),
+    CubicColdSpectrum(2.0, 1.0, 0.0),
+    CubicColdSpectrum(2.0, 1.0, 3.0),
+    CubicColdSpectrum(2.0, 1.0, 1e300),
+    ZeroSpectrum(1.0),
+    TabulatedSpectrum((-1.0, 0.0, 1.0), (0.1, 1.0, 2.0), temperature=1e9),
+    _ValueOnly(),
+]
+# 5e102 takes the cubic past the float range as gamma (w/omega0)^3 (inf,
+# and inf times a vanishing weight is NaN); at 1e200 the cube itself
+# raises OverflowError
+PAIR_OMEGAS = [0.0, 5e-324, 2.2e-308, 1e-310, 1e-3, 0.5, 1.0, 7.0, 1e3,
+               5e102, 1e200, math.inf, math.nan]
+
+
+@pytest.mark.parametrize("spec", PAIR_SPECTRA,
+                         ids=lambda spec: type(spec).__name__)
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_pair_is_the_two_values_bit_for_bit(spec, sign):
+    for magnitude in PAIR_OMEGAS:
+        omega = sign * magnitude
+        try:
+            expected = (spec.value(omega), spec.value(-omega))
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                spec.pair(omega)
+            continue
+        got = spec.pair(omega)
+        assert type(got) is tuple and len(got) == 2
+        assert all(map(_same_bits, got, expected)), (omega, got, expected)
