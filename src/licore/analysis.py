@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .config import AtomDriveConfig
 from .errors import DomainError, NoSolutionError
-from .floquet import heat_current_exact, sideband_weights
+from .floquet import _exact_current_in_t_hot, sideband_weights
 from .numerics import brentq
 from .spectra import boltzmann_weight
 from .units import C_LIGHT, HBAR, internal_to_thz
@@ -84,10 +84,7 @@ def min_temp_bisect(cfg: AtomDriveConfig, t_cold: float) -> float:
         return 0.0
 
     # memoized: brentq starts from the two ends the sign check just took
-    @functools.cache
-    def current(t_hot: float) -> float:
-        return heat_current_exact(cfg, 1.0, t_hot, t_cold)
-
+    current = functools.cache(_exact_current_in_t_hot(cfg, 1.0, t_cold))
     lo, hi = t_root / 10.0, t_root * 10.0
     if not current(lo) < 0.0 < current(hi):
         raise NoSolutionError("exact current does not change sign across the "

@@ -377,7 +377,7 @@ def synthesize_absorption(cfg_template: AtomDriveConfig, cell: CellConfig,
                           g0: float, nus_thz) -> AbsorptionDataset:
     """Self-consistent absorption a(nu) predicted by the model itself:
     a solves a = fraction(alpha(a)).  Round-trips exactly through
-    calibrate_g0."""
+    calibrate_g0.  DomainError where no a < 1 solves it (over the photon budget)."""
     if g0 <= 0:
         raise ValueError("g0 must be positive")
     t_hot = kelvin_to_internal(cell.bath_temperature_k)
@@ -391,6 +391,7 @@ def synthesize_absorption(cfg_template: AtomDriveConfig, cell: CellConfig,
         kernel, _ = _weak_cell_kernel(cfg_template.with_laser_frequency(nu),
                                       cell, t_hot)
 
+        @functools.cache
         def gap(a):
             alpha = _alpha_of_absorption(a, cell.length_mm)
             return kernel(g0, alpha)[1] / cell.laser_power_w - a
@@ -398,6 +399,10 @@ def synthesize_absorption(cfg_template: AtomDriveConfig, cell: CellConfig,
         if gap(0.0) <= 0.0:
             values.append(0.0)
             continue
+        if gap(1.0 - 1e-12) > 0.0:
+            raise DomainError(
+                f"no self-consistent absorption at {nu_thz!r} THz: the model "
+                "absorbs more than the beam delivers at every a < 1")
         values.append(brentq(gap, 0.0, 1.0 - 1e-12, xtol=1e-300, rtol=1e-14))
     return AbsorptionDataset(tuple(float(n) for n in nus_thz), tuple(values))
 

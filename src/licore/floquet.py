@@ -11,24 +11,21 @@ Lindblad dissipators with detailed-balanced rate pairs.
 Heat bookkeeping per channel: a quantum exchanged with the bath carries the
 effective frequency, the system energy changes by wbar, and the drive
 supplies the difference q nu.  For wbar != 0 this reproduces the entropy-
-production (Spohn) expression (w_eff/wbar) Tr[(L rho) H]; the dephasing-type
-wbar = 0 channels are handled by the same quantum-counting rule directly,
-which assigns zero heat to the static hot channel and nu times the net
-scattering rate to the elastic cold channel.
+production (Spohn) expression (w_eff/wbar) Tr[(L rho) H]; the wbar = 0
+channels count quanta directly: no heat on the static hot channel, nu per
+net quantum on the elastic cold channel.
 
-Every dressed jump operator is sigma+, sigma- or sigma_z, so the steady
-state is a two-level rate balance and dressed_flows gives populations and
-flows in closed form, with its own residuals, and bare_from_dressed the
-bare populations.  It is the full-beam value of beam_flows, the cell
-integrand's depth kernel, which takes the rates g does not move once.
-One helper, _dressed_channels, computes the five channels' frequencies
-and coefficients from plain (nu, detuning, g) and checks them: the
-kernel reads them, dressed_coupling_set labels them as a table.  The
-generator route (build_liouvillian on that table, steady_state via SVD,
-heat_currents, bundled as solve_pipeline, with dressing_rotation and
-bare_populations) is the numerical oracle that checks both.  Only that
-route needs numpy, and it imports numpy on first use, so no command
-loads it.
+Every dressed jump is sigma+, sigma- or sigma_z, so the steady state is a
+two-level rate balance: dressed_flows gives populations and flows in
+closed form, with its own residuals, and bare_from_dressed the bare
+populations.  It is the full-beam value of beam_flows, the cell
+integrand's depth kernel.  _dressed_channels computes and checks the five
+channels' frequencies and coefficients; the kernel reads them,
+dressed_coupling_set labels them.  The generator route (build_liouvillian,
+steady_state via SVD, heat_currents: solve_pipeline) is the numerical
+oracle that checks both, in real arithmetic: the jumps and rates are real
+and there is no Hamiltonian part.  Only it needs numpy, imported on first
+use, so no command loads it.
 """
 
 from __future__ import annotations
@@ -68,36 +65,33 @@ def rotating_frame_hamiltonian(cfg: AtomDriveConfig) -> np.ndarray:
 
 
 def dressing_rotation(cfg: AtomDriveConfig) -> np.ndarray:
-    """Unitary whose columns are the (upper, lower) dressed states in the
-    bare basis, with a deterministic sign convention."""
+    """Real orthogonal matrix whose columns are the (upper, lower) dressed
+    states in the bare basis, each with its largest entry positive."""
     np, _ = _oracle_modules()
-    evals, evecs = np.linalg.eigh(rotating_frame_hamiltonian(cfg))
-    order = np.argsort(evals)[::-1]     # upper first
-    u = evecs[:, order]
+    _, evecs = np.linalg.eigh(rotating_frame_hamiltonian(cfg))
+    u = evecs[:, ::-1].copy()   # eigh sorts ascending: upper first
     for k in range(2):
-        col = u[:, k]
-        lead = col[np.argmax(np.abs(col))]
-        if lead.real < 0 or (lead.real == 0 and lead.imag < 0):
-            u[:, k] = -col
+        if u[np.argmax(np.abs(u[:, k])), k] < 0:
+            u[:, k] = -u[:, k]
     return u
 
 
 # dressed-basis jump operators; the upper dressed state comes first, so
 # sigma+ raises and sigma- lowers the atom between the dressed states
 RAISE, LOWER, DEPHASE = "sigma+", "sigma-", "sigma_z"
-_ADJOINT = {RAISE: LOWER, LOWER: RAISE, DEPHASE: DEPHASE}
+_JUMP_INDEX = {RAISE: 0, LOWER: 1, DEPHASE: 2}
 
 
 @functools.cache
-def _jump_operators() -> dict:
-    """jump -> (4x4 dissipator D[S], row vec((S+S)^T)), built on first use.
-    D[c S] = |c|^2 D[S], so the generator only scales these three, and
-    tr(rho S+S) = vec((S+S)^T) . vec(rho) reads the quanta a jump takes."""
-    _, ops = _oracle_modules()
-    jumps = {RAISE: ops.SIGMA_PLUS, LOWER: ops.SIGMA_MINUS,
-             DEPHASE: ops.SIGMA_Z}
-    return {jump: (ops.dissipator(op), ops.vec((op.conj().T @ op).T))
-            for jump, op in jumps.items()}
+def _jump_operators() -> tuple:
+    """(pairs, rows), built on first use: pairs[_JUMP_INDEX[jump]] stacks
+    the jump's 4x4 dissipators D[S] and D[S+], rows[...] its vec((S+S)^T)
+    and vec((SS+)^T).  D[c S] = |c|^2 D[S], so the generator only scales
+    these, and vec((S+S)^T) . vec(rho) = tr(rho S+S) counts quanta."""
+    np, ops = _oracle_modules()
+    pairs = [(s, s.T) for s in (ops.SIGMA_PLUS, ops.SIGMA_MINUS, ops.SIGMA_Z)]
+    return (np.array([[ops.dissipator(s) for s in pair] for pair in pairs]),
+            np.array([[ops.vec(s.T @ s) for s in pair] for pair in pairs]))
 
 
 class HarmonicCoupling(NamedTuple):
@@ -316,7 +310,7 @@ class LiouvillianComponent(NamedTuple):
     omega_eff: float
     rate_down: float        # G(omega_eff), multiplies D[S]
     rate_up: float          # G(-omega_eff), multiplies D[S+]
-    matrix: np.ndarray      # 4x4 sub-generator
+    matrix: np.ndarray      # 4x4 sub-generator, a view into the stack
 
 
 class LiouvillianOperator(NamedTuple):
@@ -324,11 +318,11 @@ class LiouvillianOperator(NamedTuple):
     components: tuple
     drive_frequency: float
     rabi: float
+    stack: np.ndarray       # the components' matrices, stacked
 
     def trace_defect(self) -> float:
-        """Norm of the adjoint generator applied to the identity; zero for
-        a trace-preserving generator.  vec is row-major, so vec(1) picks
-        rows 0 and 3."""
+        """Norm of the adjoint generator applied to the identity, zero if
+        it preserves the trace; vec(1) picks rows 0 and 3 (row-major)."""
         np, _ = _oracle_modules()
         return float(np.linalg.norm(self.matrix[0] + self.matrix[3]))
 
@@ -336,22 +330,27 @@ class LiouvillianOperator(NamedTuple):
 def build_liouvillian(couplings: HarmonicCouplingSet, hot: BathSpectrum,
                       cold: BathSpectrum) -> LiouvillianOperator:
     """Assemble the generator: each harmonic contributes
-    G(w_eff) D[S] + G(-w_eff) D[S+], kept separately for current bookkeeping."""
+    G(w_eff) D[S] + G(-w_eff) D[S+], kept separately for current
+    bookkeeping.  The |c|^2-weighted rate pairs contract with the jumps'
+    stacked (D[S], D[S+]) in one product; the total is their sum."""
     np, _ = _oracle_modules()
-    jumps = _jump_operators()
-    components = []
-    total = np.zeros((4, 4), dtype=complex)
+    nu, channels, rates = couplings.drive_frequency, [], []
     for entry in couplings.entries:
-        spectrum = hot if entry.bath == HOT else cold
-        w_eff = entry.effective_frequency(couplings.drive_frequency)
-        rate_down, rate_up = _rate_pair(spectrum, w_eff)
+        w_eff = entry.effective_frequency(nu)
+        rate_down, rate_up = _rate_pair(hot if entry.bath == HOT else cold,
+                                        w_eff)
         weight = entry.coefficient * entry.coefficient
-        mat = (weight * rate_down) * jumps[entry.jump][0] \
-            + (weight * rate_up) * jumps[_ADJOINT[entry.jump]][0]
-        components.append(LiouvillianComponent(entry, w_eff, rate_down, rate_up, mat))
-        total = total + mat
-    liouv = LiouvillianOperator(total, tuple(components),
-                                couplings.drive_frequency, couplings.rabi)
+        channels.append((entry, w_eff, rate_down, rate_up))
+        rates += (weight * rate_down, weight * rate_up)
+    pairs = _jump_operators()[0].take(
+        [_JUMP_INDEX[entry.jump] for entry in couplings.entries], axis=0)
+    stack = (np.array(rates).reshape(-1, 1, 2)
+             @ pairs.reshape(-1, 2, 16)).reshape(-1, 4, 4)
+    total = stack.sum(axis=0)
+    liouv = LiouvillianOperator(
+        total, tuple(LiouvillianComponent(*channel, mat)
+                     for channel, mat in zip(channels, stack)),
+        nu, couplings.rabi, stack)
     if liouv.trace_defect() > 1e-12 * np.abs(total).max():
         raise DomainError(f"generator does not preserve the trace: defect "
                           f"{liouv.trace_defect():.3e}")
@@ -366,7 +365,7 @@ class SteadyStateReport(NamedTuple):
 
 
 def steady_state(liouv: LiouvillianOperator) -> SteadyStateReport:
-    """Kernel of the 4x4 generator via SVD, hermitized and trace-normalized.
+    """Kernel of the real 4x4 generator via SVD, symmetrized and normalized.
 
     Raises DegenerateSteadyStateError when the second-smallest singular
     value falls below DEGENERACY_TOL times the generator norm.
@@ -385,19 +384,15 @@ def steady_state(liouv: LiouvillianOperator) -> SteadyStateReport:
             f"Liouvillian kernel not one-dimensional (singular values "
             f"{s[-2]:.3e}, {s[-1]:.3e} vs norm {norm:.3e})"
         )
-    candidate = ops.unvec(vh[-1].conj())
-    tr = np.trace(candidate)
+    candidate = ops.unvec(vh[-1])
+    tr = candidate[0, 0] + candidate[1, 1]
     if abs(tr) < 1e-12:
         raise DegenerateSteadyStateError("steady-state candidate is traceless")
     rho = ops.hermitize(candidate / tr)
-    rho = rho / np.trace(rho).real
+    rho = rho / (rho[0, 0] + rho[1, 1])
     residual = float(np.linalg.norm(liouv.matrix @ ops.vec(rho)))
-    return SteadyStateReport(
-        rho=rho,
-        residual=residual,
-        populations=(rho[0, 0].real, rho[1, 1].real),
-        coherence=complex(rho[0, 1]),
-    )
+    return SteadyStateReport(rho, residual, (rho[0, 0], rho[1, 1]),
+                             complex(rho[0, 1]))
 
 
 def bare_populations(cfg: AtomDriveConfig, rho_dressed: np.ndarray) -> tuple[float, float]:
@@ -418,35 +413,31 @@ class CurrentReport(NamedTuple):
 def heat_currents(liouv: LiouvillianOperator, rho: np.ndarray) -> CurrentReport:
     """Per-bath heat currents and absorbed power at (or near) steady state.
 
-    The five channels are read in one batched pass: the stacked component
-    generators act on vec(rho) in one product, a dot with vec(H^T) gives
-    each channel's energy change tr(L_k(rho) H), and the jumps' cached
-    vec((S+S)^T) rows give tr(rho S+S) and tr(rho SS+).  Currents are exact
-    at the steady state; a non-stationary rho is flagged via
+    The five channels are read in one batched pass: the generator's stored
+    stack of component matrices acts on vec(rho) in one product, a dot
+    with vec(H^T) gives each channel's energy change tr(L_k(rho) H), and
+    the jumps' cached rows give tr(rho S+S) and tr(rho SS+).  Currents are
+    exact at the steady state; a non-stationary rho is flagged via
     ``stationary=False``.
     """
     np, ops = _oracle_modules()
     v = ops.vec(rho)
-    drift = np.linalg.norm(liouv.matrix @ v)
-    norm = np.linalg.norm(liouv.matrix)
-    stationary = bool(drift <= STATIONARITY_TOL * max(norm, 1.0))
+    stationary = bool(np.linalg.norm(liouv.matrix @ v) <= STATIONARITY_TOL
+                      * max(np.linalg.norm(liouv.matrix), 1.0))
     if not stationary:
         warnings.warn("heat currents evaluated on a non-stationary state",
                       stacklevel=2)
     comps = liouv.components
-    jumps = _jump_operators()
     half = 0.5 * liouv.rabi
     # tr(L_k(rho) H) of every channel, vec(H^T) of H = diag(rabi/2, -rabi/2)
-    changes = (np.array([comp.matrix for comp in comps]) @ v) \
-        @ np.array([half, 0.0, 0.0, -half])
-    # tr(rho S+S) and tr(rho SS+) of every channel; SS+ is the adjoint's S+S
-    rows = [jumps[jump][1] for comp in comps
-            for jump in (comp.coupling.jump, _ADJOINT[comp.coupling.jump])]
-    quanta = (np.array(rows) @ v).real.tolist()
+    changes = (liouv.stack @ v) @ np.array([half, 0.0, 0.0, -half])
+    # tr(rho S+S) and tr(rho SS+) of every channel
+    rows = _jump_operators()[1].take(
+        [_JUMP_INDEX[comp.coupling.jump] for comp in comps], axis=0)
+    quanta = (rows @ v).real.tolist()
     totals = {HOT: 0.0, COLD: 0.0}
     p_direct = 0.0
-    for comp, change, down, up in zip(comps, changes.real.tolist(),
-                                      quanta[0::2], quanta[1::2]):
+    for comp, change, (down, up) in zip(comps, changes.real.tolist(), quanta):
         entry = comp.coupling
         weight = entry.coefficient * entry.coefficient
         n_down = comp.rate_down * (weight * down)
@@ -497,20 +488,34 @@ def heat_current_exact(cfg: AtomDriveConfig, gamma_p: float, t_hot: float,
     exact agreement with the numerical solver.  t_cold = 0 takes the vacuum
     limit of the cold Boltzmann factors exactly.
     """
-    if gamma_p < 0:
-        raise ValueError("gamma_p must be non-negative")
     if t_hot <= 0:
         raise ValueError("t_hot must be positive")
+    return _exact_current_in_t_hot(cfg, gamma_p, t_cold)(t_hot)
+
+
+def _exact_current_in_t_hot(cfg: AtomDriveConfig, gamma_p: float,
+                           t_cold: float):
+    """heat_current_exact as t_hot -> J_hot for t_hot > 0: the factors
+    free of t_hot are taken once.  Each hoisted sum is one that Python
+    evaluates first, left to right, so every value keeps its bits."""
+    if gamma_p < 0:
+        raise ValueError("gamma_p must be non-negative")
     if t_cold < 0:
         raise ValueError("t_cold must be non-negative")
     rabi = cfg.rabi
     d_plus, d_minus = sideband_weights(cfg)
-    bw_hot = boltzmann_weight(rabi, t_hot)
     bw_p = boltzmann_weight(cfg.nu + rabi, t_cold)
     bw_m = boltzmann_weight(cfg.nu - rabi, t_cold)
-    num = bw_hot * (d_plus + d_minus * bw_m) - (d_plus * bw_p + d_minus)
-    den = d_minus * (1.0 + bw_m) + d_plus * (1.0 + bw_p) + (1.0 + bw_hot) * gamma_p
-    return rabi * gamma_p * num / den
+    gain, loss = d_plus + d_minus * bw_m, d_plus * bw_p + d_minus
+    cold_den = d_minus * (1.0 + bw_m) + d_plus * (1.0 + bw_p)
+    scale = rabi * gamma_p
+
+    def current(t_hot: float) -> float:
+        bw_hot = boltzmann_weight(rabi, t_hot)
+        return scale * (bw_hot * gain - loss) \
+            / (cold_den + (1.0 + bw_hot) * gamma_p)
+
+    return current
 
 
 def solve_pipeline(cfg: AtomDriveConfig, hot: BathSpectrum, cold: BathSpectrum):

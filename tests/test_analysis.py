@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from licore import analysis
+from licore import analysis, floquet
 from licore.analysis import (
     LICORE,
     RESOLVED,
@@ -163,14 +163,22 @@ class TestMinTempBisect:
                                              t_cold, root_bits):
         # Brent's method starts from the values the sign check took at the
         # two bracket ends, so no temperature is evaluated twice; the root
-        # keeps its bits
+        # keeps its bits.  The current's temperature-free factors are taken
+        # once per check, so the per-temperature function is counted
         temps = []
+        current_in_t_hot = floquet._exact_current_in_t_hot
 
-        def counted(cfg, gamma_p, t_hot, t_cold):
-            temps.append(t_hot)
-            return heat_current_exact(cfg, gamma_p, t_hot, t_cold)
+        def counted_factory(cfg, gamma_p, t_cold):
+            current = current_in_t_hot(cfg, gamma_p, t_cold)
 
-        monkeypatch.setattr(analysis, "heat_current_exact", counted)
+            def counted(t_hot):
+                temps.append(t_hot)
+                return current(t_hot)
+
+            return counted
+
+        monkeypatch.setattr(analysis, "_exact_current_in_t_hot",
+                            counted_factory)
         cfg = make_cfg(**drive)
         root = min_temp_bisect(cfg, t_cold)
         assert root == float.fromhex(root_bits)

@@ -518,6 +518,24 @@ class TestCalibration:
             synthesize_absorption(lab_cfg(), lab_cell(), 1.2e10,
                                   (365.0, nu_thz))
 
+    # dense cells near resonance: the weak-drive model absorbs more than
+    # the beam delivers at every a < 1, so a = fraction(alpha(a)) has no root
+    @pytest.mark.parametrize("density, nu_thz", [
+        (2e12, 378.0), (2e13, 372.0), (2e13, 376.0), (2e13, 378.0),
+        (2e13, 382.0)])
+    def test_synthesis_over_the_beam_budget_names_the_row(self, density,
+                                                          nu_thz):
+        cell = lab_cell(density=density)
+        g0 = thz_to_internal(2e-3)
+        with pytest.raises(DomainError) as info:
+            synthesize_absorption(lab_cfg(), cell, g0, (360.0, nu_thz))
+        assert str(info.value) == (
+            f"no self-consistent absorption at {nu_thz!r} THz: the model "
+            "absorbs more than the beam delivers at every a < 1")
+        # the row before it synthesizes on its own
+        assert 0.0 < synthesize_absorption(lab_cfg(), cell, g0,
+                                           (360.0,)).absorption[0] < 1.0
+
     def test_all_row_fit_lands_on_the_least_squares_minimum(self,
                                                             scan_dataset_path):
         # the fixture is a Gaussian line the model does not match: the

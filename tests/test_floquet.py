@@ -189,12 +189,12 @@ class TestLiouvillian:
 
     def test_trace_defect_rejected(self, monkeypatch):
         # sigma- empties the upper dressed state without filling the lower
-        jumps = dict(floquet._jump_operators())
-        dissipator_lower, row = jumps[LOWER]
-        leaky = dissipator_lower.copy()
-        leaky[3, 0] = 0.0
-        jumps[LOWER] = (leaky, row)
-        monkeypatch.setattr(floquet, "_jump_operators", lambda: jumps)
+        # wherever it is stacked: D[S] of the sigma- jump, D[S+] of sigma+
+        pairs, rows = floquet._jump_operators()
+        leaky = pairs.copy()
+        for jump, side in ((LOWER, 0), (RAISE, 1)):
+            leaky[floquet._JUMP_INDEX[jump], side, 3, 0] = 0.0
+        monkeypatch.setattr(floquet, "_jump_operators", lambda: (leaky, rows))
         cfg, hot = random_weak_cfg(np.random.default_rng(5))
         cold = CubicColdSpectrum(cfg.gamma, cfg.omega0, 0.0)
         with pytest.raises(DomainError, match="does not preserve the trace"):
@@ -451,6 +451,78 @@ class TestHeatCurrents:
         with pytest.warns(UserWarning, match="non-stationary"):
             report = heat_currents(liouv, excited)
         assert not report.stationary
+
+
+def complex_channel_build(couplings, hot, cold):
+    """(total, per-channel matrices) of the generator built one channel at
+    a time in complex arithmetic from ops.dissipator, as the oracle once
+    did: (|c|^2 G(w_eff)) D[S] + (|c|^2 G(-w_eff)) D[S+]."""
+    total, mats = np.zeros((4, 4), dtype=complex), []
+    for entry in couplings.entries:
+        spectrum = hot if entry.bath == HOT else cold
+        w_eff = entry.effective_frequency(couplings.drive_frequency)
+        weight = entry.coefficient * entry.coefficient
+        s = JUMP_MATRICES[entry.jump].astype(complex)
+        mat = (weight * spectrum.value(w_eff)) * dissipator(s) \
+            + (weight * spectrum.value(-w_eff)) * dissipator(s.conj().T)
+        mats.append(mat)
+        total = total + mat
+    return total, mats
+
+
+class TestRealStackedOracle:
+    """The real generator from one stacked contraction against the complex
+    one-channel-at-a-time build, and the currents and populations read
+    from each."""
+
+    @given(log_ratio=st.floats(-3.0, math.log10(2.0)),
+           delta_thz=st.floats(0.2, 20.0), blue=st.booleans(),
+           t_cold_k=st.one_of(st.just(0.0), st.floats(1.0, 3000.0)),
+           t_hot_k=st.floats(300.0, 700.0))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_complex_per_channel_build(self, log_ratio, delta_thz,
+                                                   blue, t_cold_k, t_hot_k):
+        delta_thz = -delta_thz if blue else delta_thz
+        cfg = AtomDriveConfig.from_thz(377.0, 6e-6,
+                                       10.0 ** log_ratio * abs(delta_thz),
+                                       377.0 - delta_thz)
+        hot = FlatHotSpectrum(thz_to_internal(0.002),
+                              kelvin_to_internal(t_hot_k))
+        cold = CubicColdSpectrum(cfg.gamma, cfg.omega0,
+                                 kelvin_to_internal(t_cold_k))
+        couplings = dressed_coupling_set(cfg)
+        liouv = build_liouvillian(couplings, hot, cold)
+        total, mats = complex_channel_build(couplings, hot, cold)
+        assert not total.imag.any()
+        assert liouv.matrix.dtype == np.float64
+        ulps = 4 * np.finfo(float).eps * np.abs(total).max()
+        assert np.abs(liouv.matrix - total.real).max() <= ulps
+        for comp, mat in zip(liouv.components, mats):
+            assert np.abs(comp.matrix - mat.real).max() <= ulps
+        # the complex route's state, hermitized, and its looped currents
+        _, _, vh = np.linalg.svd(total)
+        candidate = unvec(vh[-1].conj())
+        rho = candidate / np.trace(candidate)
+        rho = 0.5 * (rho + rho.conj().T)
+        rho = rho / np.trace(rho).real
+        complex_liouv = liouv._replace(
+            matrix=total, components=tuple(
+                comp._replace(matrix=mat)
+                for comp, mat in zip(liouv.components, mats)))
+        j_hot, j_cold, residual = looped_heat_currents(complex_liouv, rho)
+        report = steady_state(liouv)
+        assert report.rho.dtype == np.float64
+        assert isinstance(report.coherence, complex)
+        assert np.abs(np.array(report.populations)
+                      - np.diag(rho).real).max() <= 1e-15
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            currents = heat_currents(liouv, report.rho)
+        scale = max(abs(j_hot), abs(j_cold), abs(j_hot + j_cold))
+        assert scale > 0.0
+        assert abs(currents.j_hot - j_hot) <= 1e-13 * scale
+        assert abs(currents.j_cold - j_cold) <= 1e-13 * scale
+        assert abs(currents.conservation_residual - residual) <= 1e-13 * scale
 
 
 class TestExactCurrent:
