@@ -4,6 +4,7 @@ Cooling stops when the exact hot-bath current vanishes; the balance
 condition e^(-rabi/T_hot) = (d+ e^(-nu+/Tc) + d-) / (d+ + d- e^(-nu-/Tc))
 solves for T_hot in closed form.  A numerical root of the exact current
 (Brent's method) provides an independent cross-check of the same root.
+Both read one floquet._hot_balance, so a check takes its factors once.
 """
 
 from __future__ import annotations
@@ -15,44 +16,43 @@ from typing import NamedTuple
 
 from .config import AtomDriveConfig
 from .errors import DomainError, NoSolutionError
-from .floquet import _exact_current_in_t_hot, sideband_weights
+from .floquet import _hot_balance
 from .numerics import brentq
 from .spectra import boltzmann_weight
 from .units import C_LIGHT, HBAR, internal_to_thz
 
 
-def _balance_rhs(cfg: AtomDriveConfig, t_cold: float) -> float:
-    if t_cold < 0:
-        raise ValueError("t_cold must be non-negative")
-    d_plus, d_minus = sideband_weights(cfg)
-    bw_p = boltzmann_weight(cfg.nu + cfg.rabi, t_cold)
-    bw_m = boltzmann_weight(cfg.nu - cfg.rabi, t_cold)
-    return (d_plus * bw_p + d_minus) / (d_plus + d_minus * bw_m)
-
-
-def min_temp_exact(cfg: AtomDriveConfig, t_cold: float) -> float:
-    """Hot-bath temperature at which cooling stops, from the closed-form
-    balance condition.  t_cold = 0 uses exact-zero cold Boltzmann factors."""
+def _floor(cfg: AtomDriveConfig, t_cold: float):
+    """(min_temp_exact, its current t_hot -> J_hot at unit pumping rate),
+    both from one _hot_balance; an undriven atom has no current."""
     if cfg.detuning <= 0:
         raise NoSolutionError(
             "no cooling fixed point: the balance condition requires a "
             "red-detuned drive (detuning > 0)"
         )
     if cfg.g == 0.0:
-        return 0.0
-    rhs = _balance_rhs(cfg, t_cold)
-    if rhs >= 1.0:
+        return 0.0, None
+    ratio, current = _hot_balance(cfg, 1.0, t_cold)
+    if ratio >= 1.0:
         raise NoSolutionError(
-            f"balance ratio {rhs:.6g} >= 1: no positive-temperature root"
+            f"balance ratio {ratio:.6g} >= 1: no positive-temperature root"
         )
-    if rhs == 0.0:
-        return 0.0
-    return -cfg.rabi / math.log(rhs)
+    if ratio == 0.0:
+        return 0.0, current
+    return -cfg.rabi / math.log(ratio), current
+
+
+def min_temp_exact(cfg: AtomDriveConfig, t_cold: float) -> float:
+    """Hot-bath temperature at which cooling stops, from the closed-form
+    balance condition.  t_cold = 0 uses exact-zero cold Boltzmann factors."""
+    return _floor(cfg, t_cold)[0]
 
 
 def min_temp_residual(cfg: AtomDriveConfig, t_cold: float, t_hot: float) -> float:
     """Relative defect of the balance condition at t_hot."""
-    rhs = _balance_rhs(cfg, t_cold)
+    rhs = _hot_balance(cfg, 1.0, t_cold)[0]
+    if rhs == math.inf:
+        raise NoSolutionError("no balance: the cold sidebands give no gain")
     lhs = boltzmann_weight(cfg.rabi, t_hot)
     return abs(lhs - rhs) / max(rhs, 1e-300)
 
@@ -79,12 +79,12 @@ def min_temp_bisect(cfg: AtomDriveConfig, t_cold: float) -> float:
     method, bracketing the closed-form value by a factor of ten each way.
     The current's sign, and so its root, does not depend on the pumping
     rate, taken as 1."""
-    t_root = min_temp_exact(cfg, t_cold)
+    t_root, current = _floor(cfg, t_cold)
     if t_root == 0.0:
         return 0.0
 
     # memoized: brentq starts from the two ends the sign check just took
-    current = functools.cache(_exact_current_in_t_hot(cfg, 1.0, t_cold))
+    current = functools.cache(current)
     lo, hi = t_root / 10.0, t_root * 10.0
     if not current(lo) < 0.0 < current(hi):
         raise NoSolutionError("exact current does not change sign across the "

@@ -20,12 +20,14 @@ two-level rate balance: dressed_flows gives populations and flows in
 closed form, with its own residuals, and bare_from_dressed the bare
 populations.  It is the full-beam value of beam_flows, the cell
 integrand's depth kernel.  _dressed_channels computes and checks the five
-channels' frequencies and coefficients; the kernel reads them,
-dressed_coupling_set labels them.  The generator route (build_liouvillian,
-steady_state via SVD, heat_currents: solve_pipeline) is the numerical
-oracle that checks both, in real arithmetic: the jumps and rates are real
-and there is no Hamiltonian part.  Only it needs numpy, imported on first
-use, so no command loads it.
+channels' frequencies and coefficients; the kernel, hot_channel_rate and
+sideband_weights read them, dressed_coupling_set labels them, and
+_hot_balance gives the floor's balance ratio and current.  The generator
+route (build_liouvillian, steady_state via SVD, heat_currents:
+solve_pipeline) is the numerical oracle that checks both, in real
+arithmetic: the jumps and rates are real and there is no Hamiltonian
+part.  Only it needs numpy, imported on first use, so no command loads
+it.
 """
 
 from __future__ import annotations
@@ -460,23 +462,17 @@ def hot_channel_rate(cfg: AtomDriveConfig, hot: BathSpectrum) -> float:
     Coincides with the weak-drive pumping rate to O((g/detuning)^2) and is
     the rate entering the exact closed-form current.
     """
-    rabi = cfg.rabi
-    if rabi == 0.0:
-        raise DomainError("degenerate config: g = detuning = 0")
-    return (2.0 * cfg.g / rabi) ** 2 * hot.value(rabi)
+    channels = _dressed_channels(cfg.nu, cfg.detuning, cfg.g)
+    return channels[9] ** 2 * hot.value(channels[4])
 
 
 def sideband_weights(cfg: AtomDriveConfig) -> tuple[float, float]:
     """(delta_plus, delta_minus): cold-bath rates of the upper/lower dressed
     sidebands, ((rabi +/- detuning)/2 rabi)^2 (nu +/- rabi)^3 gamma / omega0^3."""
-    delta, rabi = cfg.detuning, cfg.rabi
-    if rabi == 0.0:
-        raise DomainError("degenerate config: g = detuning = 0")
-    nu_p, nu_m = cfg.nu + rabi, cfg.nu - rabi
-    if nu_m <= 0:
-        raise DomainError("lower sideband frequency nu - rabi <= 0")
-    d_plus = ((rabi + delta) / (2 * rabi)) ** 2 * (nu_p / cfg.omega0) ** 3 * cfg.gamma
-    d_minus = ((rabi - delta) / (2 * rabi)) ** 2 * (nu_m / cfg.omega0) ** 3 * cfg.gamma
+    channels = _dressed_channels(cfg.nu, cfg.detuning, cfg.g)
+    nu, omega0, gamma = cfg.nu, cfg.omega0, cfg.gamma
+    d_plus = channels[7] ** 2 * ((channels[2] + nu) / omega0) ** 3 * gamma
+    d_minus = channels[5] ** 2 * ((channels[0] + nu) / omega0) ** 3 * gamma
     return d_plus, d_minus
 
 
@@ -490,14 +486,15 @@ def heat_current_exact(cfg: AtomDriveConfig, gamma_p: float, t_hot: float,
     """
     if t_hot <= 0:
         raise ValueError("t_hot must be positive")
-    return _exact_current_in_t_hot(cfg, gamma_p, t_cold)(t_hot)
+    return _hot_balance(cfg, gamma_p, t_cold)[1](t_hot)
 
 
-def _exact_current_in_t_hot(cfg: AtomDriveConfig, gamma_p: float,
-                           t_cold: float):
-    """heat_current_exact as t_hot -> J_hot for t_hot > 0: the factors
-    free of t_hot are taken once.  Each hoisted sum is one that Python
-    evaluates first, left to right, so every value keeps its bits."""
+def _hot_balance(cfg: AtomDriveConfig, gamma_p: float, t_cold: float):
+    """(loss / gain, heat_current_exact as t_hot -> J_hot for t_hot > 0).
+    J_hot follows e^(-rabi/T_hot) gain - loss, so the cooling floor solves
+    e^(-rabi/T_hot) = loss / gain; a zero gain leaves no floor (ratio inf).
+    The factors free of t_hot are taken once, each hoisted sum one that
+    Python evaluates first, left to right, so every value keeps its bits."""
     if gamma_p < 0:
         raise ValueError("gamma_p must be non-negative")
     if t_cold < 0:
@@ -515,7 +512,7 @@ def _exact_current_in_t_hot(cfg: AtomDriveConfig, gamma_p: float,
         return scale * (bw_hot * gain - loss) \
             / (cold_den + (1.0 + bw_hot) * gamma_p)
 
-    return current
+    return (loss / gain if gain else math.inf), current
 
 
 def solve_pipeline(cfg: AtomDriveConfig, hot: BathSpectrum, cold: BathSpectrum):

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from licore import analysis, floquet
@@ -98,6 +100,15 @@ class TestMinTempExact:
     def test_undriven_limit_reaches_zero(self):
         assert min_temp_exact(make_cfg(g=0.0), 0.0) == 0.0
 
+    def test_balance_without_gain_has_no_residual(self):
+        # undriven on the blue side at Tc = 0 the upper sideband is closed
+        # and the lower one cannot lift the atom: the current still has a
+        # value, the balance it would vanish at does not exist
+        cfg = make_cfg(delta=-1.0, g=0.0)
+        assert heat_current_exact(cfg, 0.37, 0.5, 0.0) < 0.0
+        with pytest.raises(NoSolutionError, match="no gain"):
+            min_temp_residual(cfg, 0.0, 0.5)
+
     def test_hotter_cold_bath_raises_the_floor(self):
         # below t_cold ~ nu/50 the cold Boltzmann factors underflow and the
         # floor is numerically flat; above that it rises strictly
@@ -164,27 +175,90 @@ class TestMinTempBisect:
         # Brent's method starts from the values the sign check took at the
         # two bracket ends, so no temperature is evaluated twice; the root
         # keeps its bits.  The current's temperature-free factors are taken
-        # once per check, so the per-temperature function is counted
+        # once per check, so the current the balance returns is counted
         temps = []
-        current_in_t_hot = floquet._exact_current_in_t_hot
+        hot_balance = floquet._hot_balance
 
-        def counted_factory(cfg, gamma_p, t_cold):
-            current = current_in_t_hot(cfg, gamma_p, t_cold)
+        def counted_balance(cfg, gamma_p, t_cold):
+            ratio, current = hot_balance(cfg, gamma_p, t_cold)
 
             def counted(t_hot):
                 temps.append(t_hot)
                 return current(t_hot)
 
-            return counted
+            return ratio, counted
 
-        monkeypatch.setattr(analysis, "_exact_current_in_t_hot",
-                            counted_factory)
+        monkeypatch.setattr(analysis, "_hot_balance", counted_balance)
         cfg = make_cfg(**drive)
         root = min_temp_bisect(cfg, t_cold)
         assert root == float.fromhex(root_bits)
         t_root = min_temp_exact(cfg, t_cold)
         assert temps[:2] == [t_root / 10.0, t_root * 10.0]
         assert len(temps) == len(set(temps))
+
+    def test_one_factor_set_per_check(self, monkeypatch):
+        # the closed-form floor and the bracketed current share one
+        # balance, so a check takes the sideband weights once
+        calls = []
+        weights = floquet.sideband_weights
+
+        def counted(cfg):
+            calls.append(cfg)
+            return weights(cfg)
+
+        for module in (floquet, analysis):
+            if hasattr(module, "sideband_weights"):
+                monkeypatch.setattr(module, "sideband_weights", counted)
+        min_temp_bisect(make_cfg(delta=1.0, g=0.8), 3.0)
+        assert len(calls) == 1
+
+
+class TestClosedFormBits:
+    """sideband_weights, hot_channel_rate and min_temp_exact read the
+    dressing and the balance ratio of floquet; each keeps the bits of the
+    formula it once wrote out inline."""
+
+    @given(delta=st.floats(0.1, 10.0), red=st.booleans(),
+           log_ratio=st.floats(-4.0, math.log10(3.0)),
+           log_gap=st.floats(-4.0, 2.0),
+           warm=st.one_of(st.just(0.0), st.floats(0.005, 0.2)))
+    @settings(max_examples=400, deadline=None)
+    def test_bits_of_the_inline_formulas(self, delta, red, log_ratio,
+                                         log_gap, warm):
+        # nu from just above rabi, where the channels nearly coincide, to a
+        # hundred times past it; the cold bath at 0 or a fraction of nu
+        delta = delta if red else -delta
+        g = 10.0 ** log_ratio * abs(delta)
+        rabi = math.hypot(2.0 * g, delta)
+        nu = rabi * (1.0 + 10.0 ** log_gap)
+        cfg = AtomDriveConfig(omega0=nu + delta, gamma=0.05, g=g, nu=nu)
+        t_cold = warm * nu
+        hot = FlatHotSpectrum(0.3, 2.0 * rabi)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "nu - rabi nearly vanishes")
+            weights = sideband_weights(cfg)
+            rate = hot_channel_rate(cfg, hot)
+        # omega0 - nu need not round back to the sampled detuning
+        delta, rabi = cfg.detuning, cfg.rabi
+        d_plus = (((rabi + delta) / (2 * rabi)) ** 2
+                  * ((nu + rabi) / cfg.omega0) ** 3 * cfg.gamma)
+        d_minus = (((rabi - delta) / (2 * rabi)) ** 2
+                   * ((nu - rabi) / cfg.omega0) ** 3 * cfg.gamma)
+        assert weights == (d_plus, d_minus)
+        assert rate == (2.0 * g / rabi) ** 2 * hot.value(rabi)
+        if not red:
+            return
+        bw_p = boltzmann_weight(nu + rabi, t_cold)
+        bw_m = boltzmann_weight(nu - rabi, t_cold)
+        ratio = (d_plus * bw_p + d_minus) / (d_plus + d_minus * bw_m)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "nu - rabi nearly vanishes")
+            if ratio >= 1.0:
+                with pytest.raises(NoSolutionError):
+                    min_temp_exact(cfg, t_cold)
+                return
+            t_min = min_temp_exact(cfg, t_cold)
+        assert t_min == (0.0 if ratio == 0.0 else -rabi / math.log(ratio))
 
 
 class _Lorentzian(BathSpectrum):

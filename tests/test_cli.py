@@ -393,6 +393,22 @@ class TestExitCodes:
                        f"rabi {rabi} THz, omega0 377 THz\n")
         assert "division by zero" not in err
 
+    @pytest.mark.parametrize("command", ["steady-state", "currents", "tmin"])
+    def test_lower_sideband_edge_is_one_check(self, capsys, command):
+        # the three commands take one dressing: just short of nu = rabi
+        # each warns once, past it each refuses with the same message
+        code, out, err = run(capsys, command, "--config", POINT,
+                             "--no-metadata", "--set", "atom.g_thz=183.22")
+        assert code == 0 and out
+        assert err == ("warning: nu - rabi nearly vanishes; Floquet channels "
+                       "are almost degenerate\n")
+        code, out, err = run(capsys, command, "--config", POINT,
+                             "--no-metadata", "--set", "atom.g_thz=190")
+        assert (code, out) == (3, "")
+        assert err == ("domain error: lower sideband frequency nu - rabi = "
+                       "-8.50887e+13 <= 0; ultra-strong drive is outside this "
+                       "model\n")
+
     def test_calibration_root_at_zero_amplitude_is_domain_error(
             self, capsys, tmp_path):
         # a 1e-300 W beam: any g0 > 0 absorbs more than the data, so the
@@ -986,6 +1002,15 @@ class TestDeterminism:
                              "--no-metadata")
         assert code == 0, err
         assert out == (FIXTURES / "calibrate_all_rows.json").read_text()
+
+    def test_strong_warm_floor_matches_its_fixture(self, capsys):
+        # a strong drive over a warm cold bath: the floor and its bracketed
+        # root keep these bytes, as the runtime-only CI job compares them
+        code, out, err = run(capsys, "tmin", "--config", POINT, "--no-metadata",
+                             "--set", "atom.g_thz=20",
+                             "--set", "cold_bath.temperature_k=300")
+        assert code == 0, err
+        assert out == (FIXTURES / "tmin_strong_warm.json").read_text()
 
     def test_point_commands_byte_stable(self, capsys, tmp_path):
         for command in ("steady-state", "currents", "tmin", "compare"):
