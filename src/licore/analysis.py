@@ -4,7 +4,9 @@ Cooling stops when the exact hot-bath current vanishes; the balance
 condition e^(-rabi/T_hot) = (d+ e^(-nu+/Tc) + d-) / (d+ + d- e^(-nu-/Tc))
 solves for T_hot in closed form.  A numerical root of the exact current
 (Brent's method) provides an independent cross-check of the same root.
-Both read one floquet._hot_balance, so a check takes its factors once.
+Both read one floquet._hot_balance, so a check takes its factors once;
+a caller that reports both takes it once through _floor and
+_bracketed_root.
 """
 
 from __future__ import annotations
@@ -82,7 +84,12 @@ def min_temp_bisect(cfg: AtomDriveConfig, t_cold: float) -> float:
     t_root, current = _floor(cfg, t_cold)
     if t_root == 0.0:
         return 0.0
+    return _bracketed_root(t_root, current)
 
+
+def _bracketed_root(t_root: float, current) -> float:
+    """min_temp_bisect's root from _floor's (t_root > 0, current), so a
+    caller that needs the floor too takes the balance once."""
     # memoized: brentq starts from the two ends the sign check just took
     current = functools.cache(current)
     lo, hi = t_root / 10.0, t_root * 10.0

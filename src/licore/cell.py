@@ -8,7 +8,8 @@ that integral is elementary: one _weak_cell_kernel per row takes the rate
 balance once and the closed form at each amplitude g0.  Exact-solver rows
 integrate the closed-form dressed steady state by adaptive quadrature,
 through one floquet.beam_flows kernel per row that solves each depth from
-the local coupling alone.  The flat hot-spectrum amplitude is calibrated
+the local coupling alone; one quadrature pass takes J_hot and P_abs from
+each depth it solves.  The flat hot-spectrum amplitude is calibrated
 so the modeled absorbed-power fraction reproduces measured absorption data.
 
 Photon budget: a row can absorb at most what the beam loses in the cell,
@@ -156,34 +157,26 @@ def _integrate_over_cell(cell: CellConfig, alpha_per_mm: float,
     where local(attenuation(z)) returns the internal per-atom pair
     (J_hot, P_abs); results in watts.
 
-    The P_abs pass reads the values the J_hot pass stored at its depths
-    and calls local only at depths that pass never visited, where the two
-    bisections part.  Past the depth BEAM_CUTOFF / alpha the beam is
-    subnormal, then zero, as is the coupling; an optically thick cell is
-    integrated to there only.
+    Both integrals are one integrate call over z -> exp(-alpha z) (J_hot,
+    P_abs), so local is taken once per depth; where the two bisections
+    part, the P_abs one takes it only at depths the J_hot one never
+    visited.  Past the depth BEAM_CUTOFF / alpha the beam is subnormal,
+    then zero, as is the coupling; an optically thick cell is integrated
+    to there only.
 
-    Raises DomainError when either error estimate misses QUAD_EPSREL."""
+    Raises DomainError when either error estimate misses QUAD_EPSREL,
+    J_hot's checked first."""
     depth = cell.length_mm
     if alpha_per_mm * depth > BEAM_CUTOFF:
         depth = BEAM_CUTOFF / alpha_per_mm
-    p_at = {}     # depth -> exp(-alpha z) P_abs, from the J_hot pass
 
-    def j_integrand(z: float) -> float:
+    def integrand(z: float) -> tuple[float, float]:
         att = math.exp(-alpha_per_mm * z)
         j_hot, p_abs = local(att)
-        p_at[z] = att * p_abs
-        return att * j_hot
-
-    def p_integrand(z: float) -> float:
-        stored = p_at.get(z)
-        if stored is not None:
-            return stored
-        att = math.exp(-alpha_per_mm * z)
-        return att * local(att)[1]
+        return att * j_hot, att * p_abs
 
     totals = []
-    for integrand in (j_integrand, p_integrand):
-        value, err = integrate(integrand, 0.0, depth, QUAD_EPSREL)
+    for value, err in integrate(integrand, 0.0, depth, QUAD_EPSREL):
         if not err <= QUAD_EPSREL * abs(value):
             raise DomainError(f"cell integral did not converge: error "
                               f"estimate {err:.3g} against value {value:.6g}")
@@ -458,13 +451,14 @@ def _scan_row(cell: CellConfig, cfg_template: AtomDriveConfig,
     else:
         # the local coupling follows the attenuated beam, g^2(z) = g^2 e^(-alpha z):
         # one kernel per row, with one cold spectrum and the rates that do not
-        # depend on g; both integrals share its calls at each depth
+        # depend on g; one pass takes both integrals from its call at each depth
         cold = CubicColdSpectrum(cfg_row.gamma, cfg_row.omega0, t_cold)
         flows = beam_flows(cfg_row, hot, cold)
 
         def local(att: float) -> tuple[float, float]:
+            # the kernel's tuple, in DressedFlows' order
             at_depth = flows(att)
-            return at_depth.j_hot, at_depth.p_abs
+            return at_depth[1], at_depth[3]
 
         j_tot, p_abs = _integrate_over_cell(cell, alpha, local)
     eta = j_tot / cell.laser_power_w

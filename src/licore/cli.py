@@ -371,7 +371,9 @@ def cmd_tmin(doc: dict, args):
     from . import analysis
     cfg = _atom(doc)
     t_cold = _temperature("cold_bath", doc)
-    exact = analysis.min_temp_exact(cfg, t_cold)
+    # the floor and the current its bracketed root is taken from: one
+    # balance for both
+    exact, current = analysis._floor(cfg, t_cold)
     payload = {"command": "tmin",
                "t_min_exact_k": round12(internal_to_kelvin(exact))}
     if cfg.g > 0 and cfg.g < cfg.detuning:
@@ -380,8 +382,8 @@ def cmd_tmin(doc: dict, args):
         payload["relative_gap"] = round12(abs(exact - asymptotic)
                                           / max(exact, 1e-300))
     if exact > 0:
-        root = analysis.min_temp_bisect(cfg, t_cold)
-        # min_temp_bisect raises unless the current is negative at exact/10
+        root = analysis._bracketed_root(exact, current)
+        # _bracketed_root raises unless the current is negative at exact/10
         # and positive at 10 exact, so the signs are known once it returns
         payload["bracket_check"] = {
             "j_sign_below": -1,

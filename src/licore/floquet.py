@@ -201,44 +201,55 @@ def dressed_flows(cfg: AtomDriveConfig, hot: BathSpectrum,
     the drive power summed over the channels misses -(J_hot + J_cold) by
     more than 1e-10 of the largest flow.
     """
-    return beam_flows(cfg, hot, cold)(1.0)
+    return DressedFlows._make(beam_flows(cfg, hot, cold)(1.0))
 
 
 def beam_flows(cfg: AtomDriveConfig, hot: BathSpectrum, cold: BathSpectrum):
     """The cell integrand's kernel u -> dressed_flows at the coupling
-    g sqrt(u), where the attenuated beam keeps the power fraction u: the
-    bits of dressed_flows(cfg.attenuated(u), hot, cold), and a ValueError
-    for a negative, NaN or infinite u.  The sigma_z channels, cold at nu
-    and hot at 0, keep their effective frequency at any coupling, so their
-    rate pairs are taken once; a depth takes the other three.
+    g sqrt(u), where the attenuated beam keeps the power fraction u, as a
+    plain tuple in DressedFlows' field order: the bits of
+    dressed_flows(cfg.attenuated(u), hot, cold), and a ValueError for a
+    negative, NaN or infinite u.  The sigma_z channels, cold at nu and hot
+    at 0, keep their effective frequency at any coupling, so their rate
+    pairs are taken once; a depth takes the other three from the spectra's
+    bound pair methods and checks all six rates at once, calling
+    _rate_pair for its message only where one fails.
     """
     nu, delta, g = cfg.nu, cfg.detuning, cfg.g
     # w_eff = wbar + q nu, q = 1 cold and 0 hot; sigma_z has wbar = 0
     w1, w3 = 0.0 + nu, 0.0
     (down1, up1), (down3, up3) = _rate_pair(cold, w1), _rate_pair(hot, w3)
+    cold_pair, hot_pair = cold.pair, hot.pair
 
-    def flows_at(u: float) -> DressedFlows:
+    def flows_at(u: float) -> tuple:
         if not 0.0 <= u < math.inf:
             raise ValueError(f"power fraction {u!r} must be finite and >= 0")
         f0, _, f2, _, w4, c0, c1, c2, c3, c4 = _dressed_channels(
             nu, delta, g * math.sqrt(u), 4)
         w0, w2 = f0 + nu, f2 + nu
+        down0, up0 = cold_pair(w0)
+        down2, up2 = cold_pair(w2)
+        down4, up4 = hot_pair(w4)
+        if not (0.0 <= down0 < math.inf and 0.0 <= up0 < math.inf
+                and 0.0 <= down2 < math.inf and 0.0 <= up2 < math.inf
+                and 0.0 <= down4 < math.inf and 0.0 <= up4 < math.inf):
+            # the first pair that fails raises, with its message
+            _rate_pair(cold, w0)
+            _rate_pair(cold, w2)
+            _rate_pair(hot, w4)
         # |c|^2-weighted rates that raise (r) and lower (l) the atom:
         # sigma+ raises at G(w_eff) and lowers at G(-w_eff), sigma- and
         # sigma_z the other way round
-        down, up = _rate_pair(cold, w0)
         weight = c0 * c0
-        r0, l0 = weight * down, weight * up
+        r0, l0 = weight * down0, weight * up0
         weight = c1 * c1
         l1, r1 = weight * down1, weight * up1
-        down, up = _rate_pair(cold, w2)
         weight = c2 * c2
-        l2, r2 = weight * down, weight * up
+        l2, r2 = weight * down2, weight * up2
         weight = c3 * c3
         l3, r3 = weight * down3, weight * up3
-        down, up = _rate_pair(hot, w4)
         weight = c4 * c4
-        l4, r4 = weight * down, weight * up
+        l4, r4 = weight * down4, weight * up4
         # every sum runs left to right from 0.0, so the bits do not depend
         # on the Python version (sum() of floats is compensated from 3.12)
         k_up = 0.0 + r0 + r2 + r4
@@ -276,9 +287,9 @@ def beam_flows(cfg: AtomDriveConfig, hot: BathSpectrum, cold: BathSpectrum):
                 f"energy balance broken: drive power {p_direct:.6g} against "
                 f"-(J_hot + J_cold) = {p_abs:.6g}")
         upper, lower = k_up / total, k_down / total
-        return DressedFlows((upper, lower), j_hot, j_cold, p_abs,
-                            abs(k_up * lower - k_down * upper) / total,
-                            defect / scale if scale else 0.0)
+        return ((upper, lower), j_hot, j_cold, p_abs,
+                abs(k_up * lower - k_down * upper) / total,
+                defect / scale if scale else 0.0)
 
     return flows_at
 

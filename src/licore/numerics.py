@@ -4,9 +4,11 @@ linear interpolation.
 Stdlib only, so that no licore command pays for importing SciPy or numpy.
 ``interp`` repeats numpy's ``interp`` operation for operation;
 ``brentq`` follows SciPy's C routine update for update and returns the
-same roots; ``integrate`` is QUADPACK's 21-point Gauss-Kronrod rule,
-which it accepts by qagse's test and otherwise refines by global
-bisection of the worst interval; ``gauss_newton`` fits one parameter by
+same roots; ``integrate`` is QUADPACK's 21-point Gauss-Kronrod rule
+over the components of a tuple-valued integrand, taken once per node,
+which accepts each component by qagse's test and otherwise refines it by
+its own global bisection of the worst interval, with the bits of
+integrating it alone; ``gauss_newton`` fits one parameter by
 least squares, from residuals and slopes its caller returns together,
 with secant steps on the gradient.  The root finder and the fit raise
 the ``error`` class their caller names when they cannot return an
@@ -142,28 +144,53 @@ _WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
        0.295524224714752870173892994651338)
 
 
-def _qk21(f, a: float, b: float) -> tuple[float, float, float, float]:
-    """21-point Kronrod value of the integral of f over [a, b], its error
-    estimate, and the integrals of |f| and |f - mean f| (resabs, resasc)."""
+# a rule's 21 nodes in the order it takes them: the centre, then the pair
+# (centr - absc, centr + absc) of each abscissa, the Gauss nodes first
+_ORDER = (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)
+# (positions of the pair, Gauss weight, Kronrod weight) of each Gauss
+# abscissa, (positions, Kronrod weight) of the others, and of every
+# abscissa in the order QUADPACK sums |f - mean f|
+_GAUSS_PAIRS = tuple((2 * i + 1, 2 * i + 2, _WG[j // 2], _WGK[j])
+                     for i, j in enumerate(_ORDER[:5]))
+_KRONROD_PAIRS = tuple((2 * i + 1, 2 * i + 2, _WGK[j])
+                       for i, j in enumerate(_ORDER[5:], 5))
+_ALL_PAIRS = tuple((2 * _ORDER.index(j) + 1, 2 * _ORDER.index(j) + 2, _WGK[j])
+                   for j in range(10))
+
+
+def _nodes(a: float, b: float) -> tuple[float, list]:
+    """Half the length of [a, b] and the 21 Kronrod nodes in it, centre
+    first, then each abscissa's pair with the Gauss nodes first."""
     centr, hlgth = 0.5 * (a + b), 0.5 * (b - a)
-    fc = f(centr)
+    xs = [centr]
+    for j in _ORDER:
+        absc = hlgth * _XGK[j]
+        xs += (centr - absc, centr + absc)
+    return hlgth, xs
+
+
+def _qk21(fv, hlgth: float) -> tuple[float, float, float, float]:
+    """21-point Kronrod value of an integral from its integrand fv at the
+    nodes _nodes lists, its error estimate, and the integrals of |f| and
+    |f - mean f| (resabs, resasc); QUADPACK's dqk21, sum for sum."""
+    fc = fv[0]
     resg = 0.0
     resk = _WGK[10] * fc
     resabs = abs(resk)
-    fv1, fv2 = [0.0] * 10, [0.0] * 10
-    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):     # Gauss nodes first
-        absc = hlgth * _XGK[j]
-        fv1[j] = fval1 = f(centr - absc)
-        fv2[j] = fval2 = f(centr + absc)
+    for i, k, wg, wgk in _GAUSS_PAIRS:
+        fval1, fval2 = fv[i], fv[k]
         fsum = fval1 + fval2
-        if j % 2:
-            resg += _WG[j // 2] * fsum
-        resk += _WGK[j] * fsum
-        resabs += _WGK[j] * (abs(fval1) + abs(fval2))
+        resg += wg * fsum
+        resk += wgk * fsum
+        resabs += wgk * (abs(fval1) + abs(fval2))
+    for i, k, wgk in _KRONROD_PAIRS:
+        fval1, fval2 = fv[i], fv[k]
+        resk += wgk * (fval1 + fval2)
+        resabs += wgk * (abs(fval1) + abs(fval2))
     reskh = resk * 0.5
     resasc = _WGK[10] * abs(fc - reskh)
-    for j in range(10):
-        resasc += _WGK[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
+    for i, k, wgk in _ALL_PAIRS:
+        resasc += wgk * (abs(fv[i] - reskh) + abs(fv[k] - reskh))
     resabs *= abs(hlgth)
     resasc *= abs(hlgth)
     abserr = abs((resk - resg) * hlgth)
@@ -174,29 +201,61 @@ def _qk21(f, a: float, b: float) -> tuple[float, float, float, float]:
     return resk * hlgth, abserr, resabs, resasc
 
 
-def integrate(f, a: float, b: float, epsrel: float) -> tuple[float, float]:
-    """Integral of f over [a, b] and its error estimate, aiming at
-    error <= epsrel |integral|.
+def integrate(f, a: float, b: float, epsrel: float) -> list:
+    """Integrals over [a, b] of the components of f, a function that
+    returns a tuple, as a list of (integral, error estimate) pairs, each
+    aiming at error <= epsrel |integral|.
 
-    The first 21-point rule is returned as qagse returns it (also when
-    roundoff already limits its error).  Otherwise the interval with the
-    largest error is bisected until the target is met, LIMIT intervals
-    are in use, or an interval is too small to split: within rounding of
-    its midpoint, as in QUADPACK, or 2^-MAX_DEPTH of [a, b].  The caller
-    checks the returned error.
+    One 21-point rule takes f once at each node for every component, and
+    each component is accepted by its own test: its rule is returned as
+    qagse returns it (also when roundoff already limits its error).  A
+    component that fails it is refined on its own: the interval with its
+    largest error is bisected until its target is met, LIMIT intervals
+    are in use, or an interval is too small to split, within rounding of
+    its midpoint, as in QUADPACK, or 2^-MAX_DEPTH of [a, b].  The
+    bisections share one cache of f's values at their nodes, so f is
+    taken once per node where they cover the same intervals, and every
+    component keeps the bits of integrating it alone.  The caller checks
+    the returned errors.
     """
-    result, abserr, resabs, resasc = _qk21(f, a, b)
-    errbnd = epsrel * abs(result)
-    if ((abserr <= 100.0 * _EPMACH * resabs and abserr > errbnd)
-            or (abserr <= errbnd and abserr != resasc) or abserr == 0.0):
-        return result, abserr
+    hlgth, xs = _nodes(a, b)
+    values = [f(x) for x in xs]
+    out, cache = [], None
+    for k, fv in enumerate(zip(*values)):
+        result, abserr, resabs, resasc = _qk21(fv, hlgth)
+        errbnd = epsrel * abs(result)
+        if ((abserr <= 100.0 * _EPMACH * resabs and abserr > errbnd)
+                or (abserr <= errbnd and abserr != resasc) or abserr == 0.0):
+            out.append((result, abserr))
+            continue
+        if cache is None:
+            cache = dict(zip(xs, values))
+        out.append(_bisect(f, k, cache, a, b, epsrel, result, abserr))
+    return out
+
+
+def _bisect(f, k: int, cache: dict, a: float, b: float, epsrel: float,
+            result: float, abserr: float) -> tuple[float, float]:
+    """integrate's global bisection of component k of f over [a, b], from
+    its first rule's result and error; f's values come from cache, and
+    the nodes it lacks are added to it."""
+    def rule(lo: float, hi: float) -> tuple[float, float]:
+        hlgth, xs = _nodes(lo, hi)
+        fv = []
+        for x in xs:
+            fx = cache.get(x)
+            if fx is None:
+                fx = cache[x] = f(x)
+            fv.append(fx[k])
+        return _qk21(fv, hlgth)[:2]
+
     heap = [(-abserr, a, b, result)]
     area, errsum = result, abserr
     min_width = abs(b - a) * 2.0 ** -MAX_DEPTH
     for _ in range(LIMIT - 1):
         neg_err, lo, hi, part = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
-        left, right = _qk21(f, lo, mid), _qk21(f, mid, hi)
+        left, right = rule(lo, mid), rule(mid, hi)
         area += left[0] + right[0] - part
         errsum += left[1] + right[1] + neg_err
         heapq.heappush(heap, (-left[1], lo, mid, left[0]))

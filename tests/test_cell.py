@@ -154,8 +154,9 @@ class TestQuadrature:
                                                          1.0 / (att - pole)))
 
     def test_each_depth_solved_once_where_the_passes_part(self):
-        # J_hot is met by one 21-point rule, the peaked P_abs bisects: its
-        # pass reads the 21 stored depths and solves only the new ones
+        # J_hot is met by one 21-point rule, the peaked P_abs bisects: one
+        # integrate call takes local once at each of the 21 depths of the
+        # first rule and at each new depth of the bisection
         cell = lab_cell(alpha=0.2)
         peak = math.exp(-0.2 * math.pi)
         seen = []
@@ -368,6 +369,29 @@ class TestExactRows:
         assert scan.rows[0].model == "floquet"
         assert counts == {"cold": 1, "kernels": 1, "depths": 21,
                           "pairs": 2 + 21 * 3, "values": 0}
+
+    def test_thick_cell_row_solves_each_depth_once(self, monkeypatch):
+        # alpha L = 50: both integrals of the row bisect, and where their
+        # intervals coincide the P_abs bisection reads the depths the J_hot
+        # one solved
+        depths = []
+        real_kernel = cellmod.beam_flows
+
+        def kernel(*args):
+            flows_at = real_kernel(*args)
+
+            def counted(u):
+                depths.append(u)
+                return flows_at(u)
+            return counted
+
+        monkeypatch.setattr(cellmod, "beam_flows", kernel)
+        scan = detuning_scan(lab_cell(alpha=5.0), lab_cfg(g_thz=0.5),
+                             thz_to_internal(0.002), [0.5])
+        assert scan.rows[0].model == "floquet"
+        # three bisections of [0, L], whichever integral takes them
+        assert len(depths) == 21 * 7
+        assert len(set(depths)) == len(depths)
 
     def test_strong_scan_matches_svd_oracle_without_it(self, monkeypatch):
         cell, cfg, g0 = lab_cell(), lab_cfg(g_thz=0.5), thz_to_internal(0.002)

@@ -120,6 +120,25 @@ class TestSubcommands:
         assert bc["bisect_rel_difference"] <= 1e-10
         assert payload["relative_gap"] <= 0.10
 
+    def test_tmin_takes_the_floor_balance_once(self, capsys, monkeypatch):
+        # the closed-form floor and the bracketed root it reports come from
+        # one floquet._hot_balance, and keep the fixture's bytes
+        from licore import analysis
+        calls = []
+        hot_balance = analysis._hot_balance
+
+        def counted(*args):
+            calls.append(args)
+            return hot_balance(*args)
+
+        monkeypatch.setattr(analysis, "_hot_balance", counted)
+        code, out, err = run(capsys, "tmin", "--config", POINT, "--no-metadata",
+                             "--set", "atom.g_thz=20",
+                             "--set", "cold_bath.temperature_k=300")
+        assert code == 0, err
+        assert len(calls) == 1
+        assert out == (FIXTURES / "tmin_strong_warm.json").read_text()
+
     def test_tmin_undriven_reports_zero(self, capsys):
         payload = run_json(capsys, "tmin", "--config", POINT,
                            "--set", "atom.g_thz=0.0")
@@ -980,17 +999,21 @@ def test_load_config_words_a_violation_with_its_path():
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("edit, fixture", [
-        (None, "scan_floquet_rows.csv"),
-        (_optically_thick, "scan_floquet_thick.csv"),
-    ], ids=["fixture", "optically-thick"])
+    @pytest.mark.parametrize("edit, sets, fixture", [
+        (None, [], "scan_floquet_rows.csv"),
+        (_optically_thick, [], "scan_floquet_thick.csv"),
+        # a 3000 K cold bath: every weighted cold rate is nonzero
+        (None, ["--set", "cold_bath.temperature_k=3000"],
+         "scan_floquet_warm.csv"),
+    ], ids=["fixture", "optically-thick", "warm-cold-bath"])
     def test_exact_rows_match_their_fixture(self, capsys, tmp_path, edit,
-                                            fixture):
+                                            sets, fixture):
         # the exact solver sums left to right, so its rows keep these
         # bytes on every supported Python version
         config = SCAN if edit is None else _scan_config(tmp_path, edit)
         code, _, err = run(capsys, "scan", "--config", config, *FLOQUET_ROWS,
-                           "--no-metadata", "--out", str(tmp_path / "scan"))
+                           *sets, "--no-metadata",
+                           "--out", str(tmp_path / "scan"))
         assert code == 0, err
         assert (tmp_path / "scan.csv").read_bytes() == \
             (FIXTURES / fixture).read_bytes()

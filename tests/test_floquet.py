@@ -566,6 +566,17 @@ class _NegativeSpectrum(BathSpectrum):
         return -1.0
 
 
+class _BadAt(BathSpectrum):
+    """base's values, but ``bad`` at the frequencies +/- w of ``where``."""
+
+    def __init__(self, base, where, bad):
+        self.base, self.where, self.bad = base, where, bad
+        self.temperature = base.temperature
+
+    def value(self, omega):
+        return self.bad if abs(omega) in self.where else self.base.value(omega)
+
+
 def _tabulated_hot(g0, t_hot):
     """A structured hot spectrum, detailed-balanced at its nodes."""
     omegas = thz_to_internal(np.linspace(-100.0, 100.0, 81))
@@ -695,7 +706,8 @@ def seeded_drive_points(n, seed=2718):
 
 
 def _bits(flows):
-    return [x.hex() for x in (*flows.populations, *flows[1:])]
+    # a DressedFlows or beam_flows' plain tuple in its field order
+    return [x.hex() for x in (*flows[0], *flows[1:])]
 
 
 class TestDressedFlows:
@@ -789,6 +801,30 @@ class TestDressedFlows:
         cold = CubicColdSpectrum(cfg.gamma, cfg.omega0, 0.0)
         with pytest.raises(DomainError, match="spectrum value"):
             dressed_flows(cfg, hot, cold)
+
+    # the kernel's three moving rate pairs, cold sigma+ at nu - rabi, cold
+    # sigma- at nu + rabi and hot sigma- at rabi, by their dressed channel
+    @pytest.mark.parametrize("cold_at, hot_at, named", [
+        ((0,), (), 0), ((2,), (), 2), ((), (4,), 4),
+        # the first failing pair names its frequency
+        ((0, 2), (4,), 0), ((2,), (4,), 2)])
+    @pytest.mark.parametrize("bad, word", [(-1.0, "negative"),
+                                           (math.nan, "non-finite"),
+                                           (math.inf, "non-finite")])
+    def test_bad_moving_rates_named(self, cold_at, hot_at, named, bad, word):
+        cfg = make_cfg(delta=1.0, g=0.3)
+        channels = floquet._dressed_channels(cfg.nu, cfg.detuning, cfg.g)
+        # w_eff = wbar + q nu: q = 1 on the cold channels 0 and 2
+        w_eff = {0: channels[0] + cfg.nu, 2: channels[2] + cfg.nu,
+                 4: channels[4]}
+        cold = _BadAt(CubicColdSpectrum(cfg.gamma, cfg.omega0, 0.0),
+                      {w_eff[k] for k in cold_at}, bad)
+        hot = _BadAt(FlatHotSpectrum(1e-3, 2.0), {w_eff[k] for k in hot_at},
+                     bad)
+        with pytest.raises(DomainError) as info:
+            dressed_flows(cfg, hot, cold)
+        assert str(info.value) == \
+            f"{word} spectrum value at {w_eff[named]:.6g}"
 
     def test_uncoupled_baths_are_degenerate(self):
         cfg = make_cfg(delta=1.0, g=0.3)

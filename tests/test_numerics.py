@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate as sp_integrate
 from scipy import optimize as sp_optimize
 
@@ -123,6 +125,17 @@ def quad(f, a, b, epsrel):
     return value, err, info["neval"]
 
 
+def integrate_alone(f, a, b, epsrel):
+    """numerics.integrate of the scalar f as a 1-tuple: (value, err)."""
+    [(value, err)] = numerics.integrate(lambda z: (f(z),), a, b, epsrel)
+    return value, err
+
+
+def peaked(center, width):
+    """A Lorentzian peak: smooth for a wide one, bisected for a narrow one."""
+    return lambda z: 1.0 / (width * width + (z - center) ** 2)
+
+
 class TestIntegrate:
     def test_one_step_integrals_match_quad_bit_for_bit(self):
         cases = [(f, 0.0, 10.0, 1e-8) for _, f in
@@ -137,7 +150,7 @@ class TestIntegrate:
         for f, a, b, epsrel in cases:
             value, err, neval = quad(f, a, b, epsrel)
             assert neval == 21
-            got_value, got_err = numerics.integrate(f, a, b, epsrel)
+            got_value, got_err = integrate_alone(f, a, b, epsrel)
             assert (got_value.hex(), got_err.hex()) == (value.hex(), err.hex())
 
     def test_saturated_error_estimate_is_not_accepted(self):
@@ -146,16 +159,66 @@ class TestIntegrate:
         f = lambda z: 1.0 + 5e-9 * (z > 0.3)
         value, _, neval = quad(f, 0.0, 1.0, 1e-8)
         assert neval > 21
-        got, _ = numerics.integrate(f, 0.0, 1.0, 1e-8)
+        got, _ = integrate_alone(f, 0.0, 1.0, 1e-8)
         assert got == pytest.approx(value, rel=1e-12, abs=0)
 
     def test_subdivided_integrals_agree_with_quad(self):
         for alpha, f in exact_row_integrands((20.0, 50.0, 200.0), 12, seed=6):
             value, _, neval = quad(f, 0.0, 10.0, 1e-8)
             assert neval > 21, alpha
-            got, err = numerics.integrate(f, 0.0, 10.0, 1e-8)
+            got, err = integrate_alone(f, 0.0, 10.0, 1e-8)
             assert got == pytest.approx(value, rel=1e-10, abs=0), alpha
             assert err <= 1e-8 * abs(got)
+
+    @given(peaks=st.lists(st.tuples(st.floats(-1.0, 11.0),
+                                     st.floats(1e-3, 10.0)),
+                          min_size=1, max_size=3),
+           epsrel=st.sampled_from([1e-6, 1e-8, 1e-10]))
+    @settings(max_examples=300, deadline=None)
+    def test_components_keep_the_bits_of_integrating_them_alone(self, peaks,
+                                                                epsrel):
+        # peaks at different places refine differently; each component's
+        # (value, err) is that of its own integral, and the tuple integrand
+        # is taken once at each node any of their bisections visits
+        parts = [peaked(center, width) for center, width in peaks]
+        alone, nodes = [], set()
+        for part in parts:
+            seen = []
+
+            def recorded(z, part=part, seen=seen):
+                seen.append(z)
+                return part(z)
+            alone.append(integrate_alone(recorded, 0.0, 10.0, epsrel))
+            nodes.update(seen)
+        calls = []
+
+        def together(z):
+            calls.append(z)
+            return tuple(part(z) for part in parts)
+        got = numerics.integrate(together, 0.0, 10.0, epsrel)
+        assert [(v.hex(), e.hex()) for v, e in got] == \
+            [(v.hex(), e.hex()) for v, e in alone]
+        assert len(calls) == len(set(calls)) and set(calls) == nodes
+
+    def test_unconverged_component_leaves_the_others(self):
+        # a pole in the first component exhausts its intervals; the smooth
+        # second one still takes its own first rule, and the first its own
+        # unconverged bits
+        pole = math.pi
+
+        def singular(z):
+            return 1.0 / (z - pole)
+
+        def smooth(z):
+            return math.exp(-0.2 * z)
+
+        got = numerics.integrate(lambda z: (singular(z), smooth(z)), 0.0,
+                                 10.0, 1e-8)
+        assert got == [integrate_alone(singular, 0.0, 10.0, 1e-8),
+                       integrate_alone(smooth, 0.0, 10.0, 1e-8)]
+        (value, err), (smooth_value, smooth_err) = got
+        assert not err <= 1e-8 * abs(value)
+        assert smooth_err <= 1e-8 * abs(smooth_value)
 
 
 def _tanh_residual(x):
