@@ -1,16 +1,16 @@
 """From single-atom currents to the laboratory cell.
 
 The beam attenuates as exp(-alpha z) along the cell, the local coupling
-scales as g^2(z) = g^2 exp(-alpha z), and the cell's cooling power and
-absorbed power are attenuation-weighted integrals of the local per-atom
-(J_hot, P_abs) times the linear atom density.  On the weak-drive branch
-that integral is elementary: one _weak_cell_kernel per row takes the rate
-balance once and the closed form at each amplitude g0.  Exact-solver rows
-integrate the closed-form dressed steady state by adaptive quadrature,
-through one floquet.beam_flows kernel per row that solves each depth from
-the local coupling alone; one quadrature pass takes J_hot and P_abs from
-each depth it solves.  The flat hot-spectrum amplitude is calibrated
-so the modeled absorbed-power fraction reproduces measured absorption data.
+scales as g^2(z) = g^2 exp(-alpha z), and row_flows takes a row's cooling
+power and absorbed power, attenuation-weighted integrals of the local
+per-atom (J_hot, P_abs) times the linear atom density, over any hot
+spectrum.  On the weak-drive branch that integral is elementary: one
+_weak_cell_kernel per row takes the rate balance once and the closed form
+at G_hot(|detuning|).  Exact-solver rows integrate one floquet.beam_flows
+kernel per row, which solves each depth from the local coupling alone, by
+adaptive quadrature that takes J_hot and P_abs in one pass.  The flat
+hot-spectrum amplitude is calibrated so the modeled absorbed-power
+fraction reproduces measured absorption data.
 
 Photon budget: a row can absorb at most what the beam loses in the cell,
 P_L (1 - exp(-alpha L)) with the row's own alpha.  The measured attenuation
@@ -37,7 +37,8 @@ from .floquet import beam_flows
 from .numerics import brentq, gauss_newton, integrate, interp
 from .rate_model import (_flows, check_weak_drive, regime_of, weak_balance,
                          weak_drive_defect)
-from .spectra import CubicColdSpectrum, FlatHotSpectrum, read_two_columns
+from .spectra import (BathSpectrum, CubicColdSpectrum, FlatHotSpectrum,
+                      read_two_columns)
 from .units import (
     internal_to_thz,
     internal_to_watts,
@@ -62,15 +63,15 @@ class CellConfig(Record):
     def __init__(self, length_mm: float, absorption_coeff_per_mm: float,
                  linear_atom_density_per_mm: float, laser_power_w: float,
                  bath_temperature_k: float):
-        if length_mm <= 0:
+        if not length_mm > 0:
             raise ValueError("length_mm must be positive")
-        if absorption_coeff_per_mm < 0:
+        if not absorption_coeff_per_mm >= 0:
             raise ValueError("absorption coefficient must be non-negative")
-        if linear_atom_density_per_mm < 0:
+        if not linear_atom_density_per_mm >= 0:
             raise ValueError("atom density must be non-negative")
-        if laser_power_w <= 0:
+        if not laser_power_w > 0:
             raise ValueError("laser power must be positive")
-        if bath_temperature_k <= 0:
+        if not bath_temperature_k > 0:
             raise ValueError("bath temperature must be positive")
         _set(self, "length_mm", length_mm)
         _set(self, "absorption_coeff_per_mm", absorption_coeff_per_mm)
@@ -143,14 +144,6 @@ def experimental_heat_current(p_l_watt: float, a_nu: float, delta: float,
 # ---------------------------------------------------------------------------
 
 
-def pick_solver(cfg: AtomDriveConfig) -> str:
-    """'rate' in the weak-drive regime g/|detuning| <= 0.1, 'floquet' else."""
-    delta = abs(cfg.detuning)
-    if delta > 0.0 and cfg.g <= WEAK_DRIVE_SWITCH * delta:
-        return "rate"
-    return "floquet"
-
-
 def _integrate_over_cell(cell: CellConfig, alpha_per_mm: float,
                          local) -> tuple[float, float]:
     """(N_a/L) integrals of exp(-alpha z) J_hot and exp(-alpha z) P_abs,
@@ -206,7 +199,7 @@ def _log1p_minus_x_over_1px_over_x2(x: float) -> float:
 
 def _weak_cell_kernel(cfg_row: AtomDriveConfig, cell: CellConfig, t_hot: float):
     """The row's weak-drive cell (J_hot, P_abs) in closed form, as the kernel
-    (g0, alpha_per_mm) -> watts for the flat hot spectrum of amplitude g0,
+    (g0, alpha_per_mm) -> watts at the hot spectrum's value g0 = G(|detuning|),
     and the internal per-atom P_abs as g0 -> infinity, nu B w / (1 + b).
 
     The pumping rate follows the beam, gamma_p(u) = u gamma_p(1) at the
@@ -223,7 +216,7 @@ def _weak_cell_kernel(cfg_row: AtomDriveConfig, cell: CellConfig, t_hot: float):
     C -> infinity.  Built once per row: the weak-drive check at full beam,
     the strictest depth (g sqrt(u) <= g), the balance per unit pumping, and
     (2g/detuning)^2, so gamma_p(1) = (2g/detuning)^2 g0 has pumping_rate's
-    bits (a flat spectrum's value at |detuning| is g0).
+    bits (a flat spectrum's value is its amplitude g0).
 
     The slope of the cell's P_abs in ln g0 is gamma_p d/dgamma_p of the
     same integral, nu B^2 w gamma_p times the integral of u^2 / (B + C u)^2
@@ -270,6 +263,32 @@ def _weak_cell_kernel(cfg_row: AtomDriveConfig, cell: CellConfig, t_hot: float):
             density * nu * big_b * big_b * w * gamma_p * slope_weight)
 
     return flows, nu * big_b * w / c_per_pumping
+
+
+def row_flows(cell: CellConfig, cfg_row: AtomDriveConfig, hot: BathSpectrum,
+              t_cold: float, alpha_per_mm: float) -> tuple[float, float, str]:
+    """The cell's (J_hot, P_abs) in watts at one laser frequency over any hot
+    spectrum, and its model: 'none' without coupling, 'rate' at g/|detuning|
+    <= WEAK_DRIVE_SWITCH, the weak-drive closed form at G_hot(|detuning|),
+    else 'floquet', the beam_flows kernel integrated over the cell."""
+    delta = abs(cfg_row.detuning)
+    if cfg_row.g == 0.0:
+        return 0.0, 0.0, "none"
+    if delta > 0.0 and cfg_row.g <= WEAK_DRIVE_SWITCH * delta:
+        flows, _ = _weak_cell_kernel(cfg_row, cell, hot.temperature)
+        j_hot, p_abs = flows(hot.value(delta), alpha_per_mm)
+        return j_hot, p_abs, "rate"
+    # the coupling follows the beam, g^2(z) = g^2 e^(-alpha z): one kernel and
+    # one cold spectrum per row; one pass takes both integrals at each depth
+    flows = beam_flows(cfg_row, hot, CubicColdSpectrum(cfg_row.gamma,
+                                                       cfg_row.omega0, t_cold))
+
+    def local(att: float) -> tuple[float, float]:
+        # the kernel's tuple, in DressedFlows' order
+        at_depth = flows(att)
+        return at_depth[1], at_depth[3]
+
+    return (*_integrate_over_cell(cell, alpha_per_mm, local), "floquet")
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +390,7 @@ def synthesize_absorption(cfg_template: AtomDriveConfig, cell: CellConfig,
     """Self-consistent absorption a(nu) predicted by the model itself:
     a solves a = fraction(alpha(a)).  Round-trips exactly through
     calibrate_g0.  DomainError where no a < 1 solves it (over the photon budget)."""
-    if g0 <= 0:
+    if not g0 > 0:
         raise ValueError("g0 must be positive")
     t_hot = kelvin_to_internal(cell.bath_temperature_k)
     values = []
@@ -421,11 +440,11 @@ class ScanResult(NamedTuple):
 
 
 def _scan_row(cell: CellConfig, cfg_template: AtomDriveConfig,
-              hot: FlatHotSpectrum, dataset: AbsorptionDataset | None,
+              hot: BathSpectrum, dataset: AbsorptionDataset | None,
               t_cold: float, delta_thz: float) -> tuple[ScanRow, bool]:
-    """One scan row, and whether it absorbs more than the beam loses in the
-    cell, P_L (1 - exp(-alpha L)) with the row's own alpha, beyond 1e-9
-    relative."""
+    """One scan row from row_flows, and whether it absorbs more than the
+    beam loses in the cell, P_L (1 - exp(-alpha L)) with the row's own
+    alpha, beyond 1e-9 relative."""
     delta = thz_to_internal(delta_thz)
     nu = cfg_template.omega0 - delta
     if nu <= 0:
@@ -441,30 +460,11 @@ def _scan_row(cell: CellConfig, cfg_template: AtomDriveConfig,
         j_exp = (experimental_heat_current(cell.laser_power_w, a, delta, nu)
                  if dataset.covers(nu_thz) else None)
 
-    regime = regime_of(cfg_row)
-    if cfg_row.g == 0.0:
-        return ScanRow(delta_thz, 0.0, j_exp, 0.0, 0.0, regime, "none"), False
-    solver = pick_solver(cfg_row)
-    if solver == "rate":
-        flows, _ = _weak_cell_kernel(cfg_row, cell, hot.temperature)
-        j_tot, p_abs = flows(hot.plateau, alpha)
-    else:
-        # the local coupling follows the attenuated beam, g^2(z) = g^2 e^(-alpha z):
-        # one kernel per row, with one cold spectrum and the rates that do not
-        # depend on g; one pass takes both integrals from its call at each depth
-        cold = CubicColdSpectrum(cfg_row.gamma, cfg_row.omega0, t_cold)
-        flows = beam_flows(cfg_row, hot, cold)
-
-        def local(att: float) -> tuple[float, float]:
-            # the kernel's tuple, in DressedFlows' order
-            at_depth = flows(att)
-            return at_depth[1], at_depth[3]
-
-        j_tot, p_abs = _integrate_over_cell(cell, alpha, local)
+    j_tot, p_abs, model = row_flows(cell, cfg_row, hot, t_cold, alpha)
     eta = j_tot / cell.laser_power_w
     budget = cell.laser_power_w * -math.expm1(-alpha * cell.length_mm)
-    return (ScanRow(delta_thz, j_tot, j_exp, p_abs, eta, regime, solver),
-            p_abs > budget * (1.0 + 1e-9))
+    return (ScanRow(delta_thz, j_tot, j_exp, p_abs, eta, regime_of(cfg_row),
+                    model), p_abs > budget * (1.0 + 1e-9))
 
 
 def detuning_scan(cell: CellConfig, cfg_template: AtomDriveConfig, g0: float,
@@ -481,7 +481,7 @@ def detuning_scan(cell: CellConfig, cfg_template: AtomDriveConfig, g0: float,
     grid = [float(d) for d in deltas_thz]
     if not grid:
         raise ConfigError("empty detuning grid")
-    if g0 <= 0:
+    if not g0 > 0:
         raise ValueError("g0 must be positive")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")

@@ -69,9 +69,9 @@ class FlatHotSpectrum(Record, BathSpectrum):
     __slots__ = ("plateau", "temperature")
 
     def __init__(self, plateau: float, temperature: float):
-        if plateau <= 0:
+        if not plateau > 0:
             raise ValueError("plateau must be positive")
-        if temperature <= 0:
+        if not temperature > 0:
             raise ValueError("hot-bath temperature must be positive")
         _set(self, "plateau", plateau)
         _set(self, "temperature", temperature)
@@ -96,11 +96,11 @@ class CubicColdSpectrum(Record, BathSpectrum):
     __slots__ = ("gamma", "omega0", "temperature")
 
     def __init__(self, gamma: float, omega0: float, temperature: float = 0.0):
-        if gamma <= 0:
+        if not gamma > 0:
             raise ValueError("gamma must be positive")
-        if omega0 <= 0:
+        if not omega0 > 0:
             raise ValueError("omega0 must be positive")
-        if temperature < 0:
+        if not temperature >= 0:
             raise ValueError("temperature must be non-negative")
         _set(self, "gamma", gamma)
         _set(self, "omega0", omega0)

@@ -19,7 +19,7 @@ from licore.cell import (
     detuning_scan,
     experimental_heat_current,
     load_absorption_csv,
-    pick_solver,
+    row_flows,
     scan_records,
     synthesize_absorption,
     write_scan_csv,
@@ -31,6 +31,7 @@ from licore.floquet import solve_pipeline
 from licore.numerics import brentq, gauss_newton, interp
 from licore.rate_model import pumping_rate, weak_balance, weak_flows
 from licore.spectra import (
+    BathSpectrum,
     CubicColdSpectrum,
     FlatHotSpectrum,
     boltzmann_weight,
@@ -816,6 +817,13 @@ class TestScan:
         with pytest.raises(ConfigError):
             detuning_scan(lab_cell(), lab_cfg(), 1.2e10, [])
 
+    @pytest.mark.parametrize("g0", [0.0, -1.0, math.nan])
+    def test_amplitude_must_be_positive(self, g0):
+        with pytest.raises(ValueError, match="^g0 must be positive$"):
+            detuning_scan(lab_cell(), lab_cfg(), g0, [1.0])
+        with pytest.raises(ValueError, match="^g0 must be positive$"):
+            synthesize_absorption(lab_cfg(), lab_cell(), g0, (365.0,))
+
     def test_experimental_column_empty_outside_dataset(self, calibrated):
         ds, cfg, cell, g0 = calibrated
         with over_budget():
@@ -900,6 +908,72 @@ class TestPhotonBudget:
 
 
 def test_pick_solver_threshold():
-    assert pick_solver(lab_cfg(nu_thz=376.0, g_thz=0.05)) == "rate"
-    assert pick_solver(lab_cfg(nu_thz=376.9, g_thz=0.05)) == "floquet"
-    assert pick_solver(lab_cfg(nu_thz=377.0, g_thz=0.05)) == "floquet"
+    hot = FlatHotSpectrum(thz_to_internal(0.002), kelvin_to_internal(500.0))
+
+    def model(nu_thz, g_thz):
+        return row_flows(lab_cell(), lab_cfg(nu_thz=nu_thz, g_thz=g_thz), hot,
+                         0.0, 1.0 / 9.0)[2]
+
+    assert model(376.0, 0.05) == "rate"
+    assert model(376.9, 0.05) == "floquet"
+    assert model(377.0, 0.05) == "floquet"
+    assert model(377.0, 0.0) == "none"
+
+
+class _Lorentzian(BathSpectrum):
+    """A value-only KMS hot shape: amplitude width^2 / (w^2 + width^2)
+    for w >= 0, times the Boltzmann weight below zero."""
+
+    def __init__(self, amplitude, width, temperature):
+        self.amplitude, self.width = amplitude, width
+        self.temperature = temperature
+
+    def value(self, omega):
+        shape = self.amplitude * self.width ** 2 / (omega * omega
+                                                    + self.width ** 2)
+        if omega >= 0:
+            return shape
+        return shape * boltzmann_weight(-omega, self.temperature)
+
+
+class TestRowFlowsForAnyHotShape:
+    """row_flows sees the hot bath only through its spectrum: a weak row
+    through G(|detuning|), an exact row through the beam_flows kernel."""
+
+    HOT = _Lorentzian(thz_to_internal(0.002), thz_to_internal(1.0),
+                      kelvin_to_internal(500.0))
+
+    @pytest.mark.parametrize("delta_thz", [-5.0, 5.0])
+    def test_weak_row_is_the_closed_form_at_the_shape_value(self, delta_thz):
+        cfg, cell, hot = lab_cfg(nu_thz=377.0 - delta_thz), lab_cell(), self.HOT
+        g_delta = hot.value(abs(cfg.detuning))
+        assert g_delta < hot.amplitude / 20.0    # far below the shape's peak
+        flows, _ = _weak_cell_kernel(cfg, cell, hot.temperature)
+        assert row_flows(cell, cfg, hot, 0.0, 1.0 / 9.0) == (
+            *flows(g_delta, 1.0 / 9.0), "rate")
+        # without attenuation: every atom of the cell at the full beam
+        j, p = weak_flows(cfg, pumping_rate(cfg, hot), hot.temperature)
+        atoms = cell.linear_atom_density_per_mm * cell.length_mm
+        assert row_flows(cell, cfg, hot, 0.0, 0.0)[:2] == pytest.approx(
+            (internal_to_watts(atoms * j), internal_to_watts(atoms * p)),
+            rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("t_cold_k", [0.0, 3000.0])
+    def test_exact_row_is_the_cell_integral_of_beam_flows(self, t_cold_k):
+        cfg, cell, hot = lab_cfg(nu_thz=376.5, g_thz=0.5), lab_cell(), self.HOT
+        t_cold = kelvin_to_internal(t_cold_k)
+        cold = CubicColdSpectrum(cfg.gamma, cfg.omega0, t_cold)
+        kernel = floquet.beam_flows(cfg, hot, cold)
+
+        def local(att):
+            at_depth = floquet.DressedFlows._make(kernel(att))
+            return at_depth.j_hot, at_depth.p_abs
+
+        assert row_flows(cell, cfg, hot, t_cold, 1.0 / 9.0) == (
+            *_integrate_over_cell(cell, 1.0 / 9.0, local), "floquet")
+        # without attenuation: every atom of the cell at the full beam
+        at_entrance = floquet.dressed_flows(cfg, hot, cold)
+        atoms = cell.linear_atom_density_per_mm * cell.length_mm
+        assert row_flows(cell, cfg, hot, t_cold, 0.0)[:2] == pytest.approx(
+            (internal_to_watts(atoms * at_entrance.j_hot),
+             internal_to_watts(atoms * at_entrance.p_abs)), rel=1e-12, abs=0)

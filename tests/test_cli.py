@@ -1018,6 +1018,17 @@ class TestDeterminism:
         assert (tmp_path / "scan.csv").read_bytes() == \
             (FIXTURES / fixture).read_bytes()
 
+    def test_weak_rows_match_their_fixture(self, capsys, tmp_path):
+        # 50 weak-drive rows at the calibrated g0 and the dataset's alpha,
+        # and the resonant exact row, as the runtime-only CI job compares them
+        code, _, err = run(capsys, "scan", "--config", SCAN, "--no-metadata",
+                           "--out", str(tmp_path / "scan"))
+        assert code == 0, err
+        assert err == ("warning: 34 of 51 scan rows absorb more than the beam "
+                       "delivers\n")
+        assert (tmp_path / "scan.csv").read_bytes() == \
+            (FIXTURES / "scan_weak_rows.csv").read_bytes()
+
     def test_all_row_calibration_matches_its_fixture(self, capsys, tmp_path):
         # the all-row fit's bits, as the runtime-only CI job compares them
         code, out, err = run(capsys, "calibrate", "--config",

@@ -211,6 +211,19 @@ nan, inf = math.nan, math.inf
      "laser power must be positive"),
     (lambda: CellConfig(1.0, 0.0, 1.0, 1.0, 0.0), ValueError,
      "bath temperature must be positive"),
+    # NaN fails every positivity check; each NaN row keeps its own id
+    pytest.param(lambda: CellConfig(nan, -1.0, 1.0, 1.0, 1.0), ValueError,
+                 "length_mm must be positive", id="nan-length_mm"),
+    pytest.param(lambda: CellConfig(1.0, nan, -1.0, 1.0, 1.0), ValueError,
+                 "absorption coefficient must be non-negative",
+                 id="nan-absorption-coefficient"),
+    pytest.param(lambda: CellConfig(1.0, 0.0, nan, 0.0, 1.0), ValueError,
+                 "atom density must be non-negative", id="nan-atom-density"),
+    pytest.param(lambda: CellConfig(1.0, 0.0, 1.0, nan, 0.0), ValueError,
+                 "laser power must be positive", id="nan-laser-power"),
+    pytest.param(lambda: CellConfig(1.0, 0.0, 1.0, 1.0, nan), ValueError,
+                 "bath temperature must be positive",
+                 id="nan-bath-temperature"),
     (lambda: AbsorptionDataset((), ()), ConfigError,
      "dataset needs matching nu/absorption columns"),
     (lambda: AbsorptionDataset((1.0, 2.0), (0.5,)), ConfigError,
@@ -225,12 +238,23 @@ nan, inf = math.nan, math.inf
      "plateau must be positive"),
     (lambda: FlatHotSpectrum(1.0, 0.0), ValueError,
      "hot-bath temperature must be positive"),
+    pytest.param(lambda: FlatHotSpectrum(nan, 0.0), ValueError,
+                 "plateau must be positive", id="nan-plateau"),
+    pytest.param(lambda: FlatHotSpectrum(1.0, nan), ValueError,
+                 "hot-bath temperature must be positive",
+                 id="nan-hot-bath-temperature"),
     (lambda: CubicColdSpectrum(0.0, 0.0, -1.0), ValueError,
      "gamma must be positive"),
     (lambda: CubicColdSpectrum(1.0, 0.0, -1.0), ValueError,
      "omega0 must be positive"),
     (lambda: CubicColdSpectrum(1.0, 1.0, -1.0), ValueError,
      "temperature must be non-negative"),
+    pytest.param(lambda: CubicColdSpectrum(nan, 0.0, -1.0), ValueError,
+                 "gamma must be positive", id="nan-gamma"),
+    pytest.param(lambda: CubicColdSpectrum(1.0, nan, -1.0), ValueError,
+                 "omega0 must be positive", id="nan-omega0"),
+    pytest.param(lambda: CubicColdSpectrum(1.0, 1.0, nan), ValueError,
+                 "temperature must be non-negative", id="nan-cold-temperature"),
     (lambda: TabulatedSpectrum((1.0,), (1.0,), -1.0), ConfigError,
      "tabulated spectrum needs >= 2 (omega, value) rows"),
     (lambda: TabulatedSpectrum((1.0, inf), (-1.0, 1.0), -1.0), ConfigError,
