@@ -503,13 +503,7 @@ def detuning_scan(cell: CellConfig, cfg_template: AtomDriveConfig, g0: float,
     metadata = {
         "g0_internal": g0,
         "g0_thz": internal_to_thz(g0),
-        "cell": {
-            "length_mm": cell.length_mm,
-            "absorption_coeff_per_mm": cell.absorption_coeff_per_mm,
-            "linear_atom_density_per_mm": cell.linear_atom_density_per_mm,
-            "laser_power_w": cell.laser_power_w,
-            "bath_temperature_k": cell.bath_temperature_k,
-        },
+        "cell": dict(zip(cell.__slots__, cell._values())),
         "t_cold_internal": t_cold,
         "units": "delta in THz (ordinary); powers in watts; "
                  "g0 internal = rad/s",

@@ -25,7 +25,7 @@ KMS_TOL = 1e-6      # largest relative detailed-balance defect a table may have
 
 def boltzmann_weight(omega: float, temperature: float) -> float:
     """exp(-omega/T) with the T = 0 limit taken exactly (no epsilons)."""
-    if temperature < 0:
+    if not temperature >= 0:
         raise ValueError("temperature must be non-negative")
     if temperature == 0.0:
         if omega > 0:
@@ -131,6 +131,8 @@ class ZeroSpectrum(Record, BathSpectrum):
     __slots__ = ("temperature",)
 
     def __init__(self, temperature: float = 0.0):
+        if not temperature >= 0:
+            raise ValueError("temperature must be non-negative")
         _set(self, "temperature", temperature)
 
     def value(self, omega: float) -> float:
@@ -153,7 +155,7 @@ class TabulatedSpectrum(Record, BathSpectrum):
             raise ConfigError("tabulated frequencies must be strictly increasing")
         if any(v < 0 for v in va):
             raise ConfigError("tabulated spectrum values must be non-negative")
-        if temperature < 0:
+        if not temperature >= 0:
             raise ConfigError("temperature must be non-negative")
         _set(self, "omegas", omegas)
         _set(self, "values", values)

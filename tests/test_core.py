@@ -24,6 +24,7 @@ from licore.spectra import (
     FlatHotSpectrum,
     TabulatedSpectrum,
     ZeroSpectrum,
+    boltzmann_weight,
 )
 
 positive = st.floats(min_value=1e-6, max_value=1e6)
@@ -265,6 +266,17 @@ nan, inf = math.nan, math.inf
      "tabulated spectrum values must be non-negative"),
     (lambda: TabulatedSpectrum((1.0, 2.0), (1.0, 1.0), -1.0), ConfigError,
      "temperature must be non-negative"),
+    pytest.param(lambda: TabulatedSpectrum((1.0, 2.0), (1.0, 1.0), nan),
+                 ConfigError, "temperature must be non-negative",
+                 id="nan-tabulated-temperature"),
+    (lambda: ZeroSpectrum(-1.0), ValueError,
+     "temperature must be non-negative"),
+    pytest.param(lambda: ZeroSpectrum(nan), ValueError,
+                 "temperature must be non-negative",
+                 id="nan-zero-temperature"),
+    pytest.param(lambda: boltzmann_weight(1.0, nan), ValueError,
+                 "temperature must be non-negative",
+                 id="nan-boltzmann-temperature"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_constructor_messages(make, error, message):
     # each case breaks the named check and every check after it, so the
