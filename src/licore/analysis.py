@@ -19,7 +19,6 @@ from typing import NamedTuple
 from .config import AtomDriveConfig
 from .errors import DomainError, NoSolutionError
 from .floquet import _hot_balance
-from .numerics import brentq
 from .spectra import boltzmann_weight
 from .units import C_LIGHT, HBAR, internal_to_thz
 
@@ -96,8 +95,17 @@ def _bracketed_root(t_root: float, current) -> float:
     if not current(lo) < 0.0 < current(hi):
         raise NoSolutionError("exact current does not change sign across the "
                               "expected bracket")
-    return brentq(current, lo, hi, xtol=1e-300, rtol=1e-12,
-                  error=NoSolutionError)
+    return _brentq()(current, lo, hi, xtol=1e-300, rtol=1e-12,
+                     error=NoSolutionError)
+
+
+@functools.cache
+def _brentq():
+    """numerics.brentq, imported on first use, so that compare, which roots
+    nothing, does not load numerics; an import statement in
+    _bracketed_root would cost each floor check a microsecond."""
+    from .numerics import brentq
+    return brentq
 
 
 # ---------------------------------------------------------------------------
@@ -117,16 +125,28 @@ def doppler_temperature_limit() -> float:
 
 
 def sideband_temperature_limit(gamma: float, rabi: float, regime: str) -> float:
-    """k_B T_min / (hbar rabi) for sideband cooling in the given regime."""
+    """k_B T_min / (hbar rabi) for sideband cooling in the given regime:
+    1 / ln((1 + r) / r) with r = gamma / (4 rabi) (unresolved) or its
+    square (resolved), taken as 1 / log1p(1/r), which keeps its digits
+    where r is large."""
     if gamma <= 0 or rabi <= 0:
         raise ValueError("gamma and rabi must be positive")
-    if regime == UNRESOLVED:
-        r = gamma / (4.0 * rabi)
-    elif regime == RESOLVED:
-        r = gamma ** 2 / (16.0 * rabi ** 2)
-    else:
+    if regime not in (UNRESOLVED, RESOLVED):
         raise ValueError(f"unknown regime {regime!r}")
-    return 1.0 / math.log((1.0 + r) / r)
+    x = 4.0 * rabi / gamma      # 1/r, or its square root where resolved
+    if x == math.inf:
+        raise DomainError("sideband limit: rabi/gamma overflows")
+    if regime == UNRESOLVED:
+        log = math.log1p(x)
+    elif x < 1e150:
+        log = math.log1p(x * x)
+    else:   # x^2 may overflow; ln(1 + x^2) is 2 ln x to the last bit here
+        log = 2.0 * math.log(x)
+    limit = 1.0 / log if log else math.inf
+    if limit == math.inf:   # 1/r underflows or its inverse log overflows
+        raise DomainError(f"sideband limit overflows at rabi/gamma = "
+                          f"{rabi / gamma:.6g}")
+    return limit
 
 
 def licore_temperature_limit(detuning: float, g: float) -> float:

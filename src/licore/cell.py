@@ -34,11 +34,11 @@ from typing import NamedTuple
 from .config import AtomDriveConfig, Record, _set
 from .errors import CalibrationError, ConfigError, DomainError
 from .floquet import beam_flows
-from .numerics import brentq, gauss_newton, integrate, interp
+from .numerics import brentq, gauss_newton, integrate
 from .rate_model import (_flows, check_weak_drive, regime_of, weak_balance,
                          weak_drive_defect)
 from .spectra import (BathSpectrum, CubicColdSpectrum, FlatHotSpectrum,
-                      read_two_columns)
+                      interp, read_two_columns)
 from .units import (
     internal_to_thz,
     internal_to_watts,
@@ -450,6 +450,8 @@ def _scan_row(cell: CellConfig, cfg_template: AtomDriveConfig,
     if nu <= 0:
         raise ConfigError(f"detuning {delta_thz} THz puts the laser frequency "
                           "at or below zero")
+    if not (math.isfinite(delta) and math.isfinite(nu)):
+        raise ConfigError(f"detuning {delta_thz} THz overflows internal units")
     cfg_row = cfg_template.with_laser_frequency(nu)
     nu_thz = internal_to_thz(nu)
     if dataset is None:

@@ -19,8 +19,8 @@ import json
 import math
 import os
 import sys
+import time
 import warnings
-from datetime import datetime, timezone
 from pathlib import Path
 
 from .config import AtomDriveConfig
@@ -511,13 +511,23 @@ def _require_finite(node) -> None:
         raise DomainError("result is not finite for these parameters")
 
 
+def _utc_timestamp(ns: int) -> str:
+    """The UTC time ``ns`` nanoseconds after the epoch, as
+    ``datetime.now(timezone.utc).isoformat()`` writes it: to the whole
+    microsecond below, with no fraction when that is zero."""
+    seconds, ns = divmod(ns, 10**9)
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds))
+    micros = ns // 1000
+    return f"{stamp}.{micros:06d}+00:00" if micros else f"{stamp}+00:00"
+
+
 def _emit(result, args) -> None:
     payload, lines = result
     _require_finite(payload)
     if not args.no_metadata:
         payload = dict(payload)
         payload["metadata"] = {
-            "generated_at": datetime.now(timezone.utc).isoformat(),
+            "generated_at": _utc_timestamp(time.time_ns()),
             "config": args.config,
         }
     if args.format == "json":
@@ -565,7 +575,7 @@ def _emit_scan(result, args) -> None:
     doc = {"rows": cellmod.scan_records(result)}
     if not args.no_metadata:
         meta = dict(result.metadata)
-        meta["generated_at"] = datetime.now(timezone.utc).isoformat()
+        meta["generated_at"] = _utc_timestamp(time.time_ns())
         doc["metadata"] = meta
     _require_finite(doc)
     csv_path, json_path = _scan_paths(args.out)

@@ -1,4 +1,5 @@
-"""Exact open-system model: dressed-basis Lindblad generator and heat currents.
+"""Exact open-system model in closed form: the dressed five-channel
+rate balance and its heat currents.
 
 The driven atom is treated in the rotating frame, where the averaged
 Hamiltonian (detuning/2) sigma_z + g sigma_x has dressed splitting Omega.
@@ -21,96 +22,21 @@ closed form, with its own residuals, and bare_from_dressed the bare
 populations.  It is the full-beam value of beam_flows, the cell
 integrand's depth kernel.  _dressed_channels computes and checks the five
 channels' frequencies and coefficients; the kernel, hot_channel_rate and
-sideband_weights read them, dressed_coupling_set labels them, and
-_hot_balance gives the floor's balance ratio and current.  The generator
-route (build_liouvillian, steady_state via SVD, heat_currents:
-solve_pipeline) is the numerical oracle that checks both, in real
-arithmetic: the jumps and rates are real and there is no Hamiltonian
-part.  Only it needs numpy, imported on first use, so no command loads
-it.
+sideband_weights read them, and _hot_balance gives the floor's balance
+ratio and current.  licore.oracle builds the same model as a generator
+and solves it by SVD, the numerical oracle that checks these closed
+forms.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .config import AtomDriveConfig
 from .errors import DegenerateSteadyStateError, DomainError
 from .spectra import BathSpectrum, boltzmann_weight
-
-if TYPE_CHECKING:
-    import numpy as np
-
-HOT = "hot"
-COLD = "cold"
-DEGENERACY_TOL = 1e-6    # least second singular value, relative to the norm
-STATIONARITY_TOL = 1e-8  # most drift ||L vec(rho)||, relative to max(||L||, 1)
-
-
-@functools.cache
-def _oracle_modules():
-    """numpy and licore.operators, imported on first use: only the SVD
-    oracle needs them."""
-    import numpy
-    from . import operators
-    return numpy, operators
-
-
-def rotating_frame_hamiltonian(cfg: AtomDriveConfig) -> np.ndarray:
-    """(detuning/2) sigma_z + g sigma_x in the bare basis; eigenvalues are
-    +/- rabi/2."""
-    _, ops = _oracle_modules()
-    return 0.5 * cfg.detuning * ops.SIGMA_Z + cfg.g * ops.SIGMA_X
-
-
-def dressing_rotation(cfg: AtomDriveConfig) -> np.ndarray:
-    """Real orthogonal matrix whose columns are the (upper, lower) dressed
-    states in the bare basis, each with its largest entry positive."""
-    np, _ = _oracle_modules()
-    _, evecs = np.linalg.eigh(rotating_frame_hamiltonian(cfg))
-    u = evecs[:, ::-1].copy()   # eigh sorts ascending: upper first
-    for k in range(2):
-        if u[np.argmax(np.abs(u[:, k])), k] < 0:
-            u[:, k] = -u[:, k]
-    return u
-
-
-# dressed-basis jump operators; the upper dressed state comes first, so
-# sigma+ raises and sigma- lowers the atom between the dressed states
-RAISE, LOWER, DEPHASE = "sigma+", "sigma-", "sigma_z"
-_JUMP_INDEX = {RAISE: 0, LOWER: 1, DEPHASE: 2}
-
-
-@functools.cache
-def _jump_operators() -> tuple:
-    """(pairs, rows), built on first use: pairs[_JUMP_INDEX[jump]] stacks
-    the jump's 4x4 dissipators D[S] and D[S+], rows[...] its vec((S+S)^T)
-    and vec((SS+)^T).  D[c S] = |c|^2 D[S], so the generator only scales
-    these, and vec((S+S)^T) . vec(rho) = tr(rho S+S) counts quanta."""
-    np, ops = _oracle_modules()
-    pairs = [(s, s.T) for s in (ops.SIGMA_PLUS, ops.SIGMA_MINUS, ops.SIGMA_Z)]
-    return (np.array([[ops.dissipator(s) for s in pair] for pair in pairs]),
-            np.array([[ops.vec(s.T @ s) for s in pair] for pair in pairs]))
-
-
-class HarmonicCoupling(NamedTuple):
-    bath: str
-    harmonic: int           # q, multiplying the drive frequency
-    dressed_freq: float     # wbar, the dressed-basis Bohr frequency
-    jump: str               # RAISE, LOWER or DEPHASE
-    coefficient: float      # real prefactor c of the jump operator
-
-    def effective_frequency(self, drive_freq: float) -> float:
-        return self.dressed_freq + self.harmonic * drive_freq
-
-
-class HarmonicCouplingSet(NamedTuple):
-    drive_frequency: float
-    rabi: float
-    entries: tuple
 
 
 def _dressed_channels(nu: float, delta: float, g: float,
@@ -122,8 +48,9 @@ def _dressed_channels(nu: float, delta: float, g: float,
     Cold entries sit at effective frequencies nu - rabi, nu, nu + rabi;
     hot entries at 0 and rabi.  Configurations with rabi >= nu (lower
     sideband at negative frequency) are outside the model and rejected.
-    The near-degenerate warning names the caller of dressed_coupling_set
-    (stacklevel 3) or, from beam_flows' kernel, of dressed_flows (4).
+    The near-degenerate warning names the caller of
+    oracle.dressed_coupling_set (stacklevel 3) or, from beam_flows'
+    kernel, of dressed_flows (4).
     """
     rabi = math.hypot(2.0 * g, delta)
     if rabi == 0.0:
@@ -142,19 +69,6 @@ def _dressed_channels(nu: float, delta: float, g: float,
             (delta + rabi) / (2 * rabi), delta / rabi, -(2 * g / rabi))
 
 
-def dressed_coupling_set(cfg: AtomDriveConfig) -> HarmonicCouplingSet:
-    """The five coupling harmonics of the driven atom: _dressed_channels
-    labelled with bath, harmonic q and jump, as the SVD oracle reads them."""
-    f0, f1, f2, f3, f4, c0, c1, c2, c3, c4 = _dressed_channels(
-        cfg.nu, cfg.detuning, cfg.g)
-    entries = (HarmonicCoupling(COLD, 1, f0, RAISE, c0),
-               HarmonicCoupling(COLD, 1, f1, DEPHASE, c1),
-               HarmonicCoupling(COLD, 1, f2, LOWER, c2),
-               HarmonicCoupling(HOT, 0, f3, DEPHASE, c3),
-               HarmonicCoupling(HOT, 0, f4, LOWER, c4))
-    return HarmonicCouplingSet(cfg.nu, cfg.rabi, entries)
-
-
 def _rate_pair(spectrum: BathSpectrum, w_eff: float) -> tuple[float, float]:
     """(G(w_eff), G(-w_eff)), the rates of D[S] and D[S+], from one
     spectrum.pair call; DomainError unless both are finite and
@@ -171,7 +85,7 @@ class DressedFlows(NamedTuple):
     populations: tuple      # (upper, lower), dressed basis
     j_hot: float
     j_cold: float
-    p_abs: float            # -(j_hot + j_cold), as in CurrentReport
+    p_abs: float            # -(j_hot + j_cold), as in oracle.CurrentReport
     # |k_up p_lower - k_down p_upper| / (k_up + k_down)
     rate_balance_residual: float
     # |drive power - p_abs| / max(|j_hot|, |j_cold|, |p_abs|)
@@ -190,11 +104,11 @@ def dressed_flows(cfg: AtomDriveConfig, hot: BathSpectrum,
     the atom; sigma_z channels only dephase.  Each channel takes
     n_down = |c|^2 G(w_eff) <S+S> and gives n_up = |c|^2 G(-w_eff) <SS+>
     quanta, so the bath receives w_eff (n_down - n_up) and the drive
-    supplies q nu (n_down - n_up), the bookkeeping of heat_currents.  A
+    supplies q nu (n_down - n_up), the bookkeeping of oracle.heat_currents.  A
     channel's net flux is summed pairwise over the other channels, so the
     products of its own rates cancel exactly: J_hot keeps its digits where
     strong hot rates nearly balance, which the SVD state does not (~1e-12
-    relative there).  solve_pipeline is the numerical oracle.
+    relative there).  oracle.solve_pipeline is the numerical oracle.
 
     Raises DegenerateSteadyStateError when k_up + k_down is zero or not
     finite, and DomainError when the flows overflow the float range or
@@ -303,8 +217,8 @@ def bare_from_dressed(cfg: AtomDriveConfig,
     cos = detuning/rabi, so rho_ee = (p_upper (1 + cos) + p_lower
     (1 - cos)) / 2.  The smaller weight is taken as
     2 g^2 / (rabi (rabi + |detuning|)), free of the cancellation in
-    1 - |cos| at weak drive.  bare_populations, which rotates the SVD
-    oracle's density matrix, is the numerical check of this function.
+    1 - |cos| at weak drive.  oracle.bare_populations, which rotates the
+    SVD oracle's density matrix, is the numerical check of this function.
     """
     upper, lower = populations
     rabi, delta, two_g = cfg.rabi, cfg.detuning, 2.0 * cfg.g
@@ -316,155 +230,6 @@ def bare_from_dressed(cfg: AtomDriveConfig,
     w_upper, w_lower = (large, small) if delta >= 0 else (small, large)
     return (0.5 * (upper * w_upper + lower * w_lower),
             0.5 * (upper * w_lower + lower * w_upper))
-
-
-class LiouvillianComponent(NamedTuple):
-    coupling: HarmonicCoupling
-    omega_eff: float
-    rate_down: float        # G(omega_eff), multiplies D[S]
-    rate_up: float          # G(-omega_eff), multiplies D[S+]
-    matrix: np.ndarray      # 4x4 sub-generator, a view into the stack
-
-
-class LiouvillianOperator(NamedTuple):
-    matrix: np.ndarray
-    components: tuple
-    drive_frequency: float
-    rabi: float
-    stack: np.ndarray       # the components' matrices, stacked
-
-    def trace_defect(self) -> float:
-        """Norm of the adjoint generator applied to the identity, zero if
-        it preserves the trace; vec(1) picks rows 0 and 3 (row-major)."""
-        np, _ = _oracle_modules()
-        return float(np.linalg.norm(self.matrix[0] + self.matrix[3]))
-
-
-def build_liouvillian(couplings: HarmonicCouplingSet, hot: BathSpectrum,
-                      cold: BathSpectrum) -> LiouvillianOperator:
-    """Assemble the generator: each harmonic contributes
-    G(w_eff) D[S] + G(-w_eff) D[S+], kept separately for current
-    bookkeeping.  The |c|^2-weighted rate pairs contract with the jumps'
-    stacked (D[S], D[S+]) in one product; the total is their sum."""
-    np, _ = _oracle_modules()
-    nu, channels, rates = couplings.drive_frequency, [], []
-    for entry in couplings.entries:
-        w_eff = entry.effective_frequency(nu)
-        rate_down, rate_up = _rate_pair(hot if entry.bath == HOT else cold,
-                                        w_eff)
-        weight = entry.coefficient * entry.coefficient
-        channels.append((entry, w_eff, rate_down, rate_up))
-        rates += (weight * rate_down, weight * rate_up)
-    pairs = _jump_operators()[0].take(
-        [_JUMP_INDEX[entry.jump] for entry in couplings.entries], axis=0)
-    stack = (np.array(rates).reshape(-1, 1, 2)
-             @ pairs.reshape(-1, 2, 16)).reshape(-1, 4, 4)
-    total = stack.sum(axis=0)
-    liouv = LiouvillianOperator(
-        total, tuple(LiouvillianComponent(*channel, mat)
-                     for channel, mat in zip(channels, stack)),
-        nu, couplings.rabi, stack)
-    if liouv.trace_defect() > 1e-12 * np.abs(total).max():
-        raise DomainError(f"generator does not preserve the trace: defect "
-                          f"{liouv.trace_defect():.3e}")
-    return liouv
-
-
-class SteadyStateReport(NamedTuple):
-    rho: np.ndarray             # dressed basis
-    residual: float             # ||L vec(rho)||
-    populations: tuple          # (upper, lower)
-    coherence: complex
-
-
-def steady_state(liouv: LiouvillianOperator) -> SteadyStateReport:
-    """Kernel of the real 4x4 generator via SVD, symmetrized and normalized.
-
-    Raises DegenerateSteadyStateError when the second-smallest singular
-    value falls below DEGENERACY_TOL times the generator norm.
-    """
-    np, ops = _oracle_modules()
-    try:
-        _, s, vh = np.linalg.svd(liouv.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateSteadyStateError(f"generator has no usable kernel: "
-                                         f"{exc}") from exc
-    norm = s[0]
-    if norm == 0.0:
-        raise DegenerateSteadyStateError("zero generator has no unique steady state")
-    if s[-2] <= DEGENERACY_TOL * norm:
-        raise DegenerateSteadyStateError(
-            f"Liouvillian kernel not one-dimensional (singular values "
-            f"{s[-2]:.3e}, {s[-1]:.3e} vs norm {norm:.3e})"
-        )
-    candidate = ops.unvec(vh[-1])
-    tr = candidate[0, 0] + candidate[1, 1]
-    if abs(tr) < 1e-12:
-        raise DegenerateSteadyStateError("steady-state candidate is traceless")
-    rho = ops.hermitize(candidate / tr)
-    rho = rho / (rho[0, 0] + rho[1, 1])
-    residual = float(np.linalg.norm(liouv.matrix @ ops.vec(rho)))
-    return SteadyStateReport(rho, residual, (rho[0, 0], rho[1, 1]),
-                             complex(rho[0, 1]))
-
-
-def bare_populations(cfg: AtomDriveConfig, rho_dressed: np.ndarray) -> tuple[float, float]:
-    """(rho_ee, rho_gg) in the bare atomic basis."""
-    u = dressing_rotation(cfg)
-    rho_bare = u @ rho_dressed @ u.conj().T
-    return rho_bare[0, 0].real, rho_bare[1, 1].real
-
-
-class CurrentReport(NamedTuple):
-    j_hot: float
-    j_cold: float
-    p_abs: float                  # -(j_hot + j_cold), the defining identity
-    conservation_residual: float  # |summed drive power + j_hot + j_cold|
-    stationary: bool
-
-
-def heat_currents(liouv: LiouvillianOperator, rho: np.ndarray) -> CurrentReport:
-    """Per-bath heat currents and absorbed power at (or near) steady state.
-
-    The five channels are read in one batched pass: the generator's stored
-    stack of component matrices acts on vec(rho) in one product, a dot
-    with vec(H^T) gives each channel's energy change tr(L_k(rho) H), and
-    the jumps' cached rows give tr(rho S+S) and tr(rho SS+).  Currents are
-    exact at the steady state; a non-stationary rho is flagged via
-    ``stationary=False``.
-    """
-    np, ops = _oracle_modules()
-    v = ops.vec(rho)
-    stationary = bool(np.linalg.norm(liouv.matrix @ v) <= STATIONARITY_TOL
-                      * max(np.linalg.norm(liouv.matrix), 1.0))
-    if not stationary:
-        warnings.warn("heat currents evaluated on a non-stationary state",
-                      stacklevel=2)
-    comps = liouv.components
-    half = 0.5 * liouv.rabi
-    # tr(L_k(rho) H) of every channel, vec(H^T) of H = diag(rabi/2, -rabi/2)
-    changes = (liouv.stack @ v) @ np.array([half, 0.0, 0.0, -half])
-    # tr(rho S+S) and tr(rho SS+) of every channel
-    rows = _jump_operators()[1].take(
-        [_JUMP_INDEX[comp.coupling.jump] for comp in comps], axis=0)
-    quanta = (rows @ v).real.tolist()
-    totals = {HOT: 0.0, COLD: 0.0}
-    p_direct = 0.0
-    for comp, change, (down, up) in zip(comps, changes.real.tolist(), quanta):
-        entry = comp.coupling
-        weight = entry.coefficient * entry.coefficient
-        n_down = comp.rate_down * (weight * down)
-        n_up = comp.rate_up * (weight * up)
-        if entry.dressed_freq != 0.0:
-            heat = (comp.omega_eff / entry.dressed_freq) * change
-        else:
-            # quantum counting; zero for the static hot channel (w_eff = 0)
-            heat = comp.omega_eff * (n_up - n_down)
-        totals[entry.bath] += heat
-        p_direct += entry.harmonic * liouv.drive_frequency * (n_down - n_up)
-    j_hot, j_cold = totals[HOT], totals[COLD]
-    residual = abs(p_direct + j_hot + j_cold)
-    return CurrentReport(j_hot, j_cold, -(j_hot + j_cold), residual, stationary)
 
 
 def hot_channel_rate(cfg: AtomDriveConfig, hot: BathSpectrum) -> float:
@@ -526,9 +291,13 @@ def _hot_balance(cfg: AtomDriveConfig, gamma_p: float, t_cold: float):
     return (loss / gain if gain else math.inf), current
 
 
-def solve_pipeline(cfg: AtomDriveConfig, hot: BathSpectrum, cold: BathSpectrum):
-    """Convenience: build generator, solve, compute currents."""
-    liouv = build_liouvillian(dressed_coupling_set(cfg), hot, cold)
-    report = steady_state(liouv)
-    currents = heat_currents(liouv, report.rho)
-    return liouv, report, currents
+def __getattr__(name: str):
+    # perfbench's exact phase calls floquet.solve_pipeline; ROADMAP item 1
+    # re-points that call at licore.oracle, and item 8 then deletes this
+    # forward.  The first lookup binds the name here, so later ones do not
+    # come back through this function.
+    if name == "solve_pipeline":
+        from .oracle import solve_pipeline
+        globals()[name] = solve_pipeline
+        return solve_pipeline
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

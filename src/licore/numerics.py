@@ -1,8 +1,6 @@
-"""A scalar root finder, adaptive quadrature, a one-parameter fit and
-linear interpolation.
+"""A scalar root finder, adaptive quadrature and a one-parameter fit.
 
 Stdlib only, so that no licore command pays for importing SciPy or numpy.
-``interp`` repeats numpy's ``interp`` operation for operation;
 ``brentq`` follows SciPy's C routine update for update and returns the
 same roots; ``integrate`` is QUADPACK's 21-point Gauss-Kronrod rule
 over the components of a tuple-valued integrand, taken once per node,
@@ -20,7 +18,6 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from bisect import bisect_right
 
 from .errors import DomainError
 
@@ -46,33 +43,6 @@ def _nan_checked(f, error):
             raise error(f"function value at x={x!r} is NaN")
         return fx
     return checked
-
-
-def interp(x: float, xp, fp) -> float:
-    """Piecewise-linear interpolation of the table (xp, fp) at x, clamped
-    to the end values outside it, as numpy's ``interp`` computes it: the
-    same slope and rounding, the same fallbacks where the slope form gives
-    NaN, and a NaN x passes through (a one-row table returns its value).
-    xp must be strictly increasing."""
-    last = len(xp) - 1
-    if last == 0:
-        return fp[0]
-    if math.isnan(x):
-        return x
-    if x < xp[0]:
-        return fp[0]
-    if x > xp[last]:
-        return fp[last]
-    j = bisect_right(xp, x) - 1
-    if j == last or xp[j] == x:
-        return fp[j]
-    slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
-    y = slope * (x - xp[j]) + fp[j]
-    if math.isnan(y):
-        y = slope * (x - xp[j + 1]) + fp[j + 1]
-        if math.isnan(y) and fp[j] == fp[j + 1]:
-            y = fp[j]
-    return y
 
 
 def brentq(f, a: float, b: float, xtol: float, rtol: float,

@@ -6,18 +6,19 @@ G(-w) = exp(-w/T) G(w).  A zero-temperature bath has G(-w) = 0 for w > 0.
 ``pair(w)`` gives (G(w), G(-w)) together, the rate pair of one channel:
 two ``value`` calls by default, one positive-side value and its
 Boltzmann weight for the flat and cubic models, with the same bits.
+Tables (tabulated spectra, and the cell's absorption data) are read
+piecewise-linearly by ``interp``.
 """
 
 from __future__ import annotations
 
 import abc
-import csv
 import math
+from bisect import bisect_right
 from pathlib import Path
 
 from .config import Record, _set
 from .errors import ConfigError
-from .numerics import interp
 from .units import thz_to_internal
 
 KMS_TOL = 1e-6      # largest relative detailed-balance defect a table may have
@@ -139,6 +140,34 @@ class ZeroSpectrum(Record, BathSpectrum):
         return 0.0
 
 
+def interp(x: float, xp, fp) -> float:
+    """Piecewise-linear interpolation of the table (xp, fp) at x, clamped
+    to the end values outside it, as numpy's ``interp`` computes it: the
+    same slope and rounding, the same fallbacks where the slope form gives
+    NaN, and a NaN x passes through (a one-row table returns its value).
+    xp must be strictly increasing."""
+    last = len(xp) - 1
+    if last == 0:
+        return fp[0]
+    if math.isnan(x):
+        return x
+    if x < xp[0]:
+        return fp[0]
+    if x > xp[last]:
+        return fp[last]
+    j = bisect_right(xp, x) - 1
+    if j == last or xp[j] == x:
+        return fp[j]
+    slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
+    y = slope * (x - xp[j]) + fp[j]
+    if math.isnan(y):
+        y = slope * (x - xp[j + 1]) + fp[j + 1]
+        if math.isnan(y) and fp[j] == fp[j + 1]:
+            y = fp[j]
+    return y
+
+
+
 class TabulatedSpectrum(Record, BathSpectrum):
     """Piecewise-linear user spectrum; queries outside the table clamp to
     the endpoint values."""
@@ -190,6 +219,7 @@ def read_two_columns(path, header: str) -> tuple[list, list]:
     lines, '#' lines and the header row (first cell ``header``) are
     skipped; any other row that does not start with two numbers is a
     ConfigError naming the file and the row."""
+    import csv      # here, so the commands that read no table do not load it
     xs, ys = [], []
     with Path(path).open(newline="") as fh:
         for raw in fh:

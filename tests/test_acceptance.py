@@ -31,12 +31,8 @@ from licore.cell import (
 )
 from licore.cli import main as cli_main
 from licore.config import AtomDriveConfig
-from licore.floquet import (
-    bare_populations,
-    heat_current_exact,
-    hot_channel_rate,
-    solve_pipeline,
-)
+from licore.floquet import heat_current_exact, hot_channel_rate
+from licore.oracle import bare_populations, solve_pipeline
 from licore.rate_model import (
     asymmetry_ratio,
     pumping_rate,

@@ -1,4 +1,6 @@
+import decimal
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -317,6 +319,33 @@ class TestMethodComparison:
         val = sideband_temperature_limit(1.0, 0.1, UNRESOLVED)
         assert val == pytest.approx(1.0 / math.log(3.5 / 2.5), rel=1e-14)
         assert val > 1.0
+
+    @pytest.mark.parametrize("regime", [UNRESOLVED, RESOLVED])
+    def test_sideband_limit_against_50_digits(self, regime):
+        # r = gamma / (4 rabi) from 1e-3 to 1e300, gamma the fixture's 6e-6
+        # THz.  ln((1 + r) / r) lost the digits of 1/r, and then rounded to
+        # zero; where the limit leaves the float range it is a DomainError
+        gamma = thz_to_internal(6e-6)
+        worst = 0.0
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            for k in range(-3, 301):
+                rabi = gamma / (4.0 * 10.0 ** k)
+                x = 4 * decimal.Decimal(rabi) / decimal.Decimal(gamma)
+                if regime == RESOLVED:
+                    x *= x
+                if x > decimal.Decimal("1e-5"):
+                    log = (1 + x).ln()
+                else:   # the series, as 1 + x would round x away
+                    log = sum((-1) ** (n + 1) * x ** n / n for n in range(1, 12))
+                want = 1 / log
+                if want > decimal.Decimal(sys.float_info.max):
+                    with pytest.raises(DomainError, match="overflows"):
+                        sideband_temperature_limit(gamma, rabi, regime)
+                    continue
+                got = sideband_temperature_limit(gamma, rabi, regime)
+                worst = max(worst, abs(decimal.Decimal(got) / want - 1))
+        assert worst <= 1e-15
 
     def test_licore_hand_value(self):
         assert licore_temperature_limit(10.0, 1.0) == \

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import warnings
 
 import numpy as np
@@ -24,17 +25,18 @@ from licore.cell import (
     synthesize_absorption,
     write_scan_csv,
 )
-from licore import cell as cellmod, floquet, numerics, rate_model
+from licore import cell as cellmod, floquet, rate_model, spectra
 from licore.config import AtomDriveConfig
 from licore.errors import CalibrationError, ConfigError, DomainError
-from licore.floquet import solve_pipeline
-from licore.numerics import brentq, gauss_newton, interp
+from licore.numerics import brentq, gauss_newton
+from licore.oracle import solve_pipeline
 from licore.rate_model import pumping_rate, weak_balance, weak_flows
 from licore.spectra import (
     BathSpectrum,
     CubicColdSpectrum,
     FlatHotSpectrum,
     boltzmann_weight,
+    interp,
     load_tabulated_spectrum,
 )
 from licore.units import internal_to_watts, kelvin_to_internal, thz_to_internal
@@ -401,8 +403,8 @@ class TestExactRows:
         def refuse(*args, **kwargs):
             raise AssertionError("cell rows must not build a generator")
 
-        monkeypatch.setattr(floquet, "build_liouvillian", refuse)
-        monkeypatch.setattr(floquet, "steady_state", refuse)
+        monkeypatch.setattr("licore.oracle.build_liouvillian", refuse)
+        monkeypatch.setattr("licore.oracle.steady_state", refuse)
         with over_budget():
             scan = detuning_scan(cell, cfg, g0, self.GRID)
         assert all(r.model == "floquet" for r in scan.rows)
@@ -692,7 +694,7 @@ class TestCalibration:
         monkeypatch.setattr(cellmod, "FlatHotSpectrum", no_spectrum)
         monkeypatch.setattr(AtomDriveConfig, "__init__", counted_init)
         monkeypatch.setattr(cellmod, "interp", counted_interp)
-        monkeypatch.setattr(numerics, "interp", counted_interp)
+        monkeypatch.setattr(spectra, "interp", counted_interp)
         counts = []
         for ds in (consistent, mismatched):
             balances.clear()
@@ -816,6 +818,13 @@ class TestScan:
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
             detuning_scan(lab_cell(), lab_cfg(), 1.2e10, [])
+
+    @pytest.mark.parametrize("delta_thz", [-1e300, math.nan])
+    def test_detuning_that_overflows_internal_units_rejected(self, delta_thz):
+        # -1e300 THz puts nu at +inf, which passed the check for nu <= 0
+        message = f"detuning {delta_thz} THz overflows internal units"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            detuning_scan(lab_cell(), lab_cfg(), 1.2e10, [delta_thz])
 
     @pytest.mark.parametrize("g0", [0.0, -1.0, math.nan])
     def test_amplitude_must_be_positive(self, g0):

@@ -8,7 +8,7 @@ import shutil
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -20,6 +20,7 @@ from licore.cli import (
     CONFIG_SCHEMA,
     MAX_SCAN_ROWS,
     _schema_violations,
+    _utc_timestamp,
     build_parser,
     load_config,
     main,
@@ -153,6 +154,23 @@ class TestSubcommands:
         assert cells[("doppler", "resolved")] == 0.25
         assert cells[("licore", "resolved")] == cells[("licore", "unresolved")]
         assert len(payload["efficiency_bounds"]) == 3
+
+    @pytest.mark.parametrize("rabi_thz, unresolved, resolved", [
+        ("1e-12", 1500000.5, 2.25e12),
+        ("1e-14", 150000000.5, 2.25e16),
+        ("1e-20", 1.5e14, 2.25e28),
+    ])
+    def test_compare_sideband_cells_where_rabi_is_tiny(self, capsys, rabi_thz,
+                                                        unresolved, resolved):
+        # r = gamma/(4 rabi) = 1.5e6 at 1e-12 THz, where the limits are
+        # r + 1/2 and r^2 + 1/2 to 12 digits; ln((1 + r)/r) printed
+        # 1500000.49979 there and divided by zero at 1e-20 THz
+        payload = run_json(capsys, "compare", "--config", POINT,
+                           "--set", f"compare.rabi_thz={rabi_thz}")
+        cells = {(c["method"], c["regime"]): c["value"]
+                 for c in payload["t_min_scaled"]}
+        assert cells[("sideband", "unresolved")] == unresolved
+        assert cells[("sideband", "resolved")] == resolved
 
     def test_calibrate(self, capsys):
         payload = run_json(capsys, "calibrate", "--config", SCAN)
@@ -300,6 +318,19 @@ class TestFormats:
         assert run(capsys, command, "--config", POINT, "--format", fmt,
                    "--no-metadata") == (0, expected, "")
 
+    @pytest.mark.parametrize("seconds, micros", [
+        (0, 0), (1_700_000_000, 0), (1_700_000_000, 1), (1_700_000_000, 500_000),
+        (1_792_450_387, 123_456), (1_792_450_387, 999_999), (4_102_444_799, 7),
+    ])
+    def test_timestamp_is_datetimes_isoformat(self, seconds, micros):
+        # at whole microseconds, where fromtimestamp's rounding has nothing
+        # to round; a whole second has no fraction
+        t = seconds + micros / 1e6
+        want = datetime.fromtimestamp(t, timezone.utc).isoformat()
+        assert _utc_timestamp(seconds * 10**9 + micros * 1000) == want
+        # below a microsecond the time is cut, as datetime.now cuts it
+        assert _utc_timestamp(seconds * 10**9 + micros * 1000 + 999) == want
+
     @pytest.mark.parametrize("command", ["steady-state", "currents", "tmin",
                                          "compare"])
     def test_metadata_names_the_config_and_the_time(self, capsys, command):
@@ -376,7 +407,7 @@ class TestExitCodes:
         (["compare", "--set", "atom.gamma_thz=1e308"], 2),
         # the mass underflows to zero kilograms
         (["compare", "--set", "compare.mass_amu=1e-300"], 2),
-        # the sideband floor divides by a vanishing logarithm
+        # the sideband floor overflows the float range
         (["compare", "--set", "compare.rabi_thz=1e-300"], 3),
         # the relative gap of a vanishing floor is infinite
         (["tmin", "--set", "atom.g_thz=1e-300",
@@ -604,12 +635,18 @@ class TestExitCodes:
         (["calibrate", "--set", "hot_bath.spectrum_csv=missing.csv"], 2,
          "config error: hot_bath.spectrum_csv is not supported by scan and "
          "calibrate, which model a flat spectrum (g0_thz)"),
+        # the row's nu overflows to +inf, where a ValueError ended in a
+        # traceback and exit 1
+        (["scan", "--set", "scan.delta_min_thz=-1e300",
+          "--set", "scan.delta_max_thz=-1e300"], 2,
+         "config error: detuning -1e+300 THz overflows internal units"),
     ], ids=["laser-below-zero", "calibration-unbracketed",
             "absorption-coefficient", "g0-overflows", "flows-overflow",
             "alpha-overflows", "calibrate-alpha-overflows",
             "calibrate-row-alpha-overflows", "row-alpha-overflows",
             "weak-row-alpha-overflows", "floquet-row-alpha-overflows",
-            "scan-tabulated-spectrum", "calibrate-tabulated-spectrum"])
+            "scan-tabulated-spectrum", "calibrate-tabulated-spectrum",
+            "detuning-overflows"])
     def test_scan_fixture_failure_is_one_stderr_line(self, capsys, tmp_path,
                                                      argv, code, message):
         got = run(capsys, argv[0], "--config", SCAN, *argv[1:],
@@ -793,14 +830,19 @@ def cold_start(tmp_path_factory):
     return runs
 
 
-# licore modules each command must not import; command names prefix the runs
+# modules each command must not import; command names prefix the runs.  No
+# command runs the SVD oracle or needs datetime for its timestamp, and the
+# point commands that root, integrate and fit nothing load no numerics
+# and, reading no table, no csv
+_NEVER = {"licore.oracle", "datetime"}
+_NO_NUMERICS = {"licore.numerics", "csv"}
 NOT_IMPORTED = {
-    "steady-state": {"licore.cell"},
-    "currents": {"licore.cell"},
-    "tmin": {"licore.cell", "licore.rate_model"},
-    "compare": {"licore.cell", "licore.rate_model"},
-    "calibrate": {"licore.analysis"},
-    "scan": {"licore.analysis"},
+    "steady-state": {"licore.cell", *_NEVER, *_NO_NUMERICS},
+    "currents": {"licore.cell", *_NEVER, *_NO_NUMERICS},
+    "tmin": {"licore.cell", "licore.rate_model", *_NEVER},
+    "compare": {"licore.cell", "licore.rate_model", *_NEVER, *_NO_NUMERICS},
+    "calibrate": {"licore.analysis", *_NEVER},
+    "scan": {"licore.analysis", *_NEVER},
 }
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from licore.cell import AbsorptionDataset, CellConfig
 from licore.config import AtomDriveConfig
 from licore.errors import ConfigError
-from licore.operators import (
+from licore.oracle import (
     SIGMA_MINUS,
     SIGMA_PLUS,
     SIGMA_X,

@@ -7,36 +7,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from licore import floquet
+from licore import floquet, oracle
 from licore.config import AtomDriveConfig
 from licore.errors import DegenerateSteadyStateError, DomainError
 from licore.floquet import (
+    DressedFlows,
+    bare_from_dressed,
+    beam_flows,
+    dressed_flows,
+    heat_current_exact,
+    hot_channel_rate,
+    sideband_weights,
+)
+from licore.oracle import (
     COLD,
     DEPHASE,
     HOT,
     LOWER,
     RAISE,
-    DressedFlows,
-    bare_from_dressed,
-    bare_populations,
-    beam_flows,
-    build_liouvillian,
-    dressed_coupling_set,
-    dressed_flows,
-    dressing_rotation,
-    heat_current_exact,
-    heat_currents,
-    hot_channel_rate,
-    rotating_frame_hamiltonian,
-    sideband_weights,
-    solve_pipeline,
-    steady_state,
-)
-from licore.operators import (
     SIGMA_MINUS,
     SIGMA_PLUS,
     SIGMA_Z,
+    bare_populations,
+    build_liouvillian,
     dissipator,
+    dressed_coupling_set,
+    dressing_rotation,
+    heat_currents,
+    rotating_frame_hamiltonian,
+    solve_pipeline,
+    steady_state,
     unvec,
     vec,
 )
@@ -190,11 +190,11 @@ class TestLiouvillian:
     def test_trace_defect_rejected(self, monkeypatch):
         # sigma- empties the upper dressed state without filling the lower
         # wherever it is stacked: D[S] of the sigma- jump, D[S+] of sigma+
-        pairs, rows = floquet._jump_operators()
+        pairs, rows = oracle._jump_operators()
         leaky = pairs.copy()
         for jump, side in ((LOWER, 0), (RAISE, 1)):
-            leaky[floquet._JUMP_INDEX[jump], side, 3, 0] = 0.0
-        monkeypatch.setattr(floquet, "_jump_operators", lambda: (leaky, rows))
+            leaky[oracle._JUMP_INDEX[jump], side, 3, 0] = 0.0
+        monkeypatch.setattr(oracle, "_jump_operators", lambda: (leaky, rows))
         cfg, hot = random_weak_cfg(np.random.default_rng(5))
         cold = CubicColdSpectrum(cfg.gamma, cfg.omega0, 0.0)
         with pytest.raises(DomainError, match="does not preserve the trace"):
@@ -789,8 +789,8 @@ class TestDressedFlows:
             raise AssertionError("the closed form must not build a generator")
 
         cfg, hot, cold = strong_drive_grid()[0]
-        monkeypatch.setattr("licore.floquet.build_liouvillian", refuse)
-        monkeypatch.setattr("licore.floquet.steady_state", refuse)
+        monkeypatch.setattr("licore.oracle.build_liouvillian", refuse)
+        monkeypatch.setattr("licore.oracle.steady_state", refuse)
         assert math.isfinite(dressed_flows(cfg, hot, cold).j_hot)
 
     @pytest.mark.parametrize("hot", [FlatHotSpectrum(math.inf, 2.0),

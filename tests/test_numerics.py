@@ -20,7 +20,7 @@ from licore.cell import load_absorption_csv
 from licore.config import AtomDriveConfig
 from licore.errors import CalibrationError, DomainError, NoSolutionError
 from licore.floquet import dressed_flows, heat_current_exact
-from licore.spectra import CubicColdSpectrum, FlatHotSpectrum
+from licore.spectra import CubicColdSpectrum, FlatHotSpectrum, interp
 from licore.units import kelvin_to_internal, thz_to_internal
 
 from test_cell import lab_cell, lab_cfg, modeled_absorption
@@ -283,7 +283,7 @@ class TestInterp:
             queries += xp    # at the nodes
             queries += [math.nan, math.inf, -math.inf, xp[0] - 1.0, xp[-1] + 1.0]
             for x in queries:
-                got = numerics.interp(x, tuple(xp), tuple(fp))
+                got = interp(x, tuple(xp), tuple(fp))
                 want = float(np.interp(x, xp, fp))
                 assert _same_float(got, want), (xp, fp, x, got, want)
 
@@ -294,12 +294,12 @@ class TestInterp:
         for fp in ((math.inf, math.inf, 1.0, -math.inf),
                    (1.0, math.inf, math.inf, 2.0)):
             for x in (0.0, 0.25, 1.0, 1.5, 2.0, 2.5, 3.0, -1.0, 4.0):
-                assert _same_float(numerics.interp(x, xp, fp),
+                assert _same_float(interp(x, xp, fp),
                                    float(np.interp(x, xp, fp))), (fp, x)
 
     def test_clamps_and_passes_nan_through(self):
         xp, fp = (1.0, 2.0, 4.0), (10.0, 20.0, 0.0)
-        assert numerics.interp(0.0, xp, fp) == 10.0
-        assert numerics.interp(9.0, xp, fp) == 0.0
-        assert numerics.interp(3.0, xp, fp) == 10.0
-        assert math.isnan(numerics.interp(math.nan, xp, fp))
+        assert interp(0.0, xp, fp) == 10.0
+        assert interp(9.0, xp, fp) == 0.0
+        assert interp(3.0, xp, fp) == 10.0
+        assert math.isnan(interp(math.nan, xp, fp))
