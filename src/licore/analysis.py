@@ -19,7 +19,6 @@ from typing import NamedTuple
 from .config import AtomDriveConfig
 from .errors import DomainError, NoSolutionError
 from .floquet import _hot_balance
-from .spectra import boltzmann_weight
 from .units import C_LIGHT, HBAR, internal_to_thz
 
 
@@ -47,15 +46,6 @@ def min_temp_exact(cfg: AtomDriveConfig, t_cold: float) -> float:
     """Hot-bath temperature at which cooling stops, from the closed-form
     balance condition.  t_cold = 0 uses exact-zero cold Boltzmann factors."""
     return _floor(cfg, t_cold)[0]
-
-
-def min_temp_residual(cfg: AtomDriveConfig, t_cold: float, t_hot: float) -> float:
-    """Relative defect of the balance condition at t_hot."""
-    rhs = _hot_balance(cfg, 1.0, t_cold)[0]
-    if rhs == math.inf:
-        raise NoSolutionError("no balance: the cold sidebands give no gain")
-    lhs = boltzmann_weight(cfg.rabi, t_hot)
-    return abs(lhs - rhs) / max(rhs, 1e-300)
 
 
 def min_temp_asymptotic(cfg: AtomDriveConfig) -> float:
@@ -183,12 +173,6 @@ class MethodComparison(NamedTuple):
     limits: tuple
     efficiencies: tuple
     operating_regime: str   # resolved/unresolved from the actual rabi vs gamma
-
-    def limit(self, method: str, regime: str) -> MethodLimit:
-        for rec in self.limits:
-            if rec.method == method and rec.regime == regime:
-                return rec
-        raise KeyError((method, regime))
 
 
 def method_comparison(gamma: float, rabi: float, detuning: float, g: float,

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import warnings
 from pathlib import Path
 from typing import NamedTuple
@@ -81,8 +80,8 @@ class CellConfig(Record):
 
 
 class AbsorptionDataset(Record):
-    """Measured photon absorption probability a(nu) on an increasing
-    frequency grid (THz)."""
+    """Measured photon absorption probability a(nu) on an increasing grid
+    of positive frequencies (THz) that stay finite in internal units."""
 
     __slots__ = ("nu_thz", "absorption")
 
@@ -94,6 +93,11 @@ class AbsorptionDataset(Record):
             raise ConfigError("dataset frequencies must be finite numbers")
         if not all(lo < hi for lo, hi in zip(nu, nu[1:])):
             raise ConfigError("dataset frequencies must be strictly increasing")
+        if not nu[0] > 0:
+            raise ConfigError("dataset frequencies must be positive")
+        if not math.isfinite(thz_to_internal(nu[-1])):
+            raise ConfigError(f"dataset frequency {nu[-1]} THz overflows "
+                              "internal units")
         # written so that a NaN fails it too
         if not all(0.0 <= x <= 1.0 for x in a):
             raise ConfigError("absorption probabilities must lie in [0, 1]")
@@ -476,9 +480,10 @@ def detuning_scan(cell: CellConfig, cfg_template: AtomDriveConfig, g0: float,
 
     g0 is the calibrated (or prescribed) flat hot-spectrum amplitude in
     internal units; the weak-drive/exact solver switch is recorded per row.
-    ``jobs`` worker processes share the rows; it must be at least 1 and is
-    capped at the CPU count.  Rows that absorb more than the beam loses in
-    the cell are counted, and a nonzero count is one UserWarning.
+    Every row runs in this process.  ``jobs`` must be at least 1 and
+    changes nothing else; it stays only for perfbench's keyword call.
+    Rows that absorb more than the beam loses in the cell are counted, and
+    a nonzero count is one UserWarning.
     """
     grid = [float(d) for d in deltas_thz]
     if not grid:
@@ -490,14 +495,7 @@ def detuning_scan(cell: CellConfig, cfg_template: AtomDriveConfig, g0: float,
     hot = FlatHotSpectrum(g0, kelvin_to_internal(cell.bath_temperature_k))
     row_at = functools.partial(_scan_row, cell, cfg_template, hot, dataset,
                                t_cold)
-    # the CPU count is asked only when there is a choice to make
-    workers = min(jobs, os.cpu_count() or 1) if jobs > 1 else 1
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows, flags = zip(*pool.map(row_at, grid))
-    else:
-        rows, flags = zip(*map(row_at, grid))
+    rows, flags = zip(*map(row_at, grid))
     over = sum(flags)
     if over:
         warnings.warn(f"{over} of {len(rows)} scan rows absorb more than the "

@@ -273,6 +273,11 @@ def _cell(doc: dict):
 # ---------------------------------------------------------------------------
 
 
+def _kelvin_or_inf(t: float):
+    """A temperature in kelvin as printed, "inf" where it is not finite."""
+    return round12(internal_to_kelvin(t)) if math.isfinite(t) else "inf"
+
+
 def cmd_steady_state(doc: dict, args):
     from . import floquet, rate_model
     cfg = _atom(doc)
@@ -297,21 +302,16 @@ def cmd_steady_state(doc: dict, args):
                 "rho_ee": round12(pt.rho_ee),
                 "rho_gg": round12(pt.rho_gg),
                 "boltzmann_factor": round12(pt.boltzmann_factor),
-                "t_tla_k": round12(internal_to_kelvin(pt.t_tla))
-                if math.isfinite(pt.t_tla) else "inf",
+                "t_tla_k": _kelvin_or_inf(pt.t_tla),
             }
 
     flows = floquet.dressed_flows(cfg, hot, cold)
     ee, gg = floquet.bare_from_dressed(cfg, flows.populations)
-    if ee > 0 and gg > 0 and ee < gg:
-        t_tla_fl = abs(cfg.detuning) / math.log(gg / ee)
-        t_tla_fl_k = round12(internal_to_kelvin(t_tla_fl))
-    else:
-        t_tla_fl_k = "inf" if ee >= gg else 0.0
     fl_part = {
         "rho_ee": round12(ee),
         "rho_gg": round12(gg),
-        "t_tla_k": t_tla_fl_k,
+        "t_tla_k": _kelvin_or_inf(
+            rate_model.atom_temperature(cfg.detuning, ee, gg)),
         "rate_balance_residual": round12(flows.rate_balance_residual),
     }
     if rate_pops is not None:

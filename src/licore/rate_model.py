@@ -87,14 +87,23 @@ def steady_state(cfg: AtomDriveConfig, gamma_p: float, t_hot: float) -> RatePoin
     decay, (1 - b) gamma_p > gamma.  t_tla = |detuning| / ln(rho_gg/rho_ee);
     without pumping the atom sits in its ground state at t_tla = 0.
     """
-    check_weak_drive(cfg)
+    delta = check_weak_drive(cfg)
     w, big_b, big_c = weak_balance(cfg, gamma_p, t_hot)
     up, total = gamma_p * w, big_b + big_c
     down = total - up
-    ratio = up / down
-    t_tla = (0.0 if up == 0.0 else math.inf if ratio >= 1.0
-             else abs(cfg.detuning) / math.log(down / up))
-    return RatePoint(ratio, t_tla, up / total, down / total)
+    return RatePoint(up / down, atom_temperature(delta, up, down),
+                     up / total, down / total)
+
+
+def atom_temperature(delta: float, upper: float, lower: float) -> float:
+    """The two-level atom's temperature |delta| / ln(lower/upper), from its
+    populations or any pair in their ratio: inf where the upper level holds
+    at least as much as the lower, 0 where it is empty."""
+    if upper >= lower:
+        return math.inf
+    if upper <= 0.0:
+        return 0.0
+    return abs(delta) / math.log(lower / upper)
 
 
 def weak_flows(cfg: AtomDriveConfig, gamma_p: float,
@@ -118,22 +127,6 @@ def _flows(delta: float, nu: float, gamma_p: float, w: float, big_b: float,
     # moves with the last bit of P_abs
     return (delta * gamma_p * big_b * w / den,
             nu * gamma_p * big_b * w / den)
-
-
-def asymmetry_ratio(cfg: AtomDriveConfig, gamma_p: float, t_hot: float) -> float:
-    """-J(-detuning)/J(+detuning); equals exp(detuning/T) for a flat hot
-    spectrum, where the pumping rates at +/- detuning coincide."""
-    delta = cfg.detuning
-    if delta <= 0:
-        raise DomainError("asymmetry ratio is defined for positive detuning")
-    if gamma_p <= 0:
-        raise ValueError("gamma_p must be positive")
-    # swapping omega0 and nu negates the detuning bit-exactly
-    mirrored = AtomDriveConfig(omega0=cfg.nu, gamma=cfg.gamma, g=cfg.g,
-                               nu=cfg.omega0, laser_power=cfg.laser_power)
-    j_red, _ = weak_flows(cfg, gamma_p, t_hot)
-    j_blue, _ = weak_flows(mirrored, gamma_p, t_hot)
-    return -j_blue / j_red
 
 
 def regime_of(cfg: AtomDriveConfig) -> str:

@@ -195,9 +195,9 @@ class TabulatedSpectrum(Record, BathSpectrum):
 
 
 def kms_violation(spectrum: BathSpectrum, omegas) -> float:
-    """Max relative defect of G(-w) = exp(-w/T) G(w) over a grid of w > 0
-    (a single frequency or an iterable of them); NaN if any defect is."""
-    omegas = [omegas] if isinstance(omegas, (int, float)) else list(omegas)
+    """Max relative defect of G(-w) = exp(-w/T) G(w) over a grid of w > 0;
+    NaN if any defect is."""
+    omegas = list(omegas)
     if not omegas:
         raise ValueError("frequency grid must be non-empty")
     if not all(w > 0 for w in omegas):

@@ -19,7 +19,6 @@ from licore.analysis import (
     min_temp_asymptotic,
     min_temp_bisect,
     min_temp_exact,
-    min_temp_residual,
     sideband_temperature_limit,
 )
 from licore.cell import (
@@ -31,10 +30,10 @@ from licore.cell import (
 )
 from licore.cli import main as cli_main
 from licore.config import AtomDriveConfig
-from licore.floquet import heat_current_exact, hot_channel_rate
+from licore.floquet import (heat_current_exact, hot_channel_rate,
+                            sideband_weights)
 from licore.oracle import bare_populations, solve_pipeline
 from licore.rate_model import (
-    asymmetry_ratio,
     pumping_rate,
     steady_state as rate_steady_state,
     weak_flows,
@@ -157,7 +156,11 @@ def test_criterion_05_asymmetry():
             gamma_p = 10.0 ** rng.uniform(-3, 1)
             cfg = AtomDriveConfig(omega0=100.0 + delta, gamma=gamma,
                                   g=1e-3 * delta, nu=100.0)
-            ratio = asymmetry_ratio(cfg, gamma_p, t_hot)
+            # swapping omega0 and nu negates the detuning bit-exactly
+            blue_cfg = AtomDriveConfig(omega0=cfg.nu, gamma=gamma, g=cfg.g,
+                                       nu=cfg.omega0)
+            ratio = (-weak_flows(blue_cfg, gamma_p, t_hot)[0]
+                     / weak_flows(cfg, gamma_p, t_hot)[0])
             assert ratio == pytest.approx(
                 math.exp(cfg.detuning / t_hot), rel=1e-12)
         for _ in range(10):
@@ -197,7 +200,14 @@ def test_criterion_07_minimal_temperature():
                                   g=delta * 10.0 ** rng.uniform(-3, -1), nu=nu)
             t_cold = rng.uniform(0.0, nu / 20.0)
             t_min = min_temp_exact(cfg, t_cold)
-            assert min_temp_residual(cfg, t_cold, t_min) <= 1e-12
+            # the floor balance in floquet._hot_balance's order
+            d_plus, d_minus = sideband_weights(cfg)
+            rhs = ((d_plus * boltzmann_weight(cfg.nu + cfg.rabi, t_cold)
+                    + d_minus)
+                   / (d_plus + d_minus
+                      * boltzmann_weight(cfg.nu - cfg.rabi, t_cold)))
+            lhs = boltzmann_weight(cfg.rabi, t_min)
+            assert abs(lhs - rhs) / max(rhs, 1e-300) <= 1e-12
         # (b) the exact current changes sign across the root
         cfg = AtomDriveConfig(omega0=101.0, gamma=0.05, g=1e-2, nu=100.0)
         for t_cold in (0.0, 3.0):

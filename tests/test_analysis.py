@@ -22,7 +22,6 @@ from licore.analysis import (
     min_temp_asymptotic,
     min_temp_bisect,
     min_temp_exact,
-    min_temp_residual,
     sideband_temperature_limit,
 )
 from licore.config import AtomDriveConfig
@@ -36,6 +35,18 @@ from licore.units import amu_to_kg, kelvin_to_internal, thz_to_internal
 
 def make_cfg(delta=1.0, g=1e-3, gamma=0.05, nu=99.0):
     return AtomDriveConfig(omega0=nu + delta, gamma=gamma, g=g, nu=nu)
+
+
+def floor_balance(cfg, t_cold):
+    """The floor's (d+ e^(-nu+/Tc) + d-) / (d+ + d- e^(-nu-/Tc)), written
+    out in floquet._hot_balance's order."""
+    d_plus, d_minus = sideband_weights(cfg)
+    return ((d_plus * boltzmann_weight(cfg.nu + cfg.rabi, t_cold) + d_minus)
+            / (d_plus + d_minus * boltzmann_weight(cfg.nu - cfg.rabi, t_cold)))
+
+
+def scaled_limits(comp):
+    return {(rec.method, rec.regime): rec.t_min_scaled for rec in comp.limits}
 
 
 class TestMinTempParams:
@@ -76,7 +87,10 @@ class TestMinTempExact:
         for t_cold in (0.0, 5.0, 20.0):
             cfg = make_cfg(g=0.01)
             t_min = min_temp_exact(cfg, t_cold)
-            assert min_temp_residual(cfg, t_cold, t_min) <= 1e-12
+            rhs = floor_balance(cfg, t_cold)
+            assert floquet._hot_balance(cfg, 1.0, t_cold)[0] == rhs
+            lhs = boltzmann_weight(cfg.rabi, t_min)
+            assert abs(lhs - rhs) / max(rhs, 1e-300) <= 1e-12
 
     def test_current_changes_sign_across_root(self):
         cfg = make_cfg(g=0.01)
@@ -102,14 +116,13 @@ class TestMinTempExact:
     def test_undriven_limit_reaches_zero(self):
         assert min_temp_exact(make_cfg(g=0.0), 0.0) == 0.0
 
-    def test_balance_without_gain_has_no_residual(self):
+    def test_balance_without_gain_has_no_floor(self):
         # undriven on the blue side at Tc = 0 the upper sideband is closed
         # and the lower one cannot lift the atom: the current still has a
         # value, the balance it would vanish at does not exist
         cfg = make_cfg(delta=-1.0, g=0.0)
         assert heat_current_exact(cfg, 0.37, 0.5, 0.0) < 0.0
-        with pytest.raises(NoSolutionError, match="no gain"):
-            min_temp_residual(cfg, 0.0, 0.5)
+        assert floquet._hot_balance(cfg, 0.37, 0.0)[0] == math.inf
 
     def test_hotter_cold_bath_raises_the_floor(self):
         # below t_cold ~ nu/50 the cold Boltzmann factors underflow and the
@@ -364,19 +377,19 @@ class TestMethodComparison:
             gamma = gamma_over_rabi * rabi
             comp = method_comparison(gamma, rabi, 1.0, 1e-3, 99.0, 100.0,
                                      amu_to_kg(86.909))
-            assert comp.limit("doppler", UNRESOLVED).t_min_scaled == 0.25
-            assert comp.limit("doppler", RESOLVED).t_min_scaled == 0.25
-            licore_cell = comp.limit(LICORE, comp.operating_regime)
-            assert licore_cell.t_min_scaled < 1.0
+            limits = scaled_limits(comp)
+            assert limits["doppler", UNRESOLVED] == 0.25
+            assert limits["doppler", RESOLVED] == 0.25
+            assert limits[LICORE, comp.operating_regime] < 1.0
         unres = method_comparison(10.0, 1.0, 1.0, 1e-3, 99.0, 100.0, 1e-25)
         assert unres.operating_regime == UNRESOLVED
-        assert unres.limit(SIDEBAND, UNRESOLVED).t_min_scaled > 1.0
-        assert unres.limit(LICORE, UNRESOLVED).t_min_scaled < 1.0
+        assert scaled_limits(unres)[SIDEBAND, UNRESOLVED] > 1.0
+        assert scaled_limits(unres)[LICORE, UNRESOLVED] < 1.0
         res = method_comparison(0.1, 1.0, 1.0, 1e-3, 99.0, 100.0, 1e-25)
         assert res.operating_regime == RESOLVED
-        assert res.limit(SIDEBAND, RESOLVED).t_min_scaled < 1.0
+        assert scaled_limits(res)[SIDEBAND, RESOLVED] < 1.0
 
     def test_licore_beats_sideband_when_bands_unresolved(self):
-        comp = method_comparison(10.0, 1.0, 1.0, 1e-3, 99.0, 100.0, 1e-25)
-        assert comp.limit(LICORE, UNRESOLVED).t_min_scaled < \
-            comp.limit(SIDEBAND, UNRESOLVED).t_min_scaled
+        limits = scaled_limits(method_comparison(10.0, 1.0, 1.0, 1e-3, 99.0,
+                                                 100.0, 1e-25))
+        assert limits[LICORE, UNRESOLVED] < limits[SIDEBAND, UNRESOLVED]

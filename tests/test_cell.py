@@ -852,14 +852,14 @@ class TestScan:
         with pytest.raises(ValueError, match="jobs"):
             detuning_scan(lab_cell(), lab_cfg(), 1.2e10, [1.0], jobs=0)
 
-    def test_jobs_capped_at_cpu_count(self, monkeypatch):
-        # one CPU: any jobs value runs serially and starts no process
+    def test_no_jobs_value_starts_a_process(self, monkeypatch):
+        # two CPUs, eight jobs: the rows still run serially in this process
         import concurrent.futures
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was started")
 
-        monkeypatch.setattr("os.cpu_count", lambda: 1)
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         with over_budget():
             serial = detuning_scan(lab_cell(), lab_cfg(), 1.2e10, [-1.0, 1.0])

@@ -654,6 +654,27 @@ class TestExitCodes:
         assert got == (code, "", message + "\n")
         assert list(tmp_path.iterdir()) == []
 
+    # each command used to fit the row and end in a ValueError from
+    # with_laser_frequency: a traceback and exit 1
+    @pytest.mark.parametrize("rows, reference, message", [
+        ("-5,0.01\n0,0.02\n372,0.3\n", "0.0001",
+         "config error: dataset frequencies must be positive"),
+        ("372,0.3\n1e300,0.02\n", "1e300",
+         "config error: dataset frequency 1e+300 THz overflows internal "
+         "units"),
+    ], ids=["nonpositive", "overflows"])
+    @pytest.mark.parametrize("command", ["calibrate", "scan"])
+    def test_dataset_frequency_out_of_range_is_config_error(
+            self, capsys, tmp_path, command, rows, reference, message):
+        config = str(shutil.copy(SCAN, tmp_path / "config.json"))
+        (tmp_path / "absorption_synthetic.csv").write_text(rows)
+        argv = ["--set", f"calibrate.reference_nu_thz={reference}"]
+        if command == "scan":   # no hot_bath.g0_thz: the scan calibrates
+            argv = ["--out", str(tmp_path / "out")]
+        got = run(capsys, command, "--config", config, *argv)
+        assert got == (2, "", message + "\n")
+        assert not (tmp_path / "out.csv").exists()
+
     @pytest.mark.parametrize("slash", ["", "/"], ids=["bare", "trailing-slash"])
     def test_scan_out_directory_is_io_error(self, capsys, tmp_path, slash,
                                             monkeypatch):
@@ -889,7 +910,7 @@ class TestColdStart:
 
 
 class TestFlags:
-    def test_jobs_on_scan_only_format_on_point_commands(self):
+    def test_format_on_point_commands_only(self):
         commands = build_parser()._subparsers._group_actions[0].choices
         flags = {name: {opt for action in sub._actions
                         for opt in action.option_strings} - {"-h", "--help"}

@@ -233,6 +233,12 @@ nan, inf = math.nan, math.inf
      "dataset frequencies must be finite numbers"),
     (lambda: AbsorptionDataset((2.0, 1.0), (0.5, 2.0)), ConfigError,
      "dataset frequencies must be strictly increasing"),
+    pytest.param(lambda: AbsorptionDataset((-1.0, 1e300), (0.5, 2.0)),
+                 ConfigError, "dataset frequencies must be positive",
+                 id="nonpositive-dataset-frequency"),
+    pytest.param(lambda: AbsorptionDataset((1.0, 1e300), (0.5, 2.0)),
+                 ConfigError, "dataset frequency 1e+300 THz overflows "
+                 "internal units", id="overflowing-dataset-frequency"),
     (lambda: AbsorptionDataset((1.0, 2.0), (0.5, nan)), ConfigError,
      "absorption probabilities must lie in [0, 1]"),
     (lambda: FlatHotSpectrum(0.0, 0.0), ValueError,

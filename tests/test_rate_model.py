@@ -9,7 +9,7 @@ from licore.config import AtomDriveConfig
 from licore.errors import DomainError
 from licore.rate_model import (
     EnergyFlowReport,
-    asymmetry_ratio,
+    atom_temperature,
     energy_flow,
     pumping_rate,
     regime_of,
@@ -23,6 +23,15 @@ from licore.spectra import CubicColdSpectrum, FlatHotSpectrum
 
 def cfg_with(delta, g=1e-3, gamma=1.0, omega0=1e4):
     return AtomDriveConfig(omega0=omega0, gamma=gamma, g=g, nu=omega0 - delta)
+
+
+def asymmetry(cfg, gamma_p, t_hot):
+    """-J(-detuning)/J(+detuning); swapping omega0 and nu negates the
+    detuning bit-exactly."""
+    mirrored = AtomDriveConfig(omega0=cfg.nu, gamma=cfg.gamma, g=cfg.g,
+                               nu=cfg.omega0)
+    return (-weak_flows(mirrored, gamma_p, t_hot)[0]
+            / weak_flows(cfg, gamma_p, t_hot)[0])
 
 
 class TestPumpingRate:
@@ -123,6 +132,16 @@ class TestSteadyState:
             pt = steady_state(cfg_with(delta), gamma_p=0.0, t_hot=1.0)
             assert pt == (0.0, 0.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("delta, upper, lower, expected", [
+        (-2.0, math.exp(-1.0), 1.0, 2.0),
+        (2.0, 0.0, 1.0, 0.0),
+        (2.0, -1e-20, 1.0, 0.0),     # a population rounded below zero
+        (2.0, 0.5, 0.5, math.inf),
+        (2.0, 0.7, 0.3, math.inf),
+    ], ids=["ratio", "empty", "rounded-below-zero", "equal", "inverted"])
+    def test_atom_temperature(self, delta, upper, lower, expected):
+        assert atom_temperature(delta, upper, lower) == expected
+
     @given(
         delta=st.floats(min_value=1e-3, max_value=1e3),
         blue=st.booleans(),
@@ -189,15 +208,15 @@ class TestAsymmetry:
     def test_factor_two(self):
         # delta/T = ln 2 -> ratio 2
         cfg = cfg_with(math.log(2.0))
-        assert asymmetry_ratio(cfg, 1.0, 1.0) == pytest.approx(2.0, rel=1e-12)
+        assert asymmetry(cfg, 1.0, 1.0) == pytest.approx(2.0, rel=1e-12)
 
     def test_factor_e(self):
         cfg = cfg_with(1.0)
-        assert asymmetry_ratio(cfg, 1.0, 1.0) == pytest.approx(math.e, rel=1e-12)
+        assert asymmetry(cfg, 1.0, 1.0) == pytest.approx(math.e, rel=1e-12)
 
     def test_symmetric_limit(self):
         cfg = cfg_with(1e-9, g=0.0)
-        assert asymmetry_ratio(cfg, 1.0, 1.0) == pytest.approx(1.0, abs=1e-8)
+        assert asymmetry(cfg, 1.0, 1.0) == pytest.approx(1.0, abs=1e-8)
 
     def test_exact_identity_over_draws(self):
         rng = np.random.default_rng(11)
@@ -207,13 +226,9 @@ class TestAsymmetry:
             gamma = 10.0 ** rng.uniform(-2, 2)
             gamma_p = 10.0 ** rng.uniform(-2, 2)
             cfg = cfg_with(delta, g=0.0, gamma=gamma)
-            ratio = asymmetry_ratio(cfg, gamma_p, t_hot)
+            ratio = asymmetry(cfg, gamma_p, t_hot)
             assert ratio == pytest.approx(math.exp(cfg.detuning / t_hot),
                                           rel=1e-12)
-
-    def test_blue_detuning_rejected(self):
-        with pytest.raises(DomainError):
-            asymmetry_ratio(cfg_with(-1.0), 1.0, 1.0)
 
 
 class TestAbsorbedPowerAndEfficiency:

@@ -155,7 +155,7 @@ def test_kms_check_reports_nan_defect():
 
     spec = NanAbove(1.0, 1.0)
     assert math.isnan(kms_violation(spec, [1.0, 2.0, 3.0]))
-    assert kms_violation(spec, 1.0) <= 1e-15
+    assert kms_violation(spec, [1.0]) <= 1e-15
 
 
 class _ValueOnly(BathSpectrum):
