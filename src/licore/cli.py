@@ -5,21 +5,24 @@ Configuration is a JSON document in lab units (THz, K, W, mm) validated
 against a fixed schema; ``--set section.key=value`` overrides fields for
 sweeps.  Machine output carries 12 significant digits, human tables 4.
 The module and every command it runs import the standard library only, and
-each command imports the licore modules it runs when it runs.
+each command imports the licore modules it runs when it runs.  A small
+argv reader, not argparse, reads the command line: options are spelled in
+full, as ``--opt value`` or ``--opt=value``.
 
-Exit codes: 0 success, 2 config/schema error, 3 numerical-domain error,
-4 I/O error.
+Exit codes: 0 success (and ``-h``/``--help``), 2 usage or config/schema
+error, 3 numerical-domain error, 4 I/O error.
 """
 
 from __future__ import annotations
 
-import argparse
 import errno
 import json
 import math
 import os
+import re
 import sys
 import time
+import types
 import warnings
 from pathlib import Path
 
@@ -160,10 +163,24 @@ def _finite_number(text: str) -> float:
     return value
 
 
+def _float_sized_int(text: str) -> int:
+    value = int(text)
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"{text} overflows a float") from None
+    return value    # an int stays an int: "length_mm": 10 prints 10
+
+
 def _parse_json(text: str):
-    """json.loads that refuses NaN, Infinity and numbers that overflow."""
-    return json.loads(text, parse_float=_finite_number,
-                      parse_constant=_finite_number)
+    """json.loads that refuses, as a ValueError, NaN, Infinity, numbers
+    that overflow a float and nesting too deep to decode."""
+    try:
+        return json.loads(text, parse_float=_finite_number,
+                          parse_int=_float_sized_int,
+                          parse_constant=_finite_number)
+    except RecursionError:
+        raise ValueError("nested too deeply to decode") from None
 
 
 def load_config(path: str, overrides) -> dict:
@@ -599,26 +616,88 @@ def _commands() -> dict:
     }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="licore",
-        description="Collisional-redistribution cooling: steady states, "
-                    "heat currents, detuning scans and minimal temperatures.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _commands():
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--set", action="append", default=[], metavar="K=V",
-                       help="override config fields, dotted keys")
-        p.add_argument("--out", default="scan_result" if name == "scan"
-                       else None, help="output path")
-        p.add_argument("--no-metadata", action="store_true",
-                       help="omit timestamps/metadata for byte-stable output")
-        if name != "scan":
-            p.add_argument("--format", choices=("csv", "json", "table"),
-                           default="json")
-    return parser
+_FORMATS = ("csv", "json", "table")
+# each option -> its word in the usage line.  --no-metadata is the one
+# flag, --set gathers every value, and each other option keeps its last
+# value in the attribute of its name
+_OPTIONS = {
+    "--config": "--config PATH",
+    "--set": "[--set K=V]...",
+    "--out": "[--out PATH]",
+    "--no-metadata": "[--no-metadata]",
+    "--format": "[--format {" + ",".join(_FORMATS) + "}]",
+}
+_HELP = ("-h", "--help")
+
+
+class _UsageError(Exception):
+    """A malformed command line, worded as one line naming the argument."""
+
+
+def _options(command: str) -> tuple:
+    """The options ``command`` takes: --format on the point commands only."""
+    return tuple(o for o in _OPTIONS if o != "--format" or command != "scan")
+
+
+def _usage(command: str) -> str:
+    return " ".join(["usage: licore", command,
+                     *(_OPTIONS[o] for o in _options(command))])
+
+
+def _is_value(token: str) -> bool:
+    """Whether ``token`` may be an option's value, as argparse reads it:
+    it does not start with "-", or is "-" or a negative number."""
+    return (not token.startswith("-") or token == "-"
+            or re.fullmatch(r"-\d+|-\d*\.\d+", token) is not None)
+
+
+def _parse_argv(argv):
+    """The command and its options read from ``argv``, as attributes of a
+    namespace; None where argv asks for help, which is then printed.
+    Raises _UsageError at the first argument it cannot read."""
+    names = list(_commands())
+    expected = f"expected one of {', '.join(names)}"
+    if not argv:
+        raise _UsageError(f"no command given; {expected}")
+    command, *rest = argv
+    if command in _HELP:
+        print("\n".join(map(_usage, names)))
+        return None
+    if not _is_value(command):
+        raise _UsageError(f"{command!r} comes before the command; {expected}")
+    if command not in names:
+        raise _UsageError(f"{command!r} is not a command; {expected}")
+    args = types.SimpleNamespace(
+        command=command, config=None, set=[], no_metadata=False,
+        out="scan_result" if command == "scan" else None, format="json")
+    options = _options(command)
+    tokens = iter(rest)
+    for token in tokens:
+        if token in _HELP:
+            print(_usage(command))
+            return None
+        option, eq, value = token.partition("=")
+        if option not in options:
+            raise _UsageError(f"{command} does not take {token!r}")
+        if option == "--no-metadata":
+            if eq:
+                raise _UsageError(f"{option} takes no value, got {token!r}")
+            args.no_metadata = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None or not _is_value(value):
+                raise _UsageError(f"{option} expects a value")
+        if option == "--set":
+            args.set.append(value)
+        elif option == "--format" and value not in _FORMATS:
+            raise _UsageError(f"--format expects one of {', '.join(_FORMATS)}, "
+                              f"not {value!r}")
+        else:
+            setattr(args, option[2:], value)
+    if args.config is None:
+        raise _UsageError(f"{command} needs --config PATH")
+    return args
 
 
 def _check_out(args) -> None:
@@ -639,7 +718,17 @@ def _check_out(args) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command on ``argv`` (sys.argv[1:] by default) and return its
+    exit code.  ``-h`` or ``--help`` prints one usage line per command and
+    returns 0; a malformed argv prints one line naming the bad argument and
+    returns 2, before any file is read or written."""
+    try:
+        args = _parse_argv(sys.argv[1:] if argv is None else argv)
+    except _UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    if args is None:
+        return 0
     handler, emit, sections = _commands()[args.command]
     # the library's warnings are recorded and printed one line each, once
     # per distinct message, ahead of any error message

@@ -19,9 +19,9 @@ from licore import cell as cellmod
 from licore.cli import (
     CONFIG_SCHEMA,
     MAX_SCAN_ROWS,
+    _options,
     _schema_violations,
     _utc_timestamp,
-    build_parser,
     load_config,
     main,
 )
@@ -36,6 +36,7 @@ TWO_ROWS = str(FIXTURES / "absorption_two_rows.csv")
 FLOQUET_ROWS = ["--set", "hot_bath.g0_thz=0.002", "--set", "atom.g_thz=0.5",
                 "--set", "scan.delta_min_thz=-1.0", "--set", "scan.delta_max_thz=1.0",
                 "--set", "scan.delta_step_thz=0.5"]
+COMMANDS = ("steady-state", "currents", "scan", "tmin", "compare", "calibrate")
 # jsonschema is a test dependency, which the suite can run without
 NO_JSONSCHEMA = "jsonschema is not installed; the CLI checks its schema alone"
 
@@ -724,6 +725,82 @@ class TestExitCodes:
         assert (code, stdout) == (4, "")
         assert err == f"i/o error: [Errno 20] Not a directory: '{out}'\n"
 
+    # the config need not exist: a usage error is found before any file
+    # is read, and no file is written
+    @pytest.mark.parametrize("argv, message", [
+        ([], "no command given; expected one of steady-state, currents, "
+             "scan, tmin, compare, calibrate"),
+        (["tcool", "--config", "missing.json"],
+         "'tcool' is not a command; expected one of steady-state, currents, "
+         "scan, tmin, compare, calibrate"),
+        (["--config", "missing.json", "tmin"],
+         "'--config' comes before the command; expected one of "
+         "steady-state, currents, scan, tmin, compare, calibrate"),
+        (["tmin", "--out", "x", "--no-metadata"], "tmin needs --config PATH"),
+        (["scan", "--set", "atom.g_thz=1"], "scan needs --config PATH"),
+        (["tmin", "--config"], "--config expects a value"),
+        (["tmin", "--config", "--no-metadata"], "--config expects a value"),
+        (["scan", "--config", "missing.json", "--out", "--no-metadata"],
+         "--out expects a value"),
+        (["tmin", "--config", "missing.json", "--set"], "--set expects a value"),
+        (["tmin", "--config", "missing.json", "--format"],
+         "--format expects a value"),
+        (["tmin", "--config", "missing.json", "--outfile", "x"],
+         "tmin does not take '--outfile'"),
+        (["tmin", "--config", "missing.json", "extra"],
+         "tmin does not take 'extra'"),
+        (["tmin", "--conf", "missing.json"], "tmin does not take '--conf'"),
+        (["tmin", "--config", "missing.json", "--no-meta"],
+         "tmin does not take '--no-meta'"),
+        (["tmin", "--config", "missing.json", "--no-metadata=yes"],
+         "--no-metadata takes no value, got '--no-metadata=yes'"),
+        (["tmin", "--config", "missing.json", "--format", "xml"],
+         "--format expects one of csv, json, table, not 'xml'"),
+        (["tmin", "--config", "missing.json", "--format=", "--out", "x"],
+         "--format expects one of csv, json, table, not ''"),
+        (["scan", "--config", "missing.json", "--format", "json"],
+         "scan does not take '--format'"),
+    ], ids=["no-command", "unknown-command", "option-before-command",
+            "missing-config", "scan-missing-config", "missing-value-at-end",
+            "missing-value-before-option", "scan-missing-out",
+            "missing-set-value", "missing-format-value", "unknown-option",
+            "stray-argument", "abbreviated-option", "abbreviated-flag",
+            "flag-with-value", "bad-format", "empty-format", "scan-format"])
+    def test_malformed_argv_is_one_usage_line(self, capsys, tmp_path,
+                                              monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, *argv) == (2, "", f"usage error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    # each used to end in a traceback: a RecursionError (exit 1), or an
+    # OverflowError past the schema (exit 3)
+    @pytest.mark.parametrize("command, text, message", [
+        ("tmin", "[" * 100_000, "nested too deeply to decode"),
+        ("tmin", "1" + "0" * 400, f"1{'0' * 400} overflows a float"),
+        ("currents", "-1" + "0" * 400, f"-1{'0' * 400} overflows a float"),
+    ], ids=["deep-nesting", "huge-integer", "huge-negative-integer"])
+    def test_json_python_cannot_hold_is_config_error(self, capsys, tmp_path,
+                                                     command, text, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(Path(POINT).read_text().replace('"g_thz": 0.05',
+                                                       f'"g_thz": {text}'))
+        assert run(capsys, command, "--config", str(bad)) == (
+            2, "", f"config error: {bad}: not valid JSON ({message})\n")
+        # from --set, the value stays the text, which no number field takes
+        code, out, err = run(capsys, command, "--config", POINT,
+                             "--set", f"atom.g_thz={text}")
+        assert (code, out) == (2, "")
+        assert err == (f"config error: config schema violation: {text!r} is "
+                       "not of type 'number' (at atom/g_thz)\n")
+
+    def test_integer_a_float_holds_stays_an_integer(self, capsys, tmp_path):
+        code, _, err = run(capsys, "scan", "--config", SCAN,
+                           "--set", "scan.delta_step_thz=5.0",
+                           "--set", "cell.length_mm=10",
+                           "--out", str(tmp_path / "scan"))
+        assert code == 0, err
+        assert '"length_mm": 10,' in (tmp_path / "scan.json").read_text()
+
 
 class TestWarnings:
     def test_rows_over_the_photon_budget_are_counted(self, capsys, tmp_path):
@@ -852,10 +929,11 @@ def cold_start(tmp_path_factory):
 
 
 # modules each command must not import; command names prefix the runs.  No
-# command runs the SVD oracle or needs datetime for its timestamp, and the
-# point commands that root, integrate and fit nothing load no numerics
+# command runs the SVD oracle, needs datetime for its timestamp or reads
+# its argv with argparse (which loads gettext and locale), and the point
+# commands that root, integrate and fit nothing load no numerics
 # and, reading no table, no csv
-_NEVER = {"licore.oracle", "datetime"}
+_NEVER = {"licore.oracle", "datetime", "argparse", "gettext", "locale"}
 _NO_NUMERICS = {"licore.numerics", "csv"}
 NOT_IMPORTED = {
     "steady-state": {"licore.cell", *_NEVER, *_NO_NUMERICS},
@@ -911,13 +989,47 @@ class TestColdStart:
 
 class TestFlags:
     def test_format_on_point_commands_only(self):
-        commands = build_parser()._subparsers._group_actions[0].choices
-        flags = {name: {opt for action in sub._actions
-                        for opt in action.option_strings} - {"-h", "--help"}
-                 for name, sub in commands.items()}
+        flags = {name: _options(name) for name in COMMANDS}
         assert sum(len(f) for f in flags.values()) == 29
         for name, f in flags.items():
             assert ("--format" in f) == (name != "scan")
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_prints_one_usage_line_per_command(self, capsys, flag):
+        code, out, err = run(capsys, flag)
+        assert (code, err) == (0, "")
+        assert [line.split()[:3] for line in out.splitlines()] == [
+            ["usage:", "licore", name] for name in COMMANDS]
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_after_a_command_prints_its_usage(self, capsys, tmp_path,
+                                                   monkeypatch, command, flag):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, command, "--config", "missing.json", flag)
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: licore {command} --config PATH ")
+        assert len(out.splitlines()) == 1
+        assert ("--format" in out) == (command != "scan")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_options_take_either_spelling_and_keep_the_last(self, capsys,
+                                                            tmp_path, command):
+        config = SCAN if command in ("scan", "calibrate") else POINT
+        out = str(tmp_path / "out")
+        spaced = run(capsys, command, "--config", config, "--no-metadata",
+                     "--out", out, "--set", "atom.g_thz=0.04")
+        written = sorted(p.read_bytes() for p in tmp_path.iterdir())
+        for p in tmp_path.iterdir():
+            p.unlink()
+        fused = run(capsys, command, "--config=missing.json",
+                    f"--config={config}", "--no-metadata",
+                    f"--out={tmp_path / 'elsewhere'}",
+                    f"--out={out}", "--set=atom.g_thz=0.04")
+        assert fused == spaced
+        assert sorted(p.read_bytes() for p in tmp_path.iterdir()) == written
+        assert spaced[0] == 0, spaced[2]
 
 
 FUZZ_FIELDS = ("atom.omega0_thz", "atom.gamma_thz", "atom.g_thz", "atom.nu_thz",
