@@ -9,7 +9,6 @@ terminal summary (peak cooling power and the heating/cooling asymmetry).
 Usage: python scripts/run_detuning_scan.py [output_dir]
 """
 
-import json
 import math
 import sys
 from pathlib import Path
@@ -19,8 +18,7 @@ from licore.cell import (
     CellConfig,
     calibrate_g0,
     detuning_scan,
-    scan_records,
-    write_scan_csv,
+    write_scan,
 )
 from licore.config import AtomDriveConfig
 from licore.units import internal_to_thz, kelvin_to_internal, thz_to_internal
@@ -58,10 +56,8 @@ def main() -> None:
     deltas = [-25.0 + 0.5 * k for k in range(101)]
     scan = detuning_scan(CELL, ATOM, cal.g0, deltas, dataset=dataset)
 
-    write_scan_csv(scan, OUT / "detuning_scan.csv")
-    (OUT / "detuning_scan.json").write_text(
-        json.dumps({"rows": scan_records(scan), "metadata": scan.metadata},
-                   indent=2, sort_keys=True) + "\n")
+    write_scan(scan.rows, OUT / "detuning_scan.csv", OUT / "detuning_scan.json",
+               scan.metadata)
 
     cooling = [r for r in scan.rows if r.delta_thz > 0]
     peak = max(cooling, key=lambda r: r.j_hot_watt)

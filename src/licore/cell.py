@@ -14,8 +14,17 @@ fraction reproduces measured absorption data.
 
 Photon budget: a row can absorb at most what the beam loses in the cell,
 P_L (1 - exp(-alpha L)) with the row's own alpha.  The measured attenuation
-profile does not enforce it, so detuning_scan counts the rows over it and
-reports them in one UserWarning.
+profile does not enforce it, so scan_rows, which every scan draws its rows
+from, counts the rows over it and reports them in one UserWarning after
+the last row.
+
+Serialization: write_scan streams rows to the scan's CSV and JSON files as
+scan_rows computes them, so a scan's memory stays flat in its grid size.
+Each number is formatted once, as its 12-digit %g text: the CSV takes the
+text, and the JSON takes repr(float(text)), round12's value, in the bytes
+json.dumps(doc, indent=2, sort_keys=True) writes.  Both files go to
+temporary sibling names and are renamed once both are complete.
+write_scan_csv and scan_records write the same numbers from a ScanResult.
 
 This module is the lab-facing boundary: cell geometry in mm, power in
 watts, frequencies in THz, temperatures in kelvin.  Atom/drive configs it
@@ -25,13 +34,15 @@ consumes are in internal units as everywhere else.
 from __future__ import annotations
 
 import functools
+import json
 import math
+import os
 import warnings
 from pathlib import Path
 from typing import NamedTuple
 
 from .config import AtomDriveConfig, Record, _set
-from .errors import CalibrationError, ConfigError, DomainError
+from .errors import CalibrationError, ConfigError, DomainError, require_finite
 from .floquet import beam_flows
 from .numerics import brentq, gauss_newton, integrate
 from .rate_model import (_flows, check_weak_drive, regime_of, weak_balance,
@@ -42,7 +53,6 @@ from .units import (
     internal_to_thz,
     internal_to_watts,
     kelvin_to_internal,
-    round12,
     thz_to_internal,
 )
 
@@ -473,34 +483,36 @@ def _scan_row(cell: CellConfig, cfg_template: AtomDriveConfig,
                     model), p_abs > budget * (1.0 + 1e-9))
 
 
-def detuning_scan(cell: CellConfig, cfg_template: AtomDriveConfig, g0: float,
-                  deltas_thz, dataset: AbsorptionDataset | None = None,
-                  t_cold: float = 0.0, jobs: int = 1) -> ScanResult:
-    """Sweep the detuning grid (THz); rows come back in grid order.
-
-    g0 is the calibrated (or prescribed) flat hot-spectrum amplitude in
-    internal units; the weak-drive/exact solver switch is recorded per row.
-    Every row runs in this process.  ``jobs`` must be at least 1 and
-    changes nothing else; it stays only for perfbench's keyword call.
-    Rows that absorb more than the beam loses in the cell are counted, and
-    a nonzero count is one UserWarning.
-    """
-    grid = [float(d) for d in deltas_thz]
-    if not grid:
-        raise ConfigError("empty detuning grid")
+def scan_rows(cell: CellConfig, cfg_template: AtomDriveConfig, g0: float,
+              deltas_thz, dataset: AbsorptionDataset | None = None,
+              t_cold: float = 0.0):
+    """Each grid point's ScanRow, in grid order, computed as it is drawn:
+    the grid may be lazy, and no row is kept.  After the last row, the rows
+    that absorb more than the beam loses in the cell are counted, and a
+    nonzero count is one UserWarning, raised at the consumer's caller.  An
+    empty grid is a ConfigError, raised once it is exhausted."""
     if not g0 > 0:
         raise ValueError("g0 must be positive")
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
     hot = FlatHotSpectrum(g0, kelvin_to_internal(cell.bath_temperature_k))
-    row_at = functools.partial(_scan_row, cell, cfg_template, hot, dataset,
-                               t_cold)
-    rows, flags = zip(*map(row_at, grid))
-    over = sum(flags)
+    total = over = 0
+    for delta_thz in deltas_thz:
+        row, over_budget = _scan_row(cell, cfg_template, hot, dataset, t_cold,
+                                     float(delta_thz))
+        total += 1
+        over += over_budget
+        yield row
+    if not total:
+        raise ConfigError("empty detuning grid")
     if over:
-        warnings.warn(f"{over} of {len(rows)} scan rows absorb more than the "
-                      "beam delivers", stacklevel=2)
-    metadata = {
+        warnings.warn(f"{over} of {total} scan rows absorb more than the "
+                      "beam delivers", stacklevel=3)
+
+
+def scan_metadata(cell: CellConfig, g0: float,
+                  dataset: AbsorptionDataset | None = None,
+                  t_cold: float = 0.0) -> dict:
+    """What a scan's rows were computed from: g0, the cell, t_cold, units."""
+    return {
         "g0_internal": g0,
         "g0_thz": internal_to_thz(g0),
         "cell": dict(zip(cell.__slots__, cell._values())),
@@ -509,36 +521,141 @@ def detuning_scan(cell: CellConfig, cfg_template: AtomDriveConfig, g0: float,
                  "g0 internal = rad/s",
         "dataset_rows": 0 if dataset is None else len(dataset.nu_thz),
     }
-    return ScanResult(rows, metadata)
+
+
+def detuning_scan(cell: CellConfig, cfg_template: AtomDriveConfig, g0: float,
+                  deltas_thz, dataset: AbsorptionDataset | None = None,
+                  t_cold: float = 0.0, jobs: int = 1) -> ScanResult:
+    """Sweep the detuning grid (THz); rows come back in grid order.
+
+    g0 is the calibrated (or prescribed) flat hot-spectrum amplitude in
+    internal units; the weak-drive/exact solver switch is recorded per row.
+    Every row runs in this process, through scan_rows, and is kept.
+    ``jobs`` must be at least 1 and changes nothing else; it stays only for
+    perfbench's keyword call.  Rows that absorb more than the beam loses in
+    the cell are counted, and a nonzero count is one UserWarning.
+    """
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    rows = tuple(scan_rows(cell, cfg_template, g0, deltas_thz, dataset, t_cold))
+    return ScanResult(rows, scan_metadata(cell, g0, dataset, t_cold))
 
 
 # ---------------------------------------------------------------------------
-# Scan serialization
+# Scan serialization: each number is formatted once, as its 12-digit text.
+# The CSV takes that text and the JSON repr(float(text)), round12's value.
 # ---------------------------------------------------------------------------
 
 SCAN_CSV_HEADER = "delta_thz,j_hot_watt,j_hot_exp_watt,p_abs_watt,eta,regime,model"
+# a row's JSON record, its keys sorted, as json.dumps(..., indent=2) nests
+# it in the document's "rows" list
+_JSON_RECORD = """    {
+      "delta_thz": %s,
+      "eta": %s,
+      "j_hot_exp_watt": %s,
+      "j_hot_watt": %s,
+      "model": %s,
+      "p_abs_watt": %s,
+      "regime": %s
+    }"""
+
+
+def _csv_line(r: ScanRow) -> str:
+    """The row's CSV line: an empty field where j_hot_exp_watt is None."""
+    if r.j_hot_exp_watt is None:
+        return "%.12g,%.12g,,%.12g,%.12g,%s,%s\n" % (
+            r.delta_thz, r.j_hot_watt, r.p_abs_watt, r.eta, r.regime, r.model)
+    return "%.12g,%.12g,%.12g,%.12g,%.12g,%s,%s\n" % r
+
+
+# the exponents of the 12-digit texts that repr spells otherwise: 12 to 15,
+# which it writes out in full, and those of subnormals, which hold fewer
+# than 12 digits
+_RESPELT = ("e+12", "e+13", "e+14", "e+15",
+            *(f"e-{k}" for k in range(308, 325)))
+
+
+def _json_number(text: str) -> str:
+    """repr(float(text)) for a number's 12-digit %g text, and a DomainError
+    where the number is not finite.  A normal float keeps the text's
+    digits, so repr changes only the form of an integral value ("10" ->
+    "10.0") and of the exponents in _RESPELT; the float round trip, ten
+    times the cost of the rest, is taken only there."""
+    if ("." in text or "e" in text) and not text.endswith(_RESPELT):
+        return text     # never "inf" or "nan"
+    value = float(text)
+    require_finite(value)
+    return repr(value)
 
 
 def write_scan_csv(result: ScanResult, path) -> None:
-    lines = [SCAN_CSV_HEADER]
-    for r in result.rows:
-        exp = "" if r.j_hot_exp_watt is None else f"{r.j_hot_exp_watt:.12g}"
-        lines.append(f"{r.delta_thz:.12g},{r.j_hot_watt:.12g},{exp},"
-                     f"{r.p_abs_watt:.12g},{r.eta:.12g},{r.regime},{r.model}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text(SCAN_CSV_HEADER + "\n"
+                          + "".join(map(_csv_line, result.rows)))
 
 
 def scan_records(result: ScanResult) -> list[dict]:
     return [
         {
-            "delta_thz": round12(r.delta_thz),
-            "j_hot_watt": round12(r.j_hot_watt),
+            "delta_thz": float("%.12g" % r.delta_thz),
+            "j_hot_watt": float("%.12g" % r.j_hot_watt),
             "j_hot_exp_watt": None if r.j_hot_exp_watt is None
-            else round12(r.j_hot_exp_watt),
-            "p_abs_watt": round12(r.p_abs_watt),
-            "eta": round12(r.eta),
+            else float("%.12g" % r.j_hot_exp_watt),
+            "p_abs_watt": float("%.12g" % r.p_abs_watt),
+            "eta": float("%.12g" % r.eta),
             "regime": r.regime,
             "model": r.model,
         }
         for r in result.rows
     ]
+
+
+def write_scan(rows, csv_path, json_path, metadata: dict | None = None) -> None:
+    """Write ScanRows to ``csv_path`` and ``json_path`` as they are drawn
+    from ``rows``, which may be lazy; memory stays flat in their number.
+
+    The CSV holds write_scan_csv's bytes, and the JSON the bytes of
+    ``json.dumps(doc, indent=2, sort_keys=True) + "\n"`` for the document
+    {"metadata": metadata, "rows": scan_records(...)}, without "metadata"
+    where it is None.  A non-finite number in the metadata, or in a row as
+    it comes, is a DomainError.  Both files are written to temporary
+    sibling names and renamed once both are complete: a failure at any
+    row or write leaves neither file and no temporary one.
+    """
+    paths = (Path(csv_path), Path(json_path))
+    temps = [p.with_name(f"{p.name}.{os.getpid()}.tmp") for p in paths]
+    quote = json.encoder.encode_basestring_ascii
+    try:
+        with open(temps[0], "w") as csv_file, open(temps[1], "w") as json_file:
+            csv_file.write(SCAN_CSV_HEADER + "\n")
+            json_file.write("{\n")
+            if metadata is not None:
+                require_finite(metadata)
+                # json.dumps nests it one level down: two more spaces a line
+                nested = json.dumps(metadata, indent=2,
+                                    sort_keys=True).replace("\n", "\n  ")
+                json_file.write(f'  "metadata": {nested},\n')
+            json_file.write('  "rows": [')
+            sep = "\n"
+            for r in rows:
+                line = _csv_line(r)
+                delta, j_hot, j_exp, p_abs, eta, _ = line.split(",", 5)
+                record = _JSON_RECORD % (
+                    _json_number(delta), _json_number(eta),
+                    _json_number(j_exp) if j_exp else "null",
+                    _json_number(j_hot), quote(r.model), _json_number(p_abs),
+                    quote(r.regime))
+                csv_file.write(line)
+                json_file.write(sep)
+                json_file.write(record)
+                sep = ",\n"
+            json_file.write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
+        os.replace(temps[0], paths[0])
+        try:
+            os.replace(temps[1], paths[1])
+        except BaseException:
+            paths[0].unlink(missing_ok=True)
+            raise
+    except BaseException:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        raise

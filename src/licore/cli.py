@@ -4,6 +4,7 @@ Subcommands: steady-state, currents, scan, tmin, compare, calibrate.
 Configuration is a JSON document in lab units (THz, K, W, mm) validated
 against a fixed schema; ``--set section.key=value`` overrides fields for
 sweeps.  Machine output carries 12 significant digits, human tables 4.
+``scan`` streams each row to its CSV and JSON files as it is computed.
 The module and every command it runs import the standard library only, and
 each command imports the licore modules it runs when it runs.  A small
 argv reader, not argparse, reads the command line: options are spelled in
@@ -27,7 +28,7 @@ import warnings
 from pathlib import Path
 
 from .config import AtomDriveConfig
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, require_finite
 from .spectra import CubicColdSpectrum, FlatHotSpectrum, load_tabulated_spectrum
 from .units import (
     amu_to_kg,
@@ -286,7 +287,8 @@ def _cell(doc: dict):
 
 # ---------------------------------------------------------------------------
 # Subcommands: each takes (config document, parsed arguments); the point
-# commands return (payload dict, human-readable lines), scan a ScanResult
+# commands return (payload dict, human-readable lines), scan (its rows,
+# computed as they are drawn, and its metadata)
 # ---------------------------------------------------------------------------
 
 
@@ -506,26 +508,16 @@ def cmd_scan(doc: dict, args):
     if not span < MAX_SCAN_ROWS - 0.5:
         raise ConfigError(f"scan grid has more than {MAX_SCAN_ROWS} rows")
     n = int(math.floor(max(span, -1.0) + 0.5)) + 1   # none if hi < lo
-    deltas = [lo + k * step for k in range(n) if lo + k * step <= hi + step * 1e-9]
-    return cellmod.detuning_scan(cell, cfg, g0, deltas, dataset=dataset,
-                                 t_cold=t_cold)
+    deltas = (lo + k * step for k in range(n) if lo + k * step <= hi + step * 1e-9)
+    return (cellmod.scan_rows(cell, cfg, g0, deltas, dataset=dataset,
+                              t_cold=t_cold),
+            cellmod.scan_metadata(cell, g0, dataset=dataset, t_cold=t_cold))
 
 
 def _human(v) -> str:
     if isinstance(v, float):
         return f"{v:.4g}"
     return str(v)
-
-
-def _require_finite(node) -> None:
-    """Refuse to emit output holding a non-finite number."""
-    if isinstance(node, dict):
-        node = list(node.values())
-    if isinstance(node, list):
-        for item in node:
-            _require_finite(item)
-    elif isinstance(node, float) and not math.isfinite(node):
-        raise DomainError("result is not finite for these parameters")
 
 
 def _utc_timestamp(ns: int) -> str:
@@ -540,7 +532,7 @@ def _utc_timestamp(ns: int) -> str:
 
 def _emit(result, args) -> None:
     payload, lines = result
-    _require_finite(payload)
+    require_finite(payload)
     if not args.no_metadata:
         payload = dict(payload)
         payload["metadata"] = {
@@ -587,17 +579,16 @@ def _scan_paths(out: str) -> tuple[Path, Path]:
 
 
 def _emit_scan(result, args) -> None:
-    """Write the scan's rows to the two files of _scan_paths."""
+    """Stream the scan's rows, as they are computed, to the two files of
+    _scan_paths."""
     from . import cell as cellmod
-    doc = {"rows": cellmod.scan_records(result)}
-    if not args.no_metadata:
-        meta = dict(result.metadata)
-        meta["generated_at"] = _utc_timestamp(time.time_ns())
-        doc["metadata"] = meta
-    _require_finite(doc)
+    rows, metadata = result
+    if args.no_metadata:
+        metadata = None
+    else:
+        metadata = {**metadata, "generated_at": _utc_timestamp(time.time_ns())}
     csv_path, json_path = _scan_paths(args.out)
-    cellmod.write_scan_csv(result, csv_path)
-    json_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    cellmod.write_scan(rows, csv_path, json_path, metadata)
     sys.stdout.write(f"wrote {csv_path} and {json_path}\n")
 
 
@@ -702,12 +693,15 @@ def _parse_argv(argv):
 
 def _check_out(args) -> None:
     """Raise, before any work, the error that writing ``--out`` would
-    raise: the path is a directory, or the first file written has no
-    directory to go in."""
+    raise: the path, or a file the command writes (both of a scan's), is
+    a directory, or the first file written has no directory to go in."""
     out = Path(args.out)
-    if out.is_dir():
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out))
-    first = _scan_paths(args.out)[0] if args.command == "scan" else out
+    scan_files = _scan_paths(args.out) if args.command == "scan" else ()
+    for path in (out, *scan_files):
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                    str(path))
+    first = scan_files[0] if scan_files else out
     if not first.parent.is_dir():
         try:
             os.stat(first.parent)

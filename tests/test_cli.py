@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -25,7 +26,7 @@ from licore.cli import (
     load_config,
     main,
 )
-from licore.errors import ConfigError
+from licore.errors import ConfigError, DomainError
 
 FIXTURES = Path(__file__).parent / "fixtures"
 POINT = str(FIXTURES / "config_point.json")
@@ -682,7 +683,7 @@ class TestExitCodes:
         def no_rows(*args, **kwargs):
             raise AssertionError("a row was computed")
 
-        monkeypatch.setattr(cellmod, "detuning_scan", no_rows)
+        monkeypatch.setattr(cellmod, "_scan_row", no_rows)
         target = tmp_path / "dir"
         target.mkdir()
         code, out, err = run(capsys, "scan", "--config", SCAN, "--no-metadata",
@@ -692,11 +693,68 @@ class TestExitCodes:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"]
         assert list(target.iterdir()) == []
 
+    # the scan computed every row and wrote PATH.csv, then failed on the
+    # directory PATH.json and left PATH.csv behind
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    def test_scan_file_that_is_a_directory_is_io_error(self, capsys, tmp_path,
+                                                       monkeypatch, suffix):
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(cellmod, "_scan_row", no_rows)
+        target = tmp_path / f"run{suffix}"
+        target.mkdir()
+        code, out, err = run(capsys, "scan", "--config", SCAN, "--no-metadata",
+                             "--out", str(tmp_path / "run"))
+        assert (code, out) == (4, "")
+        assert err == f"i/o error: [Errno 21] Is a directory: '{target}'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [target.name]
+        assert list(target.iterdir()) == []
+
+    @pytest.mark.parametrize("failing", [0, 7, 50], ids=["first", "middle",
+                                                         "last"])
+    def test_scan_failing_at_a_row_leaves_no_file(self, capsys, tmp_path,
+                                                  monkeypatch, failing):
+        real, drawn = cellmod._scan_row, []
+
+        def fails_once_drawn(*args):
+            drawn.append(args)
+            if len(drawn) > failing:
+                raise DomainError("row failed")
+            return real(*args)
+
+        monkeypatch.setattr(cellmod, "_scan_row", fails_once_drawn)
+        got = run(capsys, "scan", "--config", SCAN, "--out",
+                  str(tmp_path / "run"))
+        assert got == (3, "", "domain error: row failed\n")
+        assert len(drawn) == failing + 1
+        assert list(tmp_path.iterdir()) == []
+
+    # the first rename puts PATH.csv in place, the second PATH.json
+    @pytest.mark.parametrize("failing", [1, 2], ids=["csv", "json"])
+    def test_scan_failing_to_rename_leaves_no_file(self, capsys, tmp_path,
+                                                   monkeypatch, failing):
+        real, calls = os.replace, []
+
+        def replace(*args):
+            calls.append(args)
+            if len(calls) == failing:
+                raise PermissionError(13, "Permission denied", str(args[1]))
+            return real(*args)
+
+        monkeypatch.setattr(cellmod.os, "replace", replace)
+        code, out, err = run(capsys, "scan", "--config", SCAN, "--no-metadata",
+                             "--out", str(tmp_path / "run"))
+        assert (code, out) == (4, "")
+        assert err.splitlines()[-1] == ("i/o error: [Errno 13] Permission "
+                                        f"denied: '{calls[-1][1]}'")
+        assert list(tmp_path.iterdir()) == []
+
 
     @pytest.mark.parametrize("command, layer, function, out, written", [
-        ("scan", "cell", "detuning_scan", "x", "x.csv"),
-        ("scan", "cell", "detuning_scan", "x.json", "x.csv"),
-        ("scan", "cell", "detuning_scan", "run_T0.5", "run_T0.5.csv"),
+        ("scan", "cell", "_scan_row", "x", "x.csv"),
+        ("scan", "cell", "_scan_row", "x.json", "x.csv"),
+        ("scan", "cell", "_scan_row", "run_T0.5", "run_T0.5.csv"),
         ("tmin", "analysis", "_floor", "x", "x"),
     ], ids=["scan", "scan-json-suffix", "scan-dotted", "tmin"])
     def test_out_in_a_missing_directory_is_io_error(
@@ -1242,3 +1300,126 @@ class TestDeterminism:
                                    "--out", str(path))
                 assert (code, err) == (0, "")
             assert a.read_bytes() == b.read_bytes() != b""
+
+
+# -- the streamed scan writer ------------------------------------------------
+
+def _json_floats():
+    """Every kind of float a row may hold: signed zeros, subnormals, the
+    ends of the range, integral values and the exponents 12 to 15 that
+    repr writes out in full."""
+    return st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                         1e-300, -1e-300, 1e300, -1e300, 1.7976931348623157e308,
+                         10.0, -10.0, 1e11, 1e12, 1e15, 1e16, 123456789012.0)),
+        st.integers(-10**18, 10**18).map(float),
+        st.floats(1e11, 1e17),
+        st.floats(-1e17, -1e11),
+    )
+
+
+SCAN_ROWS = st.lists(st.builds(
+    cellmod.ScanRow, _json_floats(), _json_floats(),
+    st.none() | _json_floats(), _json_floats(), _json_floats(),
+    st.sampled_from(("cooling", "heating", "neutral")),
+    st.sampled_from(("rate", "floquet", "none"))), max_size=6)
+# scan_metadata's kinds of value: a nested dict, ints, floats and strings
+METADATA = st.none() | st.dictionaries(
+    st.text(max_size=8),
+    st.one_of(st.integers(), st.text(max_size=8), _json_floats(),
+              st.dictionaries(st.text(max_size=8),
+                              st.integers() | _json_floats(), max_size=3)),
+    max_size=4)
+
+
+def _f_string_csv(rows) -> str:
+    """The scan CSV as the f-string writer formatted it, field by field."""
+    lines = [cellmod.SCAN_CSV_HEADER]
+    for r in rows:
+        exp = "" if r.j_hot_exp_watt is None else f"{r.j_hot_exp_watt:.12g}"
+        lines.append(f"{r.delta_thz:.12g},{r.j_hot_watt:.12g},{exp},"
+                     f"{r.p_abs_watt:.12g},{r.eta:.12g},{r.regime},{r.model}")
+    return "\n".join(lines) + "\n"
+
+
+def _rounded(x):
+    return None if x is None else float(f"{x:.12g}")
+
+
+@pytest.fixture(scope="module")
+def writer_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("writer")
+
+
+@given(rows=SCAN_ROWS, metadata=METADATA)
+@settings(max_examples=300, deadline=None)
+def test_streamed_scan_files_are_the_documents_bytes(rows, metadata,
+                                                     writer_dir):
+    csv_path, json_path = writer_dir / "scan.csv", writer_dir / "scan.json"
+    cellmod.write_scan(iter(rows), csv_path, json_path, metadata)
+    records = [{"delta_thz": _rounded(r.delta_thz),
+                "j_hot_watt": _rounded(r.j_hot_watt),
+                "j_hot_exp_watt": _rounded(r.j_hot_exp_watt),
+                "p_abs_watt": _rounded(r.p_abs_watt), "eta": _rounded(r.eta),
+                "regime": r.regime, "model": r.model} for r in rows]
+    doc = {"rows": records}
+    if metadata is not None:
+        doc["metadata"] = metadata
+    assert csv_path.read_text() == _f_string_csv(rows)
+    assert json_path.read_text() == json.dumps(doc, indent=2,
+                                               sort_keys=True) + "\n"
+    assert sorted(p.name for p in writer_dir.iterdir()) == ["scan.csv",
+                                                            "scan.json"]
+    # the in-memory forms keep the same bytes and values
+    result = cellmod.ScanResult(tuple(rows), metadata or {})
+    cellmod.write_scan_csv(result, csv_path)
+    assert csv_path.read_text() == _f_string_csv(rows)
+    assert cellmod.scan_records(result) == records
+
+
+@given(x=_json_floats())
+@settings(max_examples=2000, deadline=None)
+def test_json_number_is_repr_of_the_12_digit_value(x):
+    text = "%.12g" % x
+    assert cellmod._json_number(text) == repr(float(text))
+
+
+@pytest.mark.parametrize("field", ["delta_thz", "j_hot_watt", "j_hot_exp_watt",
+                                   "p_abs_watt", "eta"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_streamed_non_finite_number_is_refused(tmp_path, field, value):
+    row = cellmod.ScanRow(1.0, 2.0, 3.0, 4.0, 5.0, "cooling", "rate")
+    rows = [row, row._replace(**{field: value}), row]
+    with pytest.raises(DomainError, match="result is not finite"):
+        cellmod.write_scan(iter(rows), tmp_path / "scan.csv",
+                           tmp_path / "scan.json")
+    assert list(tmp_path.iterdir()) == []
+
+
+def _weak_grid(doc):
+    # weak rows over -300...300 THz at a fixed amplitude, without a dataset
+    del doc["scan"]["dataset_csv"]
+    doc["hot_bath"]["g0_thz"] = 0.002
+    doc["cell"]["linear_atom_density_per_mm"] = 2e9
+    doc["scan"].update(delta_min_thz=-300.0, delta_max_thz=300.0)
+
+
+def test_scan_memory_stays_flat_in_the_grid_size(tmp_path):
+    config = _scan_config(tmp_path, _weak_grid)
+    peaks = {}
+    for step, rows in (("3", 201), ("0.03", 20_001), ("3", 201)):
+        out = tmp_path / f"scan_{rows}"
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(["scan", "--config", config, "--no-metadata",
+                             "--set", f"scan.delta_step_thz={step}",
+                             "--out", str(out)])
+            peaks[rows] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len(out.with_suffix(".csv").read_text().splitlines()) == rows + 1
+    # holding every row, record and the JSON text took 40 MB at 20,001 rows
+    assert peaks[20_001] <= peaks[201] + 256 * 1024, peaks
