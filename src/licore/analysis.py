@@ -24,7 +24,8 @@ from .units import C_LIGHT, HBAR, internal_to_thz
 
 def _floor(cfg: AtomDriveConfig, t_cold: float):
     """(min_temp_exact, its current t_hot -> J_hot at unit pumping rate),
-    both from one _hot_balance; an undriven atom has no current."""
+    both from one _hot_balance; an undriven atom has no current, and a
+    driven one whose balance ratio rounds to 0 is a DomainError."""
     if cfg.detuning <= 0:
         raise NoSolutionError(
             "no cooling fixed point: the balance condition requires a "
@@ -37,8 +38,10 @@ def _floor(cfg: AtomDriveConfig, t_cold: float):
         raise NoSolutionError(
             f"balance ratio {ratio:.6g} >= 1: no positive-temperature root"
         )
-    if ratio == 0.0:
-        return 0.0, current
+    if ratio == 0.0:    # the lower sideband's weight underflowed or cancelled
+        raise DomainError("cooling floor not resolved: the balance ratio "
+                          "rounds to 0 at g/detuning = "
+                          f"{cfg.g / cfg.detuning:.4g}")
     return -cfg.rabi / math.log(ratio), current
 
 
@@ -62,7 +65,13 @@ def min_temp_asymptotic(cfg: AtomDriveConfig) -> float:
     if cfg.g / delta > 0.05 or delta / cfg.nu > 0.1:
         warnings.warn("outside the advisory validity range g/detuning <= 0.05, "
                       "detuning/nu <= 0.1", stacklevel=2)
-    return cfg.rabi / (4.0 * math.log(delta / cfg.g))
+    return cfg.rabi / (4.0 * _log_ratio(delta, cfg.g))
+
+
+def _log_ratio(delta: float, g: float) -> float:
+    """ln(delta/g), as ln delta - ln g only where the quotient overflows."""
+    q = delta / g
+    return math.log(q) if q < math.inf else math.log(delta) - math.log(g)
 
 
 def min_temp_bisect(cfg: AtomDriveConfig, t_cold: float) -> float:
@@ -145,7 +154,7 @@ def licore_temperature_limit(detuning: float, g: float) -> float:
         raise ValueError("detuning and g must be positive")
     if g >= detuning:
         raise DomainError("limit formula needs g < detuning")
-    return 1.0 / (4.0 * math.log(detuning / g))
+    return 1.0 / (4.0 * _log_ratio(detuning, g))
 
 
 def doppler_efficiency_bound(nu: float, mass_kg: float) -> float:

@@ -4,13 +4,13 @@ The beam attenuates as exp(-alpha z) along the cell, the local coupling
 scales as g^2(z) = g^2 exp(-alpha z), and row_flows takes a row's cooling
 power and absorbed power, attenuation-weighted integrals of the local
 per-atom (J_hot, P_abs) times the linear atom density, over any hot
-spectrum.  On the weak-drive branch that integral is elementary: one
-_weak_cell_kernel per row takes the rate balance once and the closed form
-at G_hot(|detuning|).  Exact-solver rows integrate one floquet.beam_flows
-kernel per row, which solves each depth from the local coupling alone, by
-adaptive quadrature that takes J_hot and P_abs in one pass.  The flat
-hot-spectrum amplitude is calibrated so the modeled absorbed-power
-fraction reproduces measured absorption data.
+spectrum.  On the weak-drive branch that integral is elementary:
+_weak_cell takes it in closed form from one _weak_row state per row.
+Exact-solver rows integrate one floquet.beam_flows kernel per row, which
+solves each depth from the local coupling alone, by adaptive quadrature
+that takes J_hot and P_abs in one pass.  The flat hot-spectrum amplitude
+is calibrated so the modeled absorbed-power fraction reproduces measured
+absorption data.
 
 Photon budget: a row can absorb at most what the beam loses in the cell,
 P_L (1 - exp(-alpha L)) with the row's own alpha.  The measured attenuation
@@ -45,8 +45,7 @@ from .config import AtomDriveConfig, Record, _set
 from .errors import CalibrationError, ConfigError, DomainError, require_finite
 from .floquet import beam_flows
 from .numerics import brentq, gauss_newton, integrate
-from .rate_model import (_flows, check_weak_drive, regime_of, weak_balance,
-                         weak_drive_defect)
+from .rate_model import _flows, regime_of, weak_balance, weak_drive_defect
 from .spectra import (BathSpectrum, CubicColdSpectrum, FlatHotSpectrum,
                       interp, read_two_columns)
 from .units import (
@@ -117,13 +116,11 @@ class AbsorptionDataset(Record):
     def covers(self, nu_thz: float) -> bool:
         return self.nu_thz[0] <= nu_thz <= self.nu_thz[-1]
 
-    def absorption_at(self, nu_thz: float) -> float:
-        """Linear interpolation, clamped to the endpoint values outside."""
-        return interp(nu_thz, self.nu_thz, self.absorption)
-
     def alpha_at(self, nu_thz: float, length_mm: float) -> float:
-        """Attenuation coefficient implied by a(nu) via 1 - exp(-alpha L)."""
-        return _alpha_of_absorption(self.absorption_at(nu_thz), length_mm)
+        """Attenuation coefficient implied by a(nu) via 1 - exp(-alpha L),
+        a(nu) interpolated linearly and clamped to the end values outside."""
+        return _alpha_of_absorption(interp(nu_thz, self.nu_thz,
+                                           self.absorption), length_mm)
 
 
 def _alpha_of_absorption(a: float, length_mm: float) -> float:
@@ -211,26 +208,31 @@ def _log1p_minus_x_over_1px_over_x2(x: float) -> float:
     return (math.log1p(x) - x / (1.0 + x)) / (x * x)
 
 
-def _weak_cell_kernel(cfg_row: AtomDriveConfig, cell: CellConfig, t_hot: float):
-    """The row's weak-drive cell (J_hot, P_abs) in closed form, as the kernel
-    (g0, alpha_per_mm) -> watts at the hot spectrum's value g0 = G(|detuning|),
-    and the internal per-atom P_abs as g0 -> infinity, nu B w / (1 + b).
+def _weak_row(delta: float, nu: float, g: float, gamma: float, t_hot: float):
+    """A weak row's state for _weak_cell: delta, nu, (2g/delta)^2 and the
+    balance per unit pumping.  The caller has checked the row at full
+    beam, the strictest depth (g sqrt(u) <= g)."""
+    w, big_b, c_per_pumping = weak_balance(delta, gamma, 1.0, t_hot)
+    return delta, nu, (2.0 * g / delta) ** 2, w, big_b, c_per_pumping
 
-    The pumping rate follows the beam, gamma_p(u) = u gamma_p(1) at the
-    attenuation u = exp(-alpha z), so weak_flows gives
-    P(u) = P(1) u (B + C) / (B + C u), with weak_balance's B = gamma and
-    C = (1 + b) gamma_p(1), and J(u) / P(u) = detuning / nu.  The cell
-    integral of u P(u) dz is then elementary,
+
+def _weak_cell(row: tuple, cell: CellConfig, g0: float, alpha_per_mm: float,
+               slope: bool = False) -> tuple:
+    """The row's weak-drive cell (J_hot, P_abs) in watts, in closed form at
+    the hot spectrum's value g0 = G(|detuning|).  The pumping rate follows
+    the beam, gamma_p(u) = u gamma_p(1) at the attenuation u = exp(-alpha
+    z), so weak_flows gives P(u) = P(1) u (B + C) / (B + C u), with
+    weak_balance's B = gamma and C = (1 + b) gamma_p(1), and J(u) / P(u) =
+    detuning / nu.  The cell integral of u P(u) dz is then elementary,
 
         P(1) (B + C) D / (alpha E) [B D h(x) / E + u_L],
 
     with D = -expm1(-alpha L), u_L = 1 - D, E = B + C u_L, x = C D / E and
     h(x) = (x - log1p x) / x^2; both bracketed terms are positive.  It is
-    L P(1) without attenuation and D / alpha times the saturated P(1) as
-    C -> infinity.  Built once per row: the weak-drive check at full beam,
-    the strictest depth (g sqrt(u) <= g), the balance per unit pumping, and
-    (2g/detuning)^2, so gamma_p(1) = (2g/detuning)^2 g0 has pumping_rate's
-    bits (a flat spectrum's value is its amplitude g0).
+    L P(1) without attenuation and D / alpha times the saturated per-atom
+    P(1), nu B w / (1 + b), as C -> infinity.  gamma_p(1) =
+    (2g/detuning)^2 g0 has pumping_rate's bits (a flat spectrum's value is
+    its amplitude g0).
 
     The slope of the cell's P_abs in ln g0 is gamma_p d/dgamma_p of the
     same integral, nu B^2 w gamma_p times the integral of u^2 / (B + C u)^2
@@ -242,56 +244,59 @@ def _weak_cell_kernel(cfg_row: AtomDriveConfig, cell: CellConfig, t_hot: float):
     of the integral without attenuation.  Only a call with slope=True
     takes it, and returns it after (J_hot, P_abs), in watts.
     """
-    delta, nu = check_weak_drive(cfg_row), cfg_row.nu
-    coupling = (2.0 * cfg_row.g / delta) ** 2
-    w, big_b, c_per_pumping = weak_balance(cfg_row, 1.0, t_hot)
+    delta, nu, coupling, w, big_b, c_per_pumping = row
     length, density = cell.length_mm, cell.linear_atom_density_per_mm
+    gamma_p = coupling * g0
+    big_c = c_per_pumping * gamma_p
+    j_1, p_1 = _flows(delta, nu, gamma_p, w, big_b, big_c)
+    d = -math.expm1(-alpha_per_mm * length)
+    if d == 0.0:
+        weight = length
+    else:
+        u_l = 1.0 - d
+        e = big_b + big_c * u_l
+        x = big_c * d / e
+        weight = ((big_b + big_c) * d / (alpha_per_mm * e)
+                  * (big_b * d * _x_minus_log1p_over_x2(x) / e + u_l))
+    atoms = density * weight
+    j_w, p_w = internal_to_watts(atoms * j_1), internal_to_watts(atoms * p_1)
+    if not (math.isfinite(j_w) and math.isfinite(p_w)):
+        raise DomainError("weak-drive cell integral is not finite for these "
+                          "parameters")
+    if not slope:
+        return j_w, p_w
+    if d == 0.0:
+        slope_weight = length / (big_b + big_c) ** 2
+    else:
+        d_e = d / e
+        slope_weight = (d_e * d_e * _log1p_minus_x_over_1px_over_x2(x)
+                        + d * u_l / (e * e * (1.0 + x))) / alpha_per_mm
+    return j_w, p_w, internal_to_watts(
+        density * nu * big_b * big_b * w * gamma_p * slope_weight)
 
-    def flows(g0: float, alpha_per_mm: float, slope: bool = False) -> tuple:
-        gamma_p = coupling * g0
-        big_c = c_per_pumping * gamma_p
-        j_1, p_1 = _flows(delta, nu, gamma_p, w, big_b, big_c)
-        d = -math.expm1(-alpha_per_mm * length)
-        if d == 0.0:
-            weight = length
-        else:
-            u_l = 1.0 - d
-            e = big_b + big_c * u_l
-            x = big_c * d / e
-            weight = ((big_b + big_c) * d / (alpha_per_mm * e)
-                      * (big_b * d * _x_minus_log1p_over_x2(x) / e + u_l))
-        atoms = density * weight
-        j_w, p_w = internal_to_watts(atoms * j_1), internal_to_watts(atoms * p_1)
-        if not (math.isfinite(j_w) and math.isfinite(p_w)):
-            raise DomainError("weak-drive cell integral is not finite for these "
-                              "parameters")
-        if not slope:
-            return j_w, p_w
-        if d == 0.0:
-            slope_weight = length / (big_b + big_c) ** 2
-        else:
-            d_e = d / e
-            slope_weight = (d_e * d_e * _log1p_minus_x_over_1px_over_x2(x)
-                            + d * u_l / (e * e * (1.0 + x))) / alpha_per_mm
-        return j_w, p_w, internal_to_watts(
-            density * nu * big_b * big_b * w * gamma_p * slope_weight)
 
-    return flows, nu * big_b * w / c_per_pumping
+def _model(g: float, delta: float) -> str:
+    """The solver switch: 'none' at g = 0, 'rate' at g/|delta| <=
+    WEAK_DRIVE_SWITCH, else 'floquet'."""
+    if g == 0.0:
+        return "none"
+    return "rate" if g <= WEAK_DRIVE_SWITCH * abs(delta) else "floquet"
 
 
 def row_flows(cell: CellConfig, cfg_row: AtomDriveConfig, hot: BathSpectrum,
               t_cold: float, alpha_per_mm: float) -> tuple[float, float, str]:
     """The cell's (J_hot, P_abs) in watts at one laser frequency over any hot
-    spectrum, and its model: 'none' without coupling, 'rate' at g/|detuning|
-    <= WEAK_DRIVE_SWITCH, the weak-drive closed form at G_hot(|detuning|),
-    else 'floquet', the beam_flows kernel integrated over the cell."""
-    delta = abs(cfg_row.detuning)
-    if cfg_row.g == 0.0:
-        return 0.0, 0.0, "none"
-    if delta > 0.0 and cfg_row.g <= WEAK_DRIVE_SWITCH * delta:
-        flows, _ = _weak_cell_kernel(cfg_row, cell, hot.temperature)
-        j_hot, p_abs = flows(hot.value(delta), alpha_per_mm)
-        return j_hot, p_abs, "rate"
+    spectrum, and its _model: zeros, the weak-drive closed form at
+    G_hot(|detuning|), or the beam_flows kernel integrated over the cell."""
+    delta = cfg_row.detuning
+    model = _model(cfg_row.g, delta)
+    if model == "none":
+        return 0.0, 0.0, model
+    if model == "rate":
+        row = _weak_row(delta, cfg_row.nu, cfg_row.g, cfg_row.gamma,
+                        hot.temperature)
+        return (*_weak_cell(row, cell, hot.value(abs(delta)), alpha_per_mm),
+                model)
     # the coupling follows the beam, g^2(z) = g^2 e^(-alpha z): one kernel and
     # one cold spectrum per row; one pass takes both integrals at each depth
     flows = beam_flows(cfg_row, hot, CubicColdSpectrum(cfg_row.gamma,
@@ -302,7 +307,7 @@ def row_flows(cell: CellConfig, cfg_row: AtomDriveConfig, hot: BathSpectrum,
         at_depth = flows(att)
         return at_depth[1], at_depth[3]
 
-    return (*_integrate_over_cell(cell, alpha_per_mm, local), "floquet")
+    return (*_integrate_over_cell(cell, alpha_per_mm, local), model)
 
 
 # ---------------------------------------------------------------------------
@@ -348,36 +353,38 @@ def calibrate_g0(dataset: AbsorptionDataset, cfg_template: AtomDriveConfig,
         nearest = min(rows, key=lambda r: abs(r[0] - reference_nu_thz))
         rows = [nearest]
 
-    # each row's kernel and attenuation, shared by the root and the fit; a
-    # row's attenuation comes from its own absorption, the dataset's value
-    # at its node
+    # each row's weak-drive state and attenuation, shared by the root and
+    # the fit; a row's attenuation comes from its own absorption
+    omega0, g, gamma = cfg_template.omega0, cfg_template.g, cfg_template.gamma
     t_hot, p_l = kelvin_to_internal(cell.bath_temperature_k), cell.laser_power_w
     fits = []
     for _, a, nu in rows:
-        cfg_row = cfg_template.with_laser_frequency(nu)
+        row = _weak_row(omega0 - nu, nu, g, gamma, t_hot)
         alpha = _alpha_of_absorption(a, cell.length_mm)
-        kernel, p_saturated = _weak_cell_kernel(cfg_row, cell, t_hot)
-        # the g0 -> infinity bound, over int exp(-alpha z) dz (alpha > 0 here)
+        # the g0 -> infinity bound, the saturated per-atom P_abs nu B w /
+        # (1 + b) over int exp(-alpha z) dz (alpha > 0 here)
+        _, _, _, w, big_b, c_per_pumping = row
         weight = -math.expm1(-alpha * cell.length_mm) / alpha
         cap = internal_to_watts(cell.linear_atom_density_per_mm * weight
-                                * p_saturated) / p_l
+                                * (nu * big_b * w / c_per_pumping)) / p_l
         if a >= cap:
             raise CalibrationError(
                 f"absorption {a:.4g} exceeds the saturated model bound "
                 f"{cap:.4g}; no spectrum amplitude can reach it"
             )
-        fits.append((kernel, alpha, a))
+        fits.append((row, alpha, a))
 
-    kernel, alpha, a = fits[0]
-    hi = cfg_template.gamma
+    row, alpha, a = fits[0]
+    hi = gamma
     for _ in range(400):
-        if kernel(hi, alpha)[1] / p_l > a:
+        if _weak_cell(row, cell, hi, alpha)[1] / p_l > a:
             break
         hi *= 2.0
     else:
         raise CalibrationError("failed to bracket the calibration root")
     # no amplitude, no absorption: the bracket starts at g0 = 0
-    g_start = brentq(lambda g0: (kernel(g0, alpha)[1] / p_l if g0 > 0 else 0.0) - a,
+    g_start = brentq(lambda g0: (_weak_cell(row, cell, g0, alpha)[1] / p_l
+                                 if g0 > 0 else 0.0) - a,
                      0.0, hi, xtol=1e-300, rtol=1e-14, error=CalibrationError)
     if g_start == 0.0:
         raise CalibrationError(
@@ -387,8 +394,8 @@ def calibrate_g0(dataset: AbsorptionDataset, cfg_template: AtomDriveConfig,
     def residuals_and_slopes(x):
         g0 = g_start * math.exp(x - x_start)
         r, s = [], []
-        for kernel, alpha, a in fits:
-            _, p, slope = kernel(g0, alpha, True)
+        for row, alpha, a in fits:
+            _, p, slope = _weak_cell(row, cell, g0, alpha, True)
             r.append(p / p_l - a)
             s.append(slope / p_l)
         return r, s
@@ -406,21 +413,22 @@ def synthesize_absorption(cfg_template: AtomDriveConfig, cell: CellConfig,
     calibrate_g0.  DomainError where no a < 1 solves it (over the photon budget)."""
     if not g0 > 0:
         raise ValueError("g0 must be positive")
+    omega0, g, gamma = cfg_template.omega0, cfg_template.g, cfg_template.gamma
     t_hot = kelvin_to_internal(cell.bath_temperature_k)
     values = []
     for nu_thz in nus_thz:
         nu = thz_to_internal(nu_thz)
-        delta = cfg_template.omega0 - nu
-        if weak_drive_defect(cfg_template.g, delta) is not None:
+        delta = omega0 - nu
+        if weak_drive_defect(g, delta) is not None:
             raise ValueError("synthesis rows must stay in the weak-drive "
                              "regime (g < |detuning|)")
-        kernel, _ = _weak_cell_kernel(cfg_template.with_laser_frequency(nu),
-                                      cell, t_hot)
+        cfg_template.with_laser_frequency(nu)     # checks nu
+        row = _weak_row(delta, nu, g, gamma, t_hot)
 
         @functools.cache
         def gap(a):
             alpha = _alpha_of_absorption(a, cell.length_mm)
-            return kernel(g0, alpha)[1] / cell.laser_power_w - a
+            return _weak_cell(row, cell, g0, alpha)[1] / cell.laser_power_w - a
 
         if gap(0.0) <= 0.0:
             values.append(0.0)
@@ -453,36 +461,6 @@ class ScanResult(NamedTuple):
     metadata: dict
 
 
-def _scan_row(cell: CellConfig, cfg_template: AtomDriveConfig,
-              hot: BathSpectrum, dataset: AbsorptionDataset | None,
-              t_cold: float, delta_thz: float) -> tuple[ScanRow, bool]:
-    """One scan row from row_flows, and whether it absorbs more than the
-    beam loses in the cell, P_L (1 - exp(-alpha L)) with the row's own
-    alpha, beyond 1e-9 relative."""
-    delta = thz_to_internal(delta_thz)
-    nu = cfg_template.omega0 - delta
-    if nu <= 0:
-        raise ConfigError(f"detuning {delta_thz} THz puts the laser frequency "
-                          "at or below zero")
-    if not (math.isfinite(delta) and math.isfinite(nu)):
-        raise ConfigError(f"detuning {delta_thz} THz overflows internal units")
-    cfg_row = cfg_template.with_laser_frequency(nu)
-    nu_thz = internal_to_thz(nu)
-    if dataset is None:
-        alpha, j_exp = cell.absorption_coeff_per_mm, None
-    else:
-        a = dataset.absorption_at(nu_thz)
-        alpha = _alpha_of_absorption(a, cell.length_mm)
-        j_exp = (experimental_heat_current(cell.laser_power_w, a, delta, nu)
-                 if dataset.covers(nu_thz) else None)
-
-    j_tot, p_abs, model = row_flows(cell, cfg_row, hot, t_cold, alpha)
-    eta = j_tot / cell.laser_power_w
-    budget = cell.laser_power_w * -math.expm1(-alpha * cell.length_mm)
-    return (ScanRow(delta_thz, j_tot, j_exp, p_abs, eta, regime_of(cfg_row),
-                    model), p_abs > budget * (1.0 + 1e-9))
-
-
 def scan_rows(cell: CellConfig, cfg_template: AtomDriveConfig, g0: float,
               deltas_thz, dataset: AbsorptionDataset | None = None,
               t_cold: float = 0.0):
@@ -493,14 +471,44 @@ def scan_rows(cell: CellConfig, cfg_template: AtomDriveConfig, g0: float,
     empty grid is a ConfigError, raised once it is exhausted."""
     if not g0 > 0:
         raise ValueError("g0 must be positive")
-    hot = FlatHotSpectrum(g0, kelvin_to_internal(cell.bath_temperature_k))
+    t_hot = kelvin_to_internal(cell.bath_temperature_k)
+    hot = FlatHotSpectrum(g0, t_hot)
+    omega0, g, gamma = cfg_template.omega0, cfg_template.g, cfg_template.gamma
+    p_l, length = cell.laser_power_w, cell.length_mm
+    if dataset is not None:
+        nus, absorptions = dataset.nu_thz, dataset.absorption
     total = over = 0
     for delta_thz in deltas_thz:
-        row, over_budget = _scan_row(cell, cfg_template, hot, dataset, t_cold,
-                                     float(delta_thz))
+        delta_thz = float(delta_thz)
+        delta = thz_to_internal(delta_thz)
+        nu = omega0 - delta
+        if nu <= 0:
+            raise ConfigError(f"detuning {delta_thz} THz puts the laser "
+                              "frequency at or below zero")
+        if not (math.isfinite(delta) and math.isfinite(nu)):
+            raise ConfigError(f"detuning {delta_thz} THz overflows internal "
+                              "units")
+        nu_thz = internal_to_thz(nu)
+        if dataset is None:
+            alpha, j_exp = cell.absorption_coeff_per_mm, None
+        else:
+            a = interp(nu_thz, nus, absorptions)
+            alpha = _alpha_of_absorption(a, length)
+            j_exp = (experimental_heat_current(p_l, a, delta, nu)
+                     if nus[0] <= nu_thz <= nus[-1] else None)
+        # the row config's detuning, which need not round back to delta
+        detuning = omega0 - nu
+        model = _model(g, detuning)
+        if model == "rate":
+            j_tot, p_abs = _weak_cell(_weak_row(detuning, nu, g, gamma, t_hot),
+                                      cell, g0, alpha)
+        else:
+            j_tot, p_abs, model = row_flows(
+                cell, cfg_template.with_laser_frequency(nu), hot, t_cold, alpha)
         total += 1
-        over += over_budget
-        yield row
+        over += p_abs > p_l * -math.expm1(-alpha * length) * (1.0 + 1e-9)
+        yield ScanRow(delta_thz, j_tot, j_exp, p_abs, j_tot / p_l,
+                      regime_of(detuning, g), model)
     if not total:
         raise ConfigError("empty detuning grid")
     if over:

@@ -365,7 +365,7 @@ def cmd_currents(doc: dict, args):
         regime = flow.regime
     except DomainError as exc:
         rate_part = {"note": f"weak-drive model out of regime: {exc}"}
-        regime = rate_model.regime_of(cfg)
+        regime = rate_model.regime_of(cfg.detuning, cfg.g)
     flows = floquet.dressed_flows(cfg, hot, cold)
     payload = {
         "command": "currents",

@@ -90,20 +90,9 @@ class AtomDriveConfig(Record):
         return math.hypot(2.0 * self.g, self.detuning)
 
     def with_laser_frequency(self, nu: float) -> "AtomDriveConfig":
-        """Config driven at ``nu``.  Only nu is new, so only nu is checked,
-        with the constructor's messages; the other fields are copied, as
-        this record's constructor checked them."""
-        if not math.isfinite(nu):
-            raise ValueError("nu must be finite")
-        if nu <= 0:
-            raise ValueError("nu must be positive")
-        derived = object.__new__(AtomDriveConfig)
-        _write_omega0(derived, self.omega0)
-        _write_gamma(derived, self.gamma)
-        _write_g(derived, self.g)
-        _write_nu(derived, nu)
-        _write_laser_power(derived, self.laser_power)
-        return derived
+        """Config driven at ``nu``, checked by the constructor."""
+        return AtomDriveConfig(self.omega0, self.gamma, self.g, nu,
+                               self.laser_power)
 
     def attenuated(self, power_fraction: float) -> "AtomDriveConfig":
         """Config at a point where the laser power is scaled by
@@ -124,9 +113,3 @@ class AtomDriveConfig(Record):
             nu=thz_to_internal(nu_thz),
             laser_power=laser_power_w,
         )
-
-
-# each field's slot writer: with_laser_frequency writes a derived record's
-# fields with these, which skip the name lookup that _set makes per field
-_write_omega0, _write_gamma, _write_g, _write_nu, _write_laser_power = (
-    getattr(AtomDriveConfig, name).__set__ for name in AtomDriveConfig.__slots__)

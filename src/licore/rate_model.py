@@ -48,24 +48,23 @@ def pumping_rate(cfg: AtomDriveConfig, hot: BathSpectrum) -> float:
     return (2.0 * cfg.g / delta) ** 2 * hot.value(abs(delta))
 
 
-def weak_balance(cfg: AtomDriveConfig, gamma_p: float,
+def weak_balance(delta: float, gamma: float, gamma_p: float,
                  t_hot: float) -> tuple[float, float, float]:
-    """The weak-drive two-level rate balance, as (w, B, C).
+    """The weak-drive two-level rate balance at detuning delta, as (w, B, C).
 
     Collisions lift the atom at gamma_p w; decay and collisions bring it
     down at B + C - gamma_p w, with B = gamma, C = (1 + b) gamma_p and
     b = exp(-|detuning|/T_hot).  b weights the step that draws |detuning|
     from the hot bath: the lift on the cooling branch (w = b), the return
     on the heating branch (w = 1).  So rho_ee = gamma_p w / (B + C).  The
-    config is the caller's to check (check_weak_drive).
+    detuning is the caller's to check (weak_drive_defect).
     """
     if gamma_p < 0:
         raise ValueError("gamma_p must be non-negative")
     if t_hot <= 0:
         raise ValueError("t_hot must be positive")
-    delta = cfg.detuning
     b = boltzmann_weight(abs(delta), t_hot)
-    return (b if delta > 0 else 1.0), cfg.gamma, (1.0 + b) * gamma_p
+    return (b if delta > 0 else 1.0), gamma, (1.0 + b) * gamma_p
 
 
 class RatePoint(NamedTuple):
@@ -88,7 +87,7 @@ def steady_state(cfg: AtomDriveConfig, gamma_p: float, t_hot: float) -> RatePoin
     without pumping the atom sits in its ground state at t_tla = 0.
     """
     delta = check_weak_drive(cfg)
-    w, big_b, big_c = weak_balance(cfg, gamma_p, t_hot)
+    w, big_b, big_c = weak_balance(delta, cfg.gamma, gamma_p, t_hot)
     up, total = gamma_p * w, big_b + big_c
     down = total - up
     return RatePoint(up / down, atom_temperature(delta, up, down),
@@ -115,7 +114,8 @@ def weak_flows(cfg: AtomDriveConfig, gamma_p: float,
     DomainError, as in pumping_rate and steady_state.
     """
     delta = check_weak_drive(cfg)
-    return _flows(delta, cfg.nu, gamma_p, *weak_balance(cfg, gamma_p, t_hot))
+    return _flows(delta, cfg.nu, gamma_p,
+                  *weak_balance(delta, cfg.gamma, gamma_p, t_hot))
 
 
 def _flows(delta: float, nu: float, gamma_p: float, w: float, big_b: float,
@@ -129,10 +129,10 @@ def _flows(delta: float, nu: float, gamma_p: float, w: float, big_b: float,
             nu * gamma_p * big_b * w / den)
 
 
-def regime_of(cfg: AtomDriveConfig) -> str:
-    if cfg.detuning == 0.0 or cfg.g == 0.0:
+def regime_of(delta: float, g: float) -> str:
+    if delta == 0.0 or g == 0.0:
         return "neutral"
-    return "cooling" if cfg.detuning > 0 else "heating"
+    return "cooling" if delta > 0 else "heating"
 
 
 class EnergyFlowReport(NamedTuple):
@@ -150,7 +150,7 @@ def energy_flow(cfg: AtomDriveConfig, hot: BathSpectrum,
     """Weak-drive energy bookkeeping: the cold bath receives everything,
     J_cold = -(J_hot + P_abs).  eta = J_hot / laser_power is the cooling
     efficiency; it reads 0 without a laser power."""
-    regime = regime_of(cfg)
+    regime = regime_of(cfg.detuning, cfg.g)
     if cfg.g == 0.0 or cfg.detuning == 0.0:
         return EnergyFlowReport(0.0, 0.0, 0.0, 0.0, regime)
     j_hot, p_abs = weak_flows(cfg, pumping_rate(cfg, hot), hot.temperature)

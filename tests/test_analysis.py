@@ -268,12 +268,12 @@ class TestClosedFormBits:
         ratio = (d_plus * bw_p + d_minus) / (d_plus + d_minus * bw_m)
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "nu - rabi nearly vanishes")
-            if ratio >= 1.0:
-                with pytest.raises(NoSolutionError):
+            if ratio >= 1.0 or ratio == 0.0:
+                with pytest.raises(NoSolutionError if ratio else DomainError):
                     min_temp_exact(cfg, t_cold)
                 return
             t_min = min_temp_exact(cfg, t_cold)
-        assert t_min == (0.0 if ratio == 0.0 else -rabi / math.log(ratio))
+        assert t_min == -rabi / math.log(ratio)
 
 
 class _Lorentzian(BathSpectrum):

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import importlib
 import io
 import json
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from licore import cell as cellmod
+from licore.config import AtomDriveConfig
 from licore.cli import (
     CONFIG_SCHEMA,
     MAX_SCAN_ROWS,
@@ -27,6 +29,7 @@ from licore.cli import (
     main,
 )
 from licore.errors import ConfigError, DomainError
+from licore.units import round12
 
 FIXTURES = Path(__file__).parent / "fixtures"
 POINT = str(FIXTURES / "config_point.json")
@@ -156,6 +159,20 @@ class TestSubcommands:
         assert cells[("doppler", "resolved")] == 0.25
         assert cells[("licore", "resolved")] == cells[("licore", "unresolved")]
         assert len(payload["efficiency_bounds"]) == 3
+
+    def test_compare_licore_cells_where_detuning_over_g_overflows(self,
+                                                                   capsys):
+        # detuning/g overflows at g = 1e-310 THz: its logarithm is taken as
+        # ln detuning - ln g, where 1/(4 ln(inf)) printed 0.0
+        payload = run_json(capsys, "compare", "--config", POINT,
+                           "--set", "atom.g_thz=1e-310")
+        cfg = AtomDriveConfig.from_thz(377.0, 6e-6, 1e-310, 366.6)
+        expected = round12(1.0 / (4.0 * (math.log(cfg.detuning)
+                                         - math.log(cfg.g))))
+        cells = {(c["method"], c["regime"]): c["value"]
+                 for c in payload["t_min_scaled"]}
+        assert cells[("licore", "unresolved")] == expected > 0.0
+        assert cells[("licore", "resolved")] == expected
 
     @pytest.mark.parametrize("rabi_thz, unresolved, resolved", [
         ("1e-12", 1500000.5, 2.25e12),
@@ -411,7 +428,7 @@ class TestExitCodes:
         (["compare", "--set", "compare.mass_amu=1e-300"], 2),
         # the sideband floor overflows the float range
         (["compare", "--set", "compare.rabi_thz=1e-300"], 3),
-        # the relative gap of a vanishing floor is infinite
+        # the floor's balance ratio rounds to 0
         (["tmin", "--set", "atom.g_thz=1e-300",
           "--set", "hot_bath.temperature_k=1e30"], 3),
         # these overflow internal units too; currents printed eta = 0.0
@@ -423,6 +440,18 @@ class TestExitCodes:
         assert code == expected, err
         assert out == ""
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("g_thz, ratio", [("1e-310", "9.615e-312"),
+                                              ("1e-08", "9.615e-10")])
+    def test_unresolved_floor_is_domain_error(self, capsys, g_thz, ratio):
+        # the lower sideband's weight underflows (1e-310) or cancels (1e-8):
+        # the balance ratio rounds to 0, which printed a 0.0 K floor at
+        # 1e-310 and "result is not finite" at 1e-8
+        code, out, err = run(capsys, "tmin", "--config", POINT,
+                             "--set", f"atom.g_thz={g_thz}")
+        assert (code, out) == (3, "")
+        assert err == ("domain error: cooling floor not resolved: the balance "
+                       f"ratio rounds to 0 at g/detuning = {ratio}\n")
 
     @pytest.mark.parametrize("command", ["steady-state", "currents"])
     def test_overflowing_flows_are_domain_error(self, capsys, command):
@@ -683,7 +712,7 @@ class TestExitCodes:
         def no_rows(*args, **kwargs):
             raise AssertionError("a row was computed")
 
-        monkeypatch.setattr(cellmod, "_scan_row", no_rows)
+        monkeypatch.setattr(cellmod, "regime_of", no_rows)
         target = tmp_path / "dir"
         target.mkdir()
         code, out, err = run(capsys, "scan", "--config", SCAN, "--no-metadata",
@@ -701,7 +730,7 @@ class TestExitCodes:
         def no_rows(*args, **kwargs):
             raise AssertionError("a row was computed")
 
-        monkeypatch.setattr(cellmod, "_scan_row", no_rows)
+        monkeypatch.setattr(cellmod, "regime_of", no_rows)
         target = tmp_path / f"run{suffix}"
         target.mkdir()
         code, out, err = run(capsys, "scan", "--config", SCAN, "--no-metadata",
@@ -715,7 +744,9 @@ class TestExitCodes:
                                                          "last"])
     def test_scan_failing_at_a_row_leaves_no_file(self, capsys, tmp_path,
                                                   monkeypatch, failing):
-        real, drawn = cellmod._scan_row, []
+        # every scan row, and only a scan row, takes its regime once, after
+        # its flows
+        real, drawn = cellmod.regime_of, []
 
         def fails_once_drawn(*args):
             drawn.append(args)
@@ -723,7 +754,7 @@ class TestExitCodes:
                 raise DomainError("row failed")
             return real(*args)
 
-        monkeypatch.setattr(cellmod, "_scan_row", fails_once_drawn)
+        monkeypatch.setattr(cellmod, "regime_of", fails_once_drawn)
         got = run(capsys, "scan", "--config", SCAN, "--out",
                   str(tmp_path / "run"))
         assert got == (3, "", "domain error: row failed\n")
@@ -752,9 +783,9 @@ class TestExitCodes:
 
 
     @pytest.mark.parametrize("command, layer, function, out, written", [
-        ("scan", "cell", "_scan_row", "x", "x.csv"),
-        ("scan", "cell", "_scan_row", "x.json", "x.csv"),
-        ("scan", "cell", "_scan_row", "run_T0.5", "run_T0.5.csv"),
+        ("scan", "cell", "regime_of", "x", "x.csv"),
+        ("scan", "cell", "regime_of", "x.json", "x.csv"),
+        ("scan", "cell", "regime_of", "run_T0.5", "run_T0.5.csv"),
         ("tmin", "analysis", "_floor", "x", "x"),
     ], ids=["scan", "scan-json-suffix", "scan-dotted", "tmin"])
     def test_out_in_a_missing_directory_is_io_error(
@@ -919,6 +950,14 @@ def _scan_config(tmp_path, edit) -> str:
 
 def _without_reference_row(doc):
     del doc["calibrate"]["reference_nu_thz"]
+
+
+def _weak_grid(doc):
+    # weak rows over -300...300 THz at a fixed amplitude, without a dataset
+    del doc["scan"]["dataset_csv"]
+    doc["hot_bath"]["g0_thz"] = 0.002
+    doc["cell"]["linear_atom_density_per_mm"] = 2e9
+    doc["scan"].update(delta_min_thz=-300.0, delta_max_thz=300.0)
 
 
 def _optically_thick(doc):
@@ -1272,6 +1311,32 @@ class TestDeterminism:
         assert (tmp_path / "scan.csv").read_bytes() == \
             (FIXTURES / "scan_weak_rows.csv").read_bytes()
 
+    # sha256 of the CSV and JSON of a 20,001-row weak scan over +/-300 THz,
+    # with the fixture dataset and with only cell.absorption_length_mm: the
+    # grid crosses the solver switch, rows outside the dataset and
+    # detunings where the Boltzmann factor b underflows
+    @pytest.mark.parametrize("edit, digests", [
+        (lambda doc: None, (
+            "62a03325ebca559a65228e4cc4448aca7ca068aa72d8082ee1f34e4e2e21bb73",
+            "e656aad7f5d2f1dc8817f9953b2bd4e7a3088c012c8f0550f32c03ef57abf826")),
+        (_weak_grid, (
+            "64ddec5899340b19ebd72d176371aca9c7586c2752d42192c2a80d602dea3054",
+            "00b01bbc8b3a01fcafb1c32646e0f07dd3cdc27b549567e192cc2c0d13feee78")),
+    ], ids=["dataset", "absorption-length"])
+    def test_large_weak_scans_keep_their_bits(self, capsys, tmp_path, edit,
+                                              digests):
+        code, _, err = run(capsys, "scan", "--config",
+                           _scan_config(tmp_path, edit), "--no-metadata",
+                           "--set", "hot_bath.g0_thz=0.002",
+                           "--set", "cell.linear_atom_density_per_mm=2e9",
+                           "--set", "scan.delta_min_thz=-300",
+                           "--set", "scan.delta_max_thz=300",
+                           "--set", "scan.delta_step_thz=0.03",
+                           "--out", str(tmp_path / "scan"))
+        assert code == 0, err
+        assert tuple(hashlib.sha256((tmp_path / f"scan.{suffix}").read_bytes())
+                     .hexdigest() for suffix in ("csv", "json")) == digests
+
     def test_all_row_calibration_matches_its_fixture(self, capsys, tmp_path):
         # every usable dataset row enters the fit, which keeps these bits
         code, out, err = run(capsys, "calibrate", "--config",
@@ -1395,14 +1460,6 @@ def test_streamed_non_finite_number_is_refused(tmp_path, field, value):
         cellmod.write_scan(iter(rows), tmp_path / "scan.csv",
                            tmp_path / "scan.json")
     assert list(tmp_path.iterdir()) == []
-
-
-def _weak_grid(doc):
-    # weak rows over -300...300 THz at a fixed amplitude, without a dataset
-    del doc["scan"]["dataset_csv"]
-    doc["hot_bath"]["g0_thz"] = 0.002
-    doc["cell"]["linear_atom_density_per_mm"] = 2e9
-    doc["scan"].update(delta_min_thz=-300.0, delta_max_thz=300.0)
 
 
 def test_scan_memory_stays_flat_in_the_grid_size(tmp_path):

@@ -86,8 +86,7 @@ def test_derived_configs_equal_replaced_fields():
                           laser_power=2.4)
     assert cfg.attenuated(0.3) == AtomDriveConfig(
         omega0=10.0, gamma=1.0, g=2.0 * math.sqrt(0.3), nu=9.0, laser_power=2.4)
-    # with_laser_frequency copies the checked fields without the
-    # constructor; its record is the constructor's in every respect
+    # with_laser_frequency's record is the constructor's in every respect
     for nu in (9.5, 5e-324):
         derived = cfg.with_laser_frequency(nu)
         built = AtomDriveConfig(omega0=10.0, gamma=1.0, g=2.0, nu=nu,

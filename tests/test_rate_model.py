@@ -289,10 +289,10 @@ class TestAbsorbedPowerAndEfficiency:
 
 class TestEnergyFlow:
     def test_regimes(self):
-        assert regime_of(cfg_with(1.0)) == "cooling"
-        assert regime_of(cfg_with(-1.0)) == "heating"
-        assert regime_of(cfg_with(0.0)) == "neutral"
-        assert regime_of(cfg_with(1.0, g=0.0)) == "neutral"
+        assert regime_of(1.0, 1e-3) == "cooling"
+        assert regime_of(-1.0, 1e-3) == "heating"
+        assert regime_of(0.0, 1e-3) == "neutral"
+        assert regime_of(1.0, 0.0) == "neutral"
 
     def test_report_conserves_energy(self):
         hot = FlatHotSpectrum(5.0, 2.0)
