@@ -44,7 +44,7 @@ from typing import NamedTuple
 from .config import AtomDriveConfig, Record, _set
 from .errors import CalibrationError, ConfigError, DomainError, require_finite
 from .floquet import beam_flows
-from .numerics import brentq, gauss_newton, integrate
+from .numerics import brentq, integrate, least_squares
 from .rate_model import _flows, regime_of, weak_balance, weak_drive_defect
 from .spectra import (BathSpectrum, CubicColdSpectrum, FlatHotSpectrum,
                       interp, read_two_columns)
@@ -400,7 +400,8 @@ def calibrate_g0(dataset: AbsorptionDataset, cfg_template: AtomDriveConfig,
             s.append(slope / p_l)
         return r, s
 
-    x, fun = gauss_newton(residuals_and_slopes, x_start, error=CalibrationError)
+    x, fun = least_squares(residuals_and_slopes, x_start,
+                           error=CalibrationError)
     resid = math.sqrt(math.fsum(r * r for r in fun) / len(fun))
     return CalibrationResult(g_start * math.exp(x - x_start), resid,
                              tuple((nu_thz, a) for nu_thz, a, _ in rows))

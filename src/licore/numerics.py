@@ -6,9 +6,10 @@ same roots; ``integrate`` is QUADPACK's 21-point Gauss-Kronrod rule
 over the components of a tuple-valued integrand, taken once per node,
 which accepts each component by qagse's test and otherwise refines it by
 its own global bisection of the worst interval, with the bits of
-integrating it alone; ``gauss_newton`` fits one parameter by
+integrating it alone; ``least_squares`` fits one parameter by
 least squares, from residuals and slopes its caller returns together,
-with secant steps on the gradient.  The root finder and the fit raise
+by rooting the gradient with ``brentq`` over a bracket it finds by
+steps downhill.  The root finder and the fit raise
 the ``error`` class their caller names when they cannot return an
 answer; ``integrate`` returns its error estimate for the caller to check.
 """
@@ -237,66 +238,50 @@ def _bisect(f, k: int, cache: dict, a: float, b: float, epsrel: float,
     return math.fsum(part for *_, part in heap), errsum
 
 
-_UNBRACKETED_STEP = math.log(2.0)
-# x is a logarithm, varying on a scale of one: a step below this that does
-# not shrink is rounding, not progress
-_FLOOR_STEP = _EPMACH ** (1.0 / 3.0)
-# the rounding in each term r_i s_i of the gradient: a few ulps from the
-# residual, the slope and their product
-_GRADIENT_ULPS = 16.0
 XTOL_FIT = 1e-15
 
 
-def gauss_newton(residuals_and_slopes, x0: float,
-                 error=DomainError) -> tuple[float, list]:
+def least_squares(residuals_and_slopes, x0: float,
+                  error=DomainError) -> tuple[float, list]:
     """Least-squares fit of one parameter: the x where sum r_i(x)^2 is
     stationary.  residuals_and_slopes(x) returns the residuals r_i and
     their slopes s_i = dr_i/dx, two lists, from one call.  Returns x and
     the residuals there.
 
-    Each step divides the gradient sum r_i s_i by a curvature.  The first
-    takes Gauss-Newton's sum s_i^2.  Once two points exist, each takes the
-    secant slope of the gradient through the last two, which reaches the
-    stationary point superlinearly even where large residuals make
-    sum r_i r_i'' cancel most of sum s_i^2.  Where that secant is not
-    positive, or the change in the gradient is at its rounding level,
-    the step falls back to sum s_i^2.
+    x0 is kept where its Gauss-Newton step, the gradient sum r_i s_i over
+    sum s_i^2, moves it by XTOL_FIT relative or less.  Otherwise x steps
+    downhill by ln 2 until the gradient changes sign, and brentq roots the
+    gradient, to XTOL_FIT relative, between the last two points.  Every
+    residual must rise with x: then all are negative far to the left and
+    positive far to the right, and so is the gradient, so the steps end.
+    Each x is evaluated once."""
+    passes = {}     # x -> (gradient, sum s_i^2, residuals)
 
-    Every residual must rise with x, so the sign of a step tells which
-    side of the minimum x is on, and the points visited bracket it.  Until
-    both sides are known a step moves at most ln 2; after that, a step
-    that would leave the bracket goes to its midpoint instead.  The steps
-    shrink until they reach XTOL_FIT or, when the residuals stay large,
-    the floor that rounding in the gradient sets; a step below _FLOOR_STEP
-    that is no smaller than the one before has reached it."""
-    x, lo, hi, last_move = x0, -math.inf, math.inf, math.inf
-    for count in range(2 * MAXITER):
-        r, slope = residuals_and_slopes(x)
-        curvature = math.fsum(s * s for s in slope)
-        if not curvature > 0.0:
-            raise error("least-squares fit: the residuals do not depend on "
-                        "the parameter")
-        gradient = math.fsum(ri * s for ri, s in zip(r, slope))
-        if count:
-            change = gradient - gradient_before
-            if abs(change) > _GRADIENT_ULPS * _EPMACH * math.fsum(
-                    abs(ri * s) for ri, s in zip(r, slope)):
-                secant = change / (x - x_before)
-                if secant > 0.0:
-                    curvature = secant
-        step = -gradient / curvature
-        if step > 0.0:
-            lo = x
-        else:
-            hi = x
-        if hi - lo == math.inf:
-            x_new = x + min(max(step, -_UNBRACKETED_STEP), _UNBRACKETED_STEP)
-        else:
-            # a step below half an ulp of x lands on x, an end of the bracket
-            x_new = x + step if lo <= x + step <= hi else 0.5 * (lo + hi)
-        move = abs(x_new - x)
-        if move <= XTOL_FIT * (XTOL_FIT + abs(x)) or last_move <= move <= _FLOOR_STEP:
-            return x, r
-        x_before, gradient_before = x, gradient
-        x, last_move = x_new, move
-    raise error(f"least-squares fit did not converge in {2 * MAXITER} steps")
+    def gradient(x: float) -> float:
+        if x not in passes:
+            r, slope = residuals_and_slopes(x)
+            curvature = math.fsum(s * s for s in slope)
+            if not curvature > 0.0:
+                raise error("least-squares fit: the residuals do not depend "
+                            "on the parameter")
+            passes[x] = (math.fsum(ri * s for ri, s in zip(r, slope)),
+                         curvature, r)
+        return passes[x][0]
+
+    step = -gradient(x0) / passes[x0][1]
+    # a step below half an ulp of x0 does not move it
+    if abs(x0 + step - x0) <= XTOL_FIT * (XTOL_FIT + abs(x0)):
+        return x0, passes[x0][2]
+    downhill = math.copysign(math.log(2.0), step)
+    a, b = x0, x0 + downhill
+    for _ in range(MAXITER):
+        # a NaN gradient ends the steps too, and brentq names it
+        if not gradient(b) * downhill < 0.0:
+            break
+        a, b = b, b + downhill
+    else:
+        raise error(f"least-squares fit: the gradient keeps its sign over "
+                    f"{MAXITER} steps of ln 2 from x={x0!r}")
+    x = brentq(gradient, a, b, xtol=XTOL_FIT * XTOL_FIT, rtol=XTOL_FIT,
+               error=error)
+    return x, passes[x][2]

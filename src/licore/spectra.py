@@ -37,10 +37,7 @@ def boltzmann_weight(omega: float, temperature: float) -> float:
     x = omega / temperature
     if x < -709.0:
         return math.inf
-    try:
-        return math.exp(-x)
-    except OverflowError:
-        return math.inf
+    return math.exp(-x)
 
 
 class BathSpectrum(abc.ABC):

@@ -364,6 +364,59 @@ class TestFormats:
         assert stamp.utcoffset() == timedelta(0)
 
 
+def _point_config(tmp_path, edit) -> str:
+    """config_point.json edited by ``edit``."""
+    doc = json.loads(Path(POINT).read_text())
+    edit(doc)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _without_g0(doc):
+    del doc["hot_bath"]["g0_thz"]
+
+
+def _without_scan_dataset(doc):
+    del doc["scan"]["dataset_csv"]
+
+
+def _positive_half_table(tmp_path) -> Path:
+    table = tmp_path / "spectrum.csv"
+    table.write_text("omega_thz,g_rate\n1.0,0.5\n2.0,0.5\n")
+    return table
+
+
+_NO_AMPLITUDE = ("config error: hot_bath needs g0_thz or spectrum_csv (run "
+                 "`calibrate` first or set one explicitly)")
+# tmp_path -> (argv, exit code, stderr line) for error lines that no
+# other test reaches
+ERROR_LINES = {
+    "steady-state-no-amplitude": lambda tmp: (
+        ["steady-state", "--config", _point_config(tmp, _without_g0)], 2,
+        _NO_AMPLITUDE),
+    "currents-no-amplitude": lambda tmp: (
+        ["currents", "--config", _point_config(tmp, _without_g0)], 2,
+        _NO_AMPLITUDE),
+    "scan-no-amplitude": lambda tmp: (
+        ["scan", "--config", _scan_config(tmp, _without_scan_dataset)], 2,
+        "config error: scan needs hot_bath.g0_thz or a dataset to calibrate "
+        "from"),
+    "set-without-equals": lambda tmp: (
+        ["tmin", "--config", POINT, "--set", "atom.g_thz"], 2,
+        "config error: --set expects key=value, got 'atom.g_thz'"),
+    # the detuning is 377 - 366.6 = 10.4 THz
+    "compare-g-at-detuning": lambda tmp: (
+        ["compare", "--config", POINT, "--set", "atom.g_thz=10.4"], 3,
+        "domain error: limit formula needs g < detuning"),
+    "spectrum-positive-half": lambda tmp: (
+        ["steady-state", "--config", POINT, "--set",
+         f"hot_bath.spectrum_csv={_positive_half_table(tmp)}"], 2,
+        f"config error: {tmp / 'spectrum.csv'}: table must cover matching "
+        "+/- frequency pairs for the detailed-balance check"),
+}
+
+
 class TestExitCodes:
     def test_config_schema_is_valid(self):
         jsonschema = pytest.importorskip("jsonschema", reason=NO_JSONSCHEMA)
@@ -410,6 +463,15 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.splitlines() == [
             f"config error: {table}: row '1.0,abc' is not two numbers"]
+
+    @pytest.mark.parametrize("case", sorted(ERROR_LINES))
+    def test_error_is_one_stderr_line_and_no_file(self, capsys, tmp_path,
+                                                  case):
+        argv, code, message = ERROR_LINES[case](tmp_path)
+        before = sorted(tmp_path.iterdir())
+        got = run(capsys, *argv, "--out", str(tmp_path / "out"))
+        assert got == (code, "", message + "\n")
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_malformed_json_is_config_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

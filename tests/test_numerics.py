@@ -226,9 +226,9 @@ def _tanh_residual(x):
     return [math.tanh(x) - 0.5], [1.0 / math.cosh(x) ** 2]
 
 
-class TestGaussNewton:
+class TestLeastSquares:
     def test_zero_residual_fit_is_exact(self):
-        x, r = numerics.gauss_newton(
+        x, r = numerics.least_squares(
             lambda x: ([math.exp(x) - 3.0, 2.0 * math.exp(x) - 6.0],
                        [math.exp(x), 2.0 * math.exp(x)]), 0.0)
         assert x == pytest.approx(math.log(3.0), rel=1e-15)
@@ -237,31 +237,39 @@ class TestGaussNewton:
     def test_far_start_walks_to_the_bracketed_minimum(self):
         # at x = -10 the slope is ~8e-9, and a full Gauss-Newton step would
         # land near 2e8, where the residual no longer depends on x
-        x, r = numerics.gauss_newton(_tanh_residual, -10.0)
+        x, r = numerics.least_squares(_tanh_residual, -10.0)
         assert x == pytest.approx(math.atanh(0.5), rel=1e-15)
         assert abs(r[0]) <= 1e-15
 
     def test_flat_residuals_raise_the_callers_error(self):
         with pytest.raises(CalibrationError, match="do not depend"):
-            numerics.gauss_newton(lambda x: ([1.0, 2.0], [0.0, 0.0]), 0.0,
-                                  error=CalibrationError)
+            numerics.least_squares(lambda x: ([1.0, 2.0], [0.0, 0.0]), 0.0,
+                                   error=CalibrationError)
 
-    def test_non_positive_secant_falls_back_to_gauss_newton(self):
-        # in the tail left of the minimum the gradient r s grows more
-        # negative towards it, so the secant through the first two points
-        # is negative; taken as the curvature it would step away from the
-        # minimum, while sum s^2 steps towards it, by the ln 2 cap
+    def test_minimum_beyond_the_steps_raises_the_callers_error(self):
+        # the minimum at x = 1000 lies beyond MAXITER steps of ln 2 from 0
+        with pytest.raises(CalibrationError, match="keeps its sign over 100 "
+                                                   "steps of ln 2 from x=0.0"):
+            numerics.least_squares(lambda x: ([x - 1000.0], [1.0]), 0.0,
+                                   error=CalibrationError)
+
+    def test_downhill_steps_of_ln2_bracket_the_minimum(self):
+        # left of the minimum the gradient r s is negative, so x steps right
+        # by ln 2 until it turns positive, and brentq roots it between the
+        # last two steps, which it takes from the steps without a new pass
         visited = []
 
         def recorded(x):
             visited.append(x)
             return _tanh_residual(x)
 
-        x, _ = numerics.gauss_newton(recorded, -3.0)
-        gradients = [r[0] * s[0] for r, s in map(_tanh_residual, visited[:2])]
-        assert (gradients[1] - gradients[0]) / (visited[1] - visited[0]) < 0.0
-        assert visited[:3] == [-3.0, -3.0 + math.log(2.0),
-                               -3.0 + math.log(2.0) + math.log(2.0)]
+        x, _ = numerics.least_squares(recorded, -3.0)
+        steps = [-3.0]
+        for _ in range(6):
+            steps.append(steps[-1] + math.log(2.0))
+        assert visited[:7] == steps
+        assert steps[5] < math.atanh(0.5) < steps[6]
+        assert len(visited) == len(set(visited))
         assert x == pytest.approx(math.atanh(0.5), rel=1e-15)
 
 
