@@ -81,6 +81,13 @@ class CellConfig(Record):
             raise ValueError("laser power must be positive")
         if not bath_temperature_k > 0:
             raise ValueError("bath temperature must be positive")
+        # NaN failed a check above, so the one non-finite value left is inf
+        values = (length_mm, absorption_coeff_per_mm,
+                  linear_atom_density_per_mm, laser_power_w,
+                  bath_temperature_k)
+        if math.inf in values:
+            raise ValueError(f"{self.__slots__[values.index(math.inf)]} "
+                             "must be finite")
         _set(self, "length_mm", length_mm)
         _set(self, "absorption_coeff_per_mm", absorption_coeff_per_mm)
         _set(self, "linear_atom_density_per_mm", linear_atom_density_per_mm)
@@ -143,10 +150,13 @@ def experimental_heat_current(p_l_watt: float, a_nu: float, delta: float,
                               nu: float) -> float:
     """Measured-absorption estimate P_L a(nu) detuning/nu, in watts; signed
     (negative for blue detuning).  detuning and nu in any common unit."""
+    # written so that a NaN fails each check
     if not 0.0 <= a_nu <= 1.0:
         raise ValueError("absorption probability must lie in [0, 1]")
-    if nu <= 0:
+    if not nu > 0:
         raise ValueError("nu must be positive")
+    if not (math.isfinite(delta) and math.isfinite(p_l_watt)):
+        raise ValueError("delta and p_l_watt must be finite")
     return p_l_watt * a_nu * delta / nu
 
 
@@ -158,8 +168,9 @@ def experimental_heat_current(p_l_watt: float, a_nu: float, delta: float,
 def _integrate_over_cell(cell: CellConfig, alpha_per_mm: float,
                          local) -> tuple[float, float]:
     """(N_a/L) integrals of exp(-alpha z) J_hot and exp(-alpha z) P_abs,
-    where local(attenuation(z)) returns the internal per-atom pair
-    (J_hot, P_abs); results in watts.
+    where local(attenuation(z)) returns a tuple whose first two entries
+    are the internal per-atom (J_hot, P_abs), as a beam_flows kernel does;
+    results in watts.
 
     Both integrals are one integrate call over z -> exp(-alpha z) (J_hot,
     P_abs), so local is taken once per depth; where the two bisections
@@ -169,22 +180,26 @@ def _integrate_over_cell(cell: CellConfig, alpha_per_mm: float,
     to there only.
 
     Raises DomainError when either error estimate misses QUAD_EPSREL,
-    J_hot's checked first."""
+    J_hot's checked first, or when a total in watts is not finite."""
     depth = cell.length_mm
     if alpha_per_mm * depth > BEAM_CUTOFF:
         depth = BEAM_CUTOFF / alpha_per_mm
 
     def integrand(z: float) -> tuple[float, float]:
         att = math.exp(-alpha_per_mm * z)
-        j_hot, p_abs = local(att)
-        return att * j_hot, att * p_abs
+        flows = local(att)
+        return att * flows[0], att * flows[1]
 
     totals = []
     for value, err in integrate(integrand, 0.0, depth, QUAD_EPSREL):
         if not err <= QUAD_EPSREL * abs(value):
             raise DomainError(f"cell integral did not converge: error "
                               f"estimate {err:.3g} against value {value:.6g}")
-        totals.append(internal_to_watts(cell.linear_atom_density_per_mm * value))
+        total = internal_to_watts(cell.linear_atom_density_per_mm * value)
+        if not math.isfinite(total):
+            raise DomainError("cell integral is not finite for these "
+                              "parameters")
+        totals.append(total)
     return tuple(totals)
 
 
@@ -301,13 +316,7 @@ def row_flows(cell: CellConfig, cfg_row: AtomDriveConfig, hot: BathSpectrum,
     # one cold spectrum per row; one pass takes both integrals at each depth
     flows = beam_flows(cfg_row, hot, CubicColdSpectrum(cfg_row.gamma,
                                                        cfg_row.omega0, t_cold))
-
-    def local(att: float) -> tuple[float, float]:
-        # the kernel's tuple, in DressedFlows' order
-        at_depth = flows(att)
-        return at_depth[1], at_depth[3]
-
-    return (*_integrate_over_cell(cell, alpha_per_mm, local), model)
+    return (*_integrate_over_cell(cell, alpha_per_mm, flows), model)
 
 
 # ---------------------------------------------------------------------------

@@ -100,8 +100,8 @@ def dressed_flows(cfg: AtomDriveConfig, hot: BathSpectrum,
     Every dressed jump is sigma+, sigma- or sigma_z and the generator has
     no Hamiltonian part, so the populations decouple from the coherence
     and obey a two-level rate balance: p_upper = k_up / (k_up + k_down),
-    with k_up (k_down) the summed |c|^2-weighted rates that raise (lower)
-    the atom; sigma_z channels only dephase.  Each channel takes
+    with k_up (k_down) the kernel's summed |c|^2-weighted rates that raise
+    (lower) the atom; sigma_z channels only dephase.  Each channel takes
     n_down = |c|^2 G(w_eff) <S+S> and gives n_up = |c|^2 G(-w_eff) <SS+>
     quanta, so the bath receives w_eff (n_down - n_up) and the drive
     supplies q nu (n_down - n_up), the bookkeeping of oracle.heat_currents.  A
@@ -115,38 +115,43 @@ def dressed_flows(cfg: AtomDriveConfig, hot: BathSpectrum,
     the drive power summed over the channels misses -(J_hot + J_cold) by
     more than 1e-10 of the largest flow.
     """
-    return DressedFlows._make(beam_flows(cfg, hot, cold)(1.0))
+    kernel = beam_flows(cfg, hot, cold)
+    j_hot, p_abs, j_cold, k_up, k_down, energy = kernel(1.0)
+    total = k_up + k_down
+    upper, lower = k_up / total, k_down / total
+    return DressedFlows((upper, lower), j_hot, j_cold, p_abs,
+                        abs(k_up * lower - k_down * upper) / total, energy)
 
 
 def beam_flows(cfg: AtomDriveConfig, hot: BathSpectrum, cold: BathSpectrum):
-    """The cell integrand's kernel u -> dressed_flows at the coupling
-    g sqrt(u), where the attenuated beam keeps the power fraction u, as a
-    plain tuple in DressedFlows' field order: the bits of
-    dressed_flows(cfg.attenuated(u), hot, cold), and a ValueError for a
-    negative, NaN or infinite u.  The sigma_z channels, cold at nu and hot
-    at 0, keep their effective frequency at any coupling, so their rate
-    pairs are taken once; a depth takes the other three from the spectra's
-    bound pair methods and checks all six rates at once, calling
-    _rate_pair for its message only where one fails.
-    """
+    """The cell integrand's kernel u -> (J_hot, P_abs, J_cold, k_up, k_down,
+    energy_balance_residual) at the coupling g sqrt(u) of a beam that keeps
+    the power fraction u, in dressed_flows(cfg.attenuated(u), ...)'s bits;
+    a ValueError for a negative, NaN or infinite u.  The sigma_z channels,
+    cold at nu and hot at 0, keep their frequency at any coupling, so their
+    rate pairs are taken once; a depth takes the other three from the
+    spectra's bound pair methods and checks all six rates at once, calling
+    _rate_pair for its message only where one fails.  Hot sigma_z sits at
+    w_eff = 0, carries no heat and moves no population: a depth skips it."""
     nu, delta, g = cfg.nu, cfg.detuning, cfg.g
     # w_eff = wbar + q nu, q = 1 cold and 0 hot; sigma_z has wbar = 0
-    w1, w3 = 0.0 + nu, 0.0
-    (down1, up1), (down3, up3) = _rate_pair(cold, w1), _rate_pair(hot, w3)
+    w1 = 0.0 + nu
+    (down1, up1), _ = _rate_pair(cold, w1), _rate_pair(hot, 0.0)
     cold_pair, hot_pair = cold.pair, hot.pair
+    inf, sqrt, isfinite = math.inf, math.sqrt, math.isfinite
 
     def flows_at(u: float) -> tuple:
-        if not 0.0 <= u < math.inf:
+        if not 0.0 <= u < inf:
             raise ValueError(f"power fraction {u!r} must be finite and >= 0")
-        f0, _, f2, _, w4, c0, c1, c2, c3, c4 = _dressed_channels(
-            nu, delta, g * math.sqrt(u), 4)
+        f0, _, f2, _, w4, c0, c1, c2, _, c4 = _dressed_channels(
+            nu, delta, g * sqrt(u), 4)
         w0, w2 = f0 + nu, f2 + nu
         down0, up0 = cold_pair(w0)
         down2, up2 = cold_pair(w2)
         down4, up4 = hot_pair(w4)
-        if not (0.0 <= down0 < math.inf and 0.0 <= up0 < math.inf
-                and 0.0 <= down2 < math.inf and 0.0 <= up2 < math.inf
-                and 0.0 <= down4 < math.inf and 0.0 <= up4 < math.inf):
+        if not (0.0 <= down0 < inf and 0.0 <= up0 < inf
+                and 0.0 <= down2 < inf and 0.0 <= up2 < inf
+                and 0.0 <= down4 < inf and 0.0 <= up4 < inf):
             # the first pair that fails raises, with its message
             _rate_pair(cold, w0)
             _rate_pair(cold, w2)
@@ -160,8 +165,6 @@ def beam_flows(cfg: AtomDriveConfig, hot: BathSpectrum, cold: BathSpectrum):
         l1, r1 = weight * down1, weight * up1
         weight = c2 * c2
         l2, r2 = weight * down2, weight * up2
-        weight = c3 * c3
-        l3, r3 = weight * down3, weight * up3
         weight = c4 * c4
         l4, r4 = weight * down4, weight * up4
         # every sum runs left to right from 0.0, so the bits do not depend
@@ -169,7 +172,7 @@ def beam_flows(cfg: AtomDriveConfig, hot: BathSpectrum, cold: BathSpectrum):
         k_up = 0.0 + r0 + r2 + r4
         k_down = 0.0 + l0 + l2 + l4
         total = k_up + k_down
-        if not (math.isfinite(total) and total > 0.0):
+        if not (isfinite(total) and total > 0.0):
             raise DegenerateSteadyStateError(
                 f"dressed rate balance has no unique steady state (k_up = "
                 f"{k_up:.3e}, k_down = {k_down:.3e})")
@@ -182,16 +185,15 @@ def beam_flows(cfg: AtomDriveConfig, hot: BathSpectrum, cold: BathSpectrum):
         net1 = l1 - r1
         net2 = (0.0 + (l2 * r0 - r2 * l0) + (l2 * r2 - r2 * l2)
                 + (l2 * r4 - r2 * l4)) / total
-        net3 = l3 - r3
         net4 = (0.0 + (l4 * r0 - r4 * l0) + (l4 * r2 - r4 * l2)
                 + (l4 * r4 - r4 * l4)) / total
         # the bath receives w_eff per net quantum, the drive supplies q nu
-        # (nothing on the hot channels)
+        # (nothing on the hot channels); hot sigma_z at w_eff = 0 adds +0.0
         j_cold = 0.0 - w0 * net0 - w1 * net1 - w2 * net2
-        j_hot = 0.0 - w3 * net3 - w4 * net4
+        j_hot = 0.0 - w4 * net4
         p_direct = 0.0 + nu * net0 + nu * net1 + nu * net2
         p_abs = -(j_hot + j_cold)
-        if not (math.isfinite(p_abs) and math.isfinite(p_direct)):
+        if not (isfinite(p_abs) and isfinite(p_direct)):
             raise DomainError("heat flows overflow: products of the channel "
                               "rates exceed the float range")
         scale = max(abs(j_hot), abs(j_cold), abs(p_abs))
@@ -200,9 +202,7 @@ def beam_flows(cfg: AtomDriveConfig, hot: BathSpectrum, cold: BathSpectrum):
             raise DomainError(
                 f"energy balance broken: drive power {p_direct:.6g} against "
                 f"-(J_hot + J_cold) = {p_abs:.6g}")
-        upper, lower = k_up / total, k_down / total
-        return ((upper, lower), j_hot, j_cold, p_abs,
-                abs(k_up * lower - k_down * upper) / total,
+        return (j_hot, p_abs, j_cold, k_up, k_down,
                 defect / scale if scale else 0.0)
 
     return flows_at

@@ -132,6 +132,17 @@ class TestCellConfig:
         with pytest.raises(ValueError):
             CellConfig(10.0, 0.1, 1e12, 0.0, 500.0)
 
+    @pytest.mark.parametrize("field", CellConfig.__slots__)
+    def test_infinite_field_rejected_by_name(self, field):
+        # inf passed every positivity check: an exact row then met a NaN
+        # power fraction, an infinite power printed eta = 0.0
+        fields = dict(length_mm=10.0, absorption_coeff_per_mm=0.1,
+                      linear_atom_density_per_mm=1e12, laser_power_w=2.4,
+                      bath_temperature_k=500.0)
+        fields[field] = math.inf
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            CellConfig(**fields)
+
 
 class TestQuadrature:
     def test_constant_integrand_closed_form(self):
@@ -419,6 +430,14 @@ class TestExactRows:
         assert len(depths) == 21 * 7
         assert len(set(depths)) == len(depths)
 
+    def test_row_whose_total_overflows_is_domain_error(self):
+        # every depth is finite, the row's totals in watts are not: the row
+        # returned j_hot_watt = p_abs_watt = eta = inf, where a weak row
+        # of the same cell raises
+        with pytest.raises(DomainError, match="cell integral is not finite"):
+            detuning_scan(lab_cell(density=1e300), lab_cfg(g_thz=0.5),
+                          thz_to_internal(0.002), [0.5])
+
     def test_strong_scan_matches_svd_oracle_without_it(self, monkeypatch):
         cell, cfg, g0 = lab_cell(), lab_cfg(g_thz=0.5), thz_to_internal(0.002)
         oracle = [self.oracle_row(cell, cfg, g0, d) for d in self.GRID]
@@ -482,10 +501,19 @@ class TestExperimentalCurrent:
         with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
             experimental_heat_current(2.4, a_nu, 12.0, 365.0)
 
-    @pytest.mark.parametrize("nu", [0.0, -365.0])
+    @pytest.mark.parametrize("nu", [0.0, -365.0, math.nan])
     def test_frequency_that_is_not_positive_rejected(self, nu):
         with pytest.raises(ValueError, match="nu must be positive"):
             experimental_heat_current(2.4, 0.5, 12.0, nu)
+
+    @pytest.mark.parametrize("p_l_watt, delta", [(2.4, math.nan),
+                                                 (math.nan, 12.0)],
+                             ids=["delta", "p_l_watt"])
+    def test_power_or_detuning_that_is_nan_rejected(self, p_l_watt, delta):
+        # each returned nan
+        with pytest.raises(ValueError,
+                           match="delta and p_l_watt must be finite"):
+            experimental_heat_current(p_l_watt, 0.5, delta, 365.0)
 
 
 class TestDataset:
@@ -1040,8 +1068,9 @@ class TestRowFlowsForAnyHotShape:
         kernel = floquet.beam_flows(cfg, hot, cold)
 
         def local(att):
-            at_depth = floquet.DressedFlows._make(kernel(att))
-            return at_depth.j_hot, at_depth.p_abs
+            # the kernel returns the flows first
+            j_hot, p_abs, *_ = kernel(att)
+            return j_hot, p_abs
 
         assert row_flows(cell, cfg, hot, t_cold, 1.0 / 9.0) == (
             *_integrate_over_cell(cell, 1.0 / 9.0, local), "floquet")

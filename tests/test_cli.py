@@ -699,6 +699,11 @@ class TestExitCodes:
         (["scan", *FLOQUET_ROWS, "--set", "hot_bath.g0_thz=1e150"], 3,
          "domain error: heat flows overflow: products of the channel rates "
          "exceed the float range"),
+        # FLOQUET_ROWS whose cell totals overflow the float range in watts,
+        # where the writer refused the first row with "result is not finite"
+        (["scan", *FLOQUET_ROWS,
+          "--set", "cell.linear_atom_density_per_mm=1e300"], 3,
+         "domain error: cell integral is not finite for these parameters"),
         # alpha = 1/length overflows, where the scan metadata read Infinity
         (["scan", "--set", "cell.absorption_length_mm=1e-320"], 2,
          "config error: cell: absorption_length_mm overflows internal units"),
@@ -735,6 +740,7 @@ class TestExitCodes:
          "config error: detuning -1e+300 THz overflows internal units"),
     ], ids=["laser-below-zero", "calibration-unbracketed",
             "absorption-coefficient", "g0-overflows", "flows-overflow",
+            "cell-integral-overflows",
             "alpha-overflows", "calibrate-alpha-overflows",
             "calibrate-row-alpha-overflows", "row-alpha-overflows",
             "weak-row-alpha-overflows", "floquet-row-alpha-overflows",

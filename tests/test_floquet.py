@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from licore import floquet, oracle
+from licore.cell import CellConfig, row_flows
 from licore.config import AtomDriveConfig
 from licore.errors import DegenerateSteadyStateError, DomainError
 from licore.floquet import (
@@ -706,7 +707,7 @@ def seeded_drive_points(n, seed=2718):
 
 
 def _bits(flows):
-    # a DressedFlows or beam_flows' plain tuple in its field order
+    # a DressedFlows, or a tuple that starts with its populations
     return [x.hex() for x in (*flows[0], *flows[1:])]
 
 
@@ -750,6 +751,47 @@ class TestDressedFlows:
                 pytest.approx((ee, gg), rel=1e-13, abs=0)
             assert flows.rate_balance_residual <= 1e-15
             assert flows.energy_balance_residual <= 1e-12
+
+    def test_hot_dephasing_channel_is_heatless(self):
+        # two detailed-balanced hot tables that differ only at their node
+        # omega = 0, the hot sigma_z channel's frequency: every other hot
+        # frequency, rabi >= |detuning| = 5 or 12 THz at any depth, lies
+        # past the nodes at +/-2.5 THz, where the tables agree
+        t_hot = kelvin_to_internal(500.0)
+        plain = _tabulated_hot(thz_to_internal(0.002), t_hot)
+        middle = len(plain.omegas) // 2
+        assert plain.omegas[middle] == 0.0
+        values = list(plain.values)
+        values[middle] *= 10.0
+        bumped = TabulatedSpectrum(plain.omegas, tuple(values), t_hot)
+        cell = CellConfig(10.0, 1.0 / 9.0, 2e11, 2.4, 500.0)
+        for delta_thz in (-12.0, -5.0, 5.0, 12.0):
+            for ratio in (0.2, 0.5, 2.0):
+                cfg = AtomDriveConfig.from_thz(377.0, 6e-6,
+                                               ratio * abs(delta_thz),
+                                               377.0 - delta_thz)
+                assert bumped.pair(cfg.rabi) == plain.pair(cfg.rabi)
+                for t_cold in (0.0, kelvin_to_internal(300.0)):
+                    cold = CubicColdSpectrum(cfg.gamma, cfg.omega0, t_cold)
+                    # no heat and no population moved: the same bits
+                    flows = dressed_flows(cfg, plain, cold)
+                    assert _bits(dressed_flows(cfg, bumped, cold)) == \
+                        _bits(flows)
+                    row = row_flows(cell, cfg, plain, t_cold, 1.0 / 9.0)
+                    assert row[2] == "floquet"
+                    assert [x.hex() for x in row[:2]] == [
+                        x.hex() for x in
+                        row_flows(cell, cfg, bumped, t_cold, 1.0 / 9.0)[:2]]
+                    # the SVD oracle dephases ten times faster with the
+                    # bumped table, and its J_hot stays the closed form's
+                    for hot in (plain, bumped):
+                        _, report, currents = solve_pipeline(cfg, hot, cold)
+                        assert report.populations == pytest.approx(
+                            flows.populations, rel=1e-12, abs=0)
+                        scale = max(abs(currents.j_hot),
+                                    abs(currents.j_cold))
+                        assert abs(flows.j_hot - currents.j_hot) <= \
+                            1e-12 * scale
 
     def test_bare_populations_keep_digits_at_weak_drive(self):
         # 1 - detuning/rabi rounds to zero at g/detuning = 1e-9; the excited
@@ -930,11 +972,21 @@ class TestBeamFlows:
             assert local.rabi >= local.nu
             assert kernel is oracle is DomainError
         else:
-            assert kernel == oracle
-            # signed zeros too, and the bits of the arithmetic taken apart
-            # from the kernel, as a loop over the labelled channels
-            assert _bits(kernel) == _bits(oracle) == \
-                _bits(_looped_dressed_flows(local, hot, cold))
+            # the kernel's fields, by name, its populations taken from
+            # k_up and k_down, against the attenuated config's
+            # DressedFlows and the arithmetic taken apart from the kernel,
+            # as a loop over the labelled channels: signed zeros too
+            j_hot, p_abs, j_cold, k_up, k_down, energy_residual = kernel
+            total = k_up + k_down
+            fields = ((k_up / total, k_down / total), j_hot, j_cold, p_abs,
+                      energy_residual)
+            for reference in (oracle,
+                              _looped_dressed_flows(local, hot, cold)):
+                named = (reference.populations, reference.j_hot,
+                         reference.j_cold, reference.p_abs,
+                         reference.energy_balance_residual)
+                assert fields == named
+                assert _bits(fields) == _bits(named)
 
     @pytest.mark.parametrize("u", [-1.0, -5e-324, math.nan, math.inf])
     def test_bad_fraction_is_value_error(self, u):
